@@ -16,6 +16,7 @@ import random
 from dataclasses import dataclass
 
 from .corpus import Corpus
+from .keyword_index import _is_boundary
 from .sketch import (
     AggOp,
     CondOp,
@@ -87,6 +88,10 @@ def load_replacement_map(path) -> ReplacementMap:
             try:
                 op = CondOp.from_symbol(op_text)
             except ValueError:
+                if op_text.upper() not in CondOp.__members__:
+                    raise ValueError(
+                        f"{path}:{lineno}: unknown operator {op_text!r}"
+                    ) from None
                 op = CondOp[op_text.upper()]
             entries.append(Replacement(pattern.lower(), op, symbol))
     return ReplacementMap(tuple(entries))
@@ -201,10 +206,6 @@ def synthesize_short_questions(
     ]
 
 
-def _is_alnum(ch: str) -> bool:
-    return ch.isalnum()
-
-
 def _find_occurrences(question: str, pattern: str) -> list[tuple[int, int]]:
     """Word-boundary-anchored, case-insensitive occurrences of a lowercase
     pattern; pattern spaces match single spaces in the question."""
@@ -216,9 +217,7 @@ def _find_occurrences(question: str, pattern: str) -> list[tuple[int, int]]:
         if pos < 0:
             break
         end = pos + len(pattern)
-        left_ok = pos == 0 or not _is_alnum(lowered[pos - 1])
-        right_ok = end == len(lowered) or not _is_alnum(lowered[end])
-        if left_ok and right_ok:
+        if _is_boundary(lowered, pos, end):
             spans.append((pos, end))
         start = pos + 1
     return spans

@@ -15,15 +15,9 @@ import time
 import tracemalloc
 from dataclasses import dataclass, field
 
-from .keyword_index import build_index
-from .sampling import (
-    SampleSet,
-    sample_exact_match_one,
-    sample_random,
-    sample_relevance,
-)
 from .serialize import serialize_input, tokenize
 from .sketch import Table
+from .train import Sampler
 from .util import child_rng
 
 
@@ -97,38 +91,26 @@ def bench_sampling(tables: list[Table], strategy: str, k: int,
     report = BenchReport(strategy=strategy, k=k)
     for table in tables:
         n_cells = len(table.rows) * table.schema.n_columns
-        index = None
+        sampler = Sampler({table.table_id: table}, strategy, k, seed)
         if strategy in ("rel", "em1"):
             tracemalloc.start()
             started = time.perf_counter()
-            index = build_index(table)
+            sampler.index_for(table.table_id)
             setup_seconds = time.perf_counter() - started
             _, peak_memory = tracemalloc.get_traced_memory()
             tracemalloc.stop()
         else:
             # Offline sample generation is excluded from serving cost.
+            sampler.sample_for(table.table_id, "")
             setup_seconds = 0.0
             peak_memory = 0
-
-        fixed_samples: SampleSet | None = None
-        if strategy in ("none", "rand"):
-            fixed_samples = (
-                SampleSet.empty(table.table_id, table.schema.n_columns)
-                if strategy == "none"
-                else sample_random(table, k, seed)
-            )
 
         per_query = None
         if n_queries > 0:
             timings = []
             for query in _make_queries(table, n_queries, seed):
                 t0 = time.perf_counter()
-                if strategy == "rel":
-                    samples = sample_relevance(table, index, query, k, seed)
-                elif strategy == "em1":
-                    samples = sample_exact_match_one(table, index, query)
-                else:
-                    samples = fixed_samples
+                samples = sampler.sample_for(table.table_id, query)
                 serialize_input(tokenize(query), table.schema, samples,
                                 budget, question=query)
                 timings.append(time.perf_counter() - t0)

@@ -33,15 +33,7 @@ from .corpus import (
 )
 from .executor import execute
 from .keyword_index import build_index
-from .model import (
-    ModelConfig,
-    decode_sketch,
-    encode,
-    load_checkpoint,
-    predict_heads,
-    prepare_features,
-    save_checkpoint,
-)
+from .model import ModelConfig, load_checkpoint, save_checkpoint
 from .sampling import save_sample_sets
 from .serialize import DEFAULT_BUDGET, serialize_input, tokenize
 from .sketch import AggOp, CondOp, Condition, SqlSketch, render_sql
@@ -52,6 +44,7 @@ from .train import (
     compare_strategies,
     evaluate,
     parse_strategy,
+    predict,
     save_predictions,
     save_report,
     train,
@@ -102,6 +95,24 @@ def write_manifest(args, directory: Path, started: float,
         json.dump(manifest, handle, indent=2)
         handle.write("\n")
     return path
+
+
+def _strategy(args) -> tuple[str, int]:
+    """``--strategy`` as ``strategy:k``, or a bare name that takes ``--k``."""
+    return parse_strategy(args.strategy if ":" in args.strategy
+                          else f"{args.strategy}:{args.k}")
+
+
+def _serving_budget(args, checkpoint) -> int:
+    """``--budget``, defaulting to the checkpoint's ``max_positions``; a
+    larger budget would fail in the encoder, so it is rejected up front."""
+    limit = checkpoint.config.max_positions
+    if args.budget is None:
+        return limit
+    if args.budget > limit:
+        raise ValueError(f"--budget {args.budget} exceeds the checkpoint's "
+                         f"max_positions {limit}")
+    return args.budget
 
 
 def _load_pair(args):
@@ -186,8 +197,7 @@ def cmd_sample(args) -> int:
         print(f"unknown table {args.table_id!r}", file=sys.stderr)
         return 1
     table = tables[args.table_id]
-    strategy, k = parse_strategy(args.strategy if ":" in args.strategy
-                                 else f"{args.strategy}:{args.k}")
+    strategy, k = _strategy(args)
     sampler = Sampler(tables, strategy, k, args.seed)
     samples = sampler.sample_for(args.table_id, args.question or "")
     for col, values in enumerate(samples.columns):
@@ -204,8 +214,7 @@ def cmd_serialize(args) -> int:
         print(f"unknown table {args.table_id!r}", file=sys.stderr)
         return 1
     table = tables[args.table_id]
-    strategy, k = parse_strategy(args.strategy if ":" in args.strategy
-                                 else f"{args.strategy}:{args.k}")
+    strategy, k = _strategy(args)
     sampler = Sampler(tables, strategy, k, args.seed)
     samples = sampler.sample_for(args.table_id, args.question)
     serialized = serialize_input(tokenize(args.question), table.schema,
@@ -221,8 +230,7 @@ def cmd_train(args) -> int:
     started = time.time()
     corpus, tables = _load_pair(args)
     dev_corpus = load_examples(args.dev, split="dev") if args.dev else None
-    strategy, k = parse_strategy(args.strategy if ":" in args.strategy
-                                 else f"{args.strategy}:{args.k}")
+    strategy, k = _strategy(args)
     augment_config = None
     if args.augment:
         augment_config = AugmentConfig(mix_ratio=args.mix_ratio,
@@ -261,8 +269,8 @@ def cmd_eval(args) -> int:
     started = time.time()
     corpus, tables = _load_pair(args)
     checkpoint = load_checkpoint(args.ckpt)
-    strategy, k = parse_strategy(args.strategy if ":" in args.strategy
-                                 else f"{args.strategy}:{args.k}")
+    args.budget = _serving_budget(args, checkpoint)
+    strategy, k = _strategy(args)
     report = evaluate(checkpoint, corpus, tables, strategy, k,
                       budget=args.budget, seed=args.seed)
     print(report.render_text())
@@ -281,6 +289,7 @@ def cmd_compare(args) -> int:
     corpus, tables = _load_pair(args)
     labels = [s.strip() for s in args.strategies.split(",") if s.strip()]
     checkpoint = load_checkpoint(args.ckpt)
+    args.budget = _serving_budget(args, checkpoint)
     comparison = compare_strategies(checkpoint, corpus, tables, labels,
                                     budget=args.budget, seed=args.seed)
     print(comparison.render_text())
@@ -295,8 +304,7 @@ def cmd_compare(args) -> int:
 def cmd_bench(args) -> int:
     started = time.time()
     sizes = [int(s) for s in args.rows.split(",") if s]
-    strategy, k = parse_strategy(args.strategy if ":" in args.strategy
-                                 else f"{args.strategy}:{args.k}")
+    strategy, k = _strategy(args)
     tables = [generate_bench_table(size, seed=args.seed) for size in sizes]
     report = bench_sampling(tables, strategy, k, n_queries=args.queries,
                             seed=args.seed, budget=args.budget)
@@ -335,8 +343,8 @@ def cmd_repl(args) -> int:
         return 1
     table = tables[args.table_id]
     checkpoint = load_checkpoint(args.ckpt)
-    strategy, k = parse_strategy(args.strategy if ":" in args.strategy
-                                 else f"{args.strategy}:{args.k}")
+    budget = _serving_budget(args, checkpoint)
+    strategy, k = _strategy(args)
     sampler = Sampler(tables, strategy, k, args.seed)
     print(f"table {args.table_id}: {', '.join(table.schema.headers)}")
     print("enter a question (EOF to quit)")
@@ -344,17 +352,13 @@ def cmd_repl(args) -> int:
         question = line.strip()
         if not question:
             continue
-        samples = sampler.sample_for(args.table_id, question)
-        serialized = serialize_input(tokenize(question), table.schema,
-                                     samples, args.budget, question=question)
-        feats = prepare_features(serialized, checkpoint.vocab)
-        enc, _ = encode(feats, checkpoint.params, checkpoint.config)
-        heads, _ = predict_heads(enc, checkpoint.params, checkpoint.config)
-        sketch = decode_sketch(heads, table.schema, question,
-                               feats.question_spans,
-                               checkpoint.config.max_span_len)
+        try:
+            sketch = predict(checkpoint, sampler, table, question, budget)
+            result = execute(sketch, table)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            continue
         print(render_sql(sketch, table.schema))
-        result = execute(sketch, table)
         shown = list(result.values[:10])
         suffix = " ..." if len(result.values) > 10 else ""
         print(f"-> {shown}{suffix}")
@@ -458,14 +462,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--ckpt", required=True)
     sub.add_argument("--strategy", default="rand")
     sub.add_argument("--k", type=int, default=3)
-    sub.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    sub.add_argument("--budget", type=int, default=None,
+                     help="token budget (default: the checkpoint's max_positions)")
     sub.add_argument("--out", help="report json path")
 
     sub = add("compare", cmd_compare, help="evaluate strategies side by side")
     _add_common_io(sub, data=True)
     sub.add_argument("--ckpt", required=True)
     sub.add_argument("--strategies", default="none,rand:3,rel:3")
-    sub.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    sub.add_argument("--budget", type=int, default=None,
+                     help="token budget (default: the checkpoint's max_positions)")
     sub.add_argument("--out", help="comparison json path")
 
     sub = add("bench", cmd_bench, help="benchmark sampling over a size ladder")
@@ -489,7 +495,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--ckpt", required=True)
     sub.add_argument("--strategy", default="rel")
     sub.add_argument("--k", type=int, default=3)
-    sub.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    sub.add_argument("--budget", type=int, default=None,
+                     help="token budget (default: the checkpoint's max_positions)")
 
     return parser
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import NamedTuple
 
 from .sketch import Table
@@ -70,6 +71,13 @@ class ContentIndex:
         return len(self._patterns)
 
 
+def distinct_columns(table: Table) -> list[list[str]]:
+    """Each column's distinct non-empty cells, in first-seen order."""
+    return [[cell for cell in dict.fromkeys(map(itemgetter(col), table.rows))
+             if cell.strip()]
+            for col in range(table.schema.n_columns)]
+
+
 def build_index(table: Table) -> ContentIndex:
     """Index every distinct non-empty cell of a table.
 
@@ -77,32 +85,20 @@ def build_index(table: Table) -> ContentIndex:
     first-seen original spelling for reporting.
     """
     started = time.perf_counter()
-    n_cols = table.schema.n_columns
-    distinct: list[dict] = [dict() for _ in range(n_cols)]  # ordered sets
-    # seen[col][cell] -> counted as non-empty; duplicates skip all other work
-    seen: list[dict] = [dict() for _ in range(n_cols)]
+    distinct = distinct_columns(table)
+    n_cells = sum(1 for row in table.rows for cell in row if cell.strip())
     pattern_ids: dict[str, int] = {}
     patterns: list[tuple[int, dict]] = []
-    n_cells = 0
-    for row in table.rows:
-        for col in range(n_cols):
-            cell = row[col]
-            flag = seen[col].get(cell)
-            if flag is None:
-                flag = bool(cell.strip())
-                seen[col][cell] = flag
-                if flag:
-                    distinct[col][cell] = None
-                    normalized = normalize_pattern(cell)
-                    if normalized:
-                        pid = pattern_ids.get(normalized)
-                        if pid is None:
-                            pid = len(patterns)
-                            pattern_ids[normalized] = pid
-                            patterns.append((len(normalized), {}))
-                        patterns[pid][1].setdefault(col, cell)
-            if flag:
-                n_cells += 1
+    for col, values in enumerate(distinct):
+        for cell in values:
+            normalized = normalize_pattern(cell)
+            if normalized:
+                pid = pattern_ids.get(normalized)
+                if pid is None:
+                    pid = len(patterns)
+                    pattern_ids[normalized] = pid
+                    patterns.append((len(normalized), {}))
+                patterns[pid][1].setdefault(col, cell)
 
     children: list[dict] = [{}]
     terminal: list[int] = [-1]
@@ -142,9 +138,9 @@ def build_index(table: Table) -> ContentIndex:
 
     index = ContentIndex(
         table_id=table.table_id,
-        n_columns=n_cols,
+        n_columns=table.schema.n_columns,
         n_cells=n_cells,
-        distinct_values=tuple(tuple(d.keys()) for d in distinct),
+        distinct_values=tuple(tuple(values) for values in distinct),
         _children=children,
         _fail=fail,
         _outputs=outputs,

@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import asdict, dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -277,16 +276,17 @@ def encode(feats: Features, params: dict, cfg: ModelConfig,
     return enc, cache
 
 
+def _acc(grads, name, g):
+    if name in grads:
+        grads[name] += g
+    else:
+        grads[name] = g
+
+
 def encode_bwd(dhidden: np.ndarray, params: dict, cfg: ModelConfig, cache,
                grads: dict) -> None:
     """Backprop from d(hidden states) into parameter grads (accumulated)."""
     feats, layer_caches, lnf_cache, masks = cache
-
-    def acc(name, g):
-        if name in grads:
-            grads[name] += g
-        else:
-            grads[name] = g
 
     mask_iter = iter(reversed(masks))
 
@@ -295,65 +295,48 @@ def encode_bwd(dhidden: np.ndarray, params: dict, cfg: ModelConfig, cache,
         return dt if mask is None else dt * mask
 
     dx, dg, db = nn.layernorm_bwd(dhidden, lnf_cache)
-    acc("ln_f.g", dg)
-    acc("ln_f.b", db)
+    _acc(grads, "ln_f.g", dg)
+    _acc(grads, "ln_f.b", db)
     for i in reversed(range(cfg.n_layers)):
         pre = f"enc{i}."
         ln1_cache, attn_cache, ln2_cache, lin1_cache, gelu_cache, lin2_cache = \
             layer_caches[i]
         df_out = undrop(dx)
         dh2, dw2, db2 = nn.linear_bwd(df_out, lin2_cache)
-        acc(pre + "ffn.w2", dw2)
-        acc(pre + "ffn.b2", db2)
+        _acc(grads, pre + "ffn.w2", dw2)
+        _acc(grads, pre + "ffn.b2", db2)
         dh1 = nn.gelu_bwd(dh2, gelu_cache)
         df_in, dw1, db1 = nn.linear_bwd(dh1, lin1_cache)
-        acc(pre + "ffn.w1", dw1)
-        acc(pre + "ffn.b1", db1)
+        _acc(grads, pre + "ffn.w1", dw1)
+        _acc(grads, pre + "ffn.b1", db1)
         dres, dg2, db2n = nn.layernorm_bwd(df_in, ln2_cache)
-        acc(pre + "ln2.g", dg2)
-        acc(pre + "ln2.b", db2n)
+        _acc(grads, pre + "ln2.g", dg2)
+        _acc(grads, pre + "ln2.b", db2n)
         dx = dx + dres
         da_out = undrop(dx)
         da_in, attn_grads = nn.attention_bwd(da_out, attn_cache)
         for name, g in attn_grads.items():
-            acc(pre + "attn." + name, g)
+            _acc(grads, pre + "attn." + name, g)
         dres, dg1, db1n = nn.layernorm_bwd(da_in, ln1_cache)
-        acc(pre + "ln1.g", dg1)
-        acc(pre + "ln1.b", db1n)
+        _acc(grads, pre + "ln1.g", dg1)
+        _acc(grads, pre + "ln1.b", db1n)
         dx = dx + dres
     dx = undrop(dx)
 
     n = len(feats.ids)
     dtok = np.zeros_like(params["tok_emb"])
     np.add.at(dtok, feats.ids, dx)
-    acc("tok_emb", dtok)
+    _acc(grads, "tok_emb", dtok)
     dpos = np.zeros_like(params["pos_emb"])
     dpos[:n] = dx
-    acc("pos_emb", dpos)
+    _acc(grads, "pos_emb", dpos)
     dseg = np.zeros_like(params["seg_emb"])
     np.add.at(dseg, feats.segments, dx)
-    acc("seg_emb", dseg)
+    _acc(grads, "seg_emb", dseg)
 
 
 # ---------------------------------------------------------------------------
 # Heads
-
-
-class AttentionContext(NamedTuple):
-    context: np.ndarray
-    weights: np.ndarray
-
-
-def column_attention(header_vec: np.ndarray, question_vecs: np.ndarray,
-                     w: np.ndarray) -> AttentionContext:
-    """One column's attention over question tokens through a bilinear map.
-
-    scores_i = header_vec . w . q_i; weights = softmax(scores);
-    context = sum_i weights_i q_i.
-    """
-    scores = (header_vec @ w) @ question_vecs.T
-    weights = nn.softmax(scores)
-    return AttentionContext(weights @ question_vecs, weights)
 
 
 @dataclass(frozen=True)
@@ -376,9 +359,26 @@ def _batched_attention(hc, q, w):
     return ctx, probs
 
 
-def _scored_mlp(hc, ctx, u, v, b, w):
-    t = np.tanh(hc @ u + ctx @ v + b)  # (C, d)
-    return t @ w, t
+# Output layer of each column head: sel and wcol score a column through one
+# vector, wop maps a column to operator logits through a matrix and a bias.
+_COLUMN_HEAD_OUTPUT = {
+    "sel": ("sel.w", None),
+    "wcol": ("wcol.w", None),
+    "wop": ("wop.w2", "wop.b2"),
+}
+
+
+def _column_head_fwd(head, hc, q, params):
+    """Column attention over the question, t = tanh(hc.u + ctx.v + b), then
+    the head's output layer; returns (logits, cache)."""
+    ctx, probs = _batched_attention(hc, q, params[head + ".att_w"])
+    t = np.tanh(hc @ params[head + ".u"] + ctx @ params[head + ".v"]
+                + params[head + ".b"])  # (C, d)
+    out_w, out_b = _COLUMN_HEAD_OUTPUT[head]
+    logits = t @ params[out_w]
+    if out_b is not None:
+        logits = logits + params[out_b]
+    return logits, (ctx, probs, t)
 
 
 def predict_heads(enc: EncoderOutput, params: dict, cfg: ModelConfig,
@@ -393,10 +393,7 @@ def predict_heads(enc: EncoderOutput, params: dict, cfg: ModelConfig,
     hc = enc.header_vecs
     q = enc.question_vecs
 
-    sel_ctx, sel_probs = _batched_attention(hc, q, params["sel.att_w"])
-    sel_logits, sel_t = _scored_mlp(hc, sel_ctx, params["sel.u"],
-                                    params["sel.v"], params["sel.b"],
-                                    params["sel.w"])
+    sel_logits, sel_cache = _column_head_fwd("sel", hc, q, params)
 
     sel_idx = int(sel_override) if sel_override is not None \
         else int(np.argmax(sel_logits))
@@ -411,16 +408,10 @@ def predict_heads(enc: EncoderOutput, params: dict, cfg: ModelConfig,
     wnum_t = np.tanh(summary @ params["wnum.w1"] + params["wnum.b1"])
     wnum_logits = (wnum_t @ params["wnum.w2"] + params["wnum.b2"])[0]
 
-    wcol_ctx, wcol_probs = _batched_attention(hc, q, params["wcol.att_w"])
-    wcol_logits, wcol_t = _scored_mlp(hc, wcol_ctx, params["wcol.u"],
-                                      params["wcol.v"], params["wcol.b"],
-                                      params["wcol.w"])
+    wcol_logits, wcol_cache = _column_head_fwd("wcol", hc, q, params)
     wcol_scores = 1.0 / (1.0 + np.exp(-wcol_logits))
 
-    wop_ctx, wop_probs = _batched_attention(hc, q, params["wop.att_w"])
-    wop_t = np.tanh(hc @ params["wop.u"] + wop_ctx @ params["wop.v"]
-                    + params["wop.b"])
-    wop_logits = wop_t @ params["wop.w2"] + params["wop.b2"]
+    wop_logits, wop_cache = _column_head_fwd("wop", hc, q, params)
 
     def span_head(prefix):
         qu = q @ params[prefix + ".u"]  # (m, d)
@@ -444,12 +435,12 @@ def predict_heads(enc: EncoderOutput, params: dict, cfg: ModelConfig,
     )
     cache = {
         "hc": hc, "q": q,
-        "sel": (sel_ctx, sel_probs, sel_t),
+        "sel": sel_cache,
         "sel_idx": sel_idx,
         "agg": (agg_ctx, agg_probs, agg_t),
         "wnum": (pool_scores, pool_probs, summary, wnum_t),
-        "wcol": (wcol_ctx, wcol_probs, wcol_t),
-        "wop": (wop_ctx, wop_probs, wop_t),
+        "wcol": wcol_cache,
+        "wop": wop_cache,
         "wvs": wvs_t,
         "wve": wve_t,
     }
@@ -468,11 +459,24 @@ def _attention_bwd(dctx, probs, hc, q, w, dhc, dq, grads, name):
     _acc(grads, name, hc.T @ dhw)
 
 
-def _acc(grads, name, g):
-    if name in grads:
-        grads[name] += g
+def _column_head_bwd(head, dlogits, params, cache, hc, q, dhc, dq, grads):
+    """Backward through _column_head_fwd; accumulates into dhc/dq/grads."""
+    ctx, probs, t = cache
+    out_w, out_b = _COLUMN_HEAD_OUTPUT[head]
+    _acc(grads, out_w, t.T @ dlogits)
+    if out_b is None:
+        dt = np.outer(dlogits, params[out_w])
     else:
-        grads[name] = g
+        _acc(grads, out_b, dlogits.sum(axis=0))
+        dt = dlogits @ params[out_w].T
+    dt = dt * (1.0 - t * t)
+    _acc(grads, head + ".b", dt.sum(axis=0))
+    _acc(grads, head + ".u", hc.T @ dt)
+    dhc += dt @ params[head + ".u"].T
+    _acc(grads, head + ".v", ctx.T @ dt)
+    dctx = dt @ params[head + ".v"].T
+    _attention_bwd(dctx, probs, hc, q, params[head + ".att_w"],
+                   dhc, dq, grads, head + ".att_w")
 
 
 def heads_bwd(dlogits: dict, params: dict, cache: dict, grads: dict):
@@ -482,18 +486,8 @@ def heads_bwd(dlogits: dict, params: dict, cache: dict, grads: dict):
     dhc = np.zeros_like(hc)
     dq = np.zeros_like(q)
 
-    # select head
-    dsel = dlogits["sel"]
-    sel_ctx, sel_probs, sel_t = cache["sel"]
-    dt = np.outer(dsel, params["sel.w"]) * (1.0 - sel_t * sel_t)
-    _acc(grads, "sel.w", sel_t.T @ dsel)
-    _acc(grads, "sel.b", dt.sum(axis=0))
-    _acc(grads, "sel.u", hc.T @ dt)
-    dhc += dt @ params["sel.u"].T
-    _acc(grads, "sel.v", sel_ctx.T @ dt)
-    dctx = dt @ params["sel.v"].T
-    _attention_bwd(dctx, sel_probs, hc, q, params["sel.att_w"],
-                   dhc, dq, grads, "sel.att_w")
+    _column_head_bwd("sel", dlogits["sel"], params, cache["sel"], hc, q,
+                     dhc, dq, grads)
 
     # aggregation head (conditioned on cached select column)
     dagg = dlogits["agg"]
@@ -526,32 +520,9 @@ def heads_bwd(dlogits: dict, params: dict, cache: dict, grads: dict):
     _acc(grads, "wnum.u", q.T @ dscores)
     dq += np.outer(dscores, params["wnum.u"])
 
-    # where-column head
-    dwcol = dlogits["wcol"]
-    wcol_ctx, wcol_probs, wcol_t = cache["wcol"]
-    dt = np.outer(dwcol, params["wcol.w"]) * (1.0 - wcol_t * wcol_t)
-    _acc(grads, "wcol.w", wcol_t.T @ dwcol)
-    _acc(grads, "wcol.b", dt.sum(axis=0))
-    _acc(grads, "wcol.u", hc.T @ dt)
-    dhc += dt @ params["wcol.u"].T
-    _acc(grads, "wcol.v", wcol_ctx.T @ dt)
-    dctx = dt @ params["wcol.v"].T
-    _attention_bwd(dctx, wcol_probs, hc, q, params["wcol.att_w"],
-                   dhc, dq, grads, "wcol.att_w")
-
-    # where-operator head
-    dwop = dlogits["wop"]
-    wop_ctx, wop_probs, wop_t = cache["wop"]
-    _acc(grads, "wop.w2", wop_t.T @ dwop)
-    _acc(grads, "wop.b2", dwop.sum(axis=0))
-    dt = (dwop @ params["wop.w2"].T) * (1.0 - wop_t * wop_t)
-    _acc(grads, "wop.b", dt.sum(axis=0))
-    _acc(grads, "wop.u", hc.T @ dt)
-    dhc += dt @ params["wop.u"].T
-    _acc(grads, "wop.v", wop_ctx.T @ dt)
-    dctx = dt @ params["wop.v"].T
-    _attention_bwd(dctx, wop_probs, hc, q, params["wop.att_w"],
-                   dhc, dq, grads, "wop.att_w")
+    for head in ("wcol", "wop"):
+        _column_head_bwd(head, dlogits[head], params, cache[head], hc, q,
+                         dhc, dq, grads)
 
     # where-value span heads
     for prefix, key in (("wvs", "wvs"), ("wve", "wve")):

@@ -78,15 +78,6 @@ def gelu_bwd(dout: np.ndarray, cache):
     return dout * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du_dx)
 
 
-def tanh_fwd(x: np.ndarray):
-    t = np.tanh(x)
-    return t, t
-
-
-def tanh_bwd(dout: np.ndarray, t: np.ndarray):
-    return dout * (1.0 - t * t)
-
-
 def attention_fwd(x: np.ndarray, wq, bq, wk, bk, wv, bv, wo, bo, n_heads: int):
     """Full (unmasked) multi-head self-attention over one sequence (n, d)."""
     n, d = x.shape

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .keyword_index import ContentIndex, extract_matches
+from .keyword_index import ContentIndex, distinct_columns, extract_matches
 from .sketch import Table
 from .util import child_rng
 
@@ -42,24 +42,13 @@ class SampleSet:
                    columns=((),) * n_columns)
 
 
-def _distinct_columns(table: Table) -> list[list[str]]:
-    n = table.schema.n_columns
-    distinct: list[dict] = [dict() for _ in range(n)]
-    for row in table.rows:
-        for col in range(n):
-            cell = row[col]
-            if cell.strip() and cell not in distinct[col]:
-                distinct[col][cell] = None
-    return [list(d.keys()) for d in distinct]
-
-
 def sample_random(table: Table, k: int, seed: int = 0) -> SampleSet:
     """Draw up to k distinct non-empty values per column, without
     replacement, independent of any question."""
     if k < 0:
         raise ValueError("k must be >= 0")
     columns = []
-    for col, values in enumerate(_distinct_columns(table)):
+    for col, values in enumerate(distinct_columns(table)):
         rng = child_rng("sample", seed, table.table_id, col)
         columns.append(tuple(rng.sample(values, min(k, len(values)))))
     return SampleSet(table.table_id, STRATEGY_RANDOM, k, tuple(columns), seed)

@@ -93,14 +93,33 @@ class Sampler:
         return sample_exact_match_one(table, self.index_for(table_id), question)
 
 
+def _question_features(table: Table, question: str, sampler: Sampler,
+                       vocab: Vocab, budget: int) -> Features:
+    samples = sampler.sample_for(table.table_id, question)
+    serialized = serialize_input(tokenize(question), table.schema, samples,
+                                 budget, question=question)
+    return prepare_features(serialized, vocab)
+
+
 def build_features(example, table: Table, sampler: Sampler, vocab: Vocab,
                    budget: int) -> Features:
-    samples = sampler.sample_for(example.table_id, example.question)
-    serialized = serialize_input(
-        tokenize(example.question), table.schema, samples, budget,
-        question=example.question,
-    )
-    return prepare_features(serialized, vocab)
+    return _question_features(table, example.question, sampler, vocab, budget)
+
+
+def predict(checkpoint: Checkpoint, sampler: Sampler, table: Table,
+            question: str, budget: int) -> SqlSketch:
+    """Sample, serialize, encode, run the heads and decode one question.
+
+    Raises ``BudgetError`` when the question and headers do not fit
+    ``budget``.
+    """
+    feats = _question_features(table, question, sampler, checkpoint.vocab,
+                               budget)
+    cfg = checkpoint.config
+    enc, _ = encode(feats, checkpoint.params, cfg)
+    heads, _ = predict_heads(enc, checkpoint.params, cfg)
+    return decode_sketch(heads, table.schema, feats.question,
+                         feats.question_spans, cfg.max_span_len)
 
 
 @dataclass(frozen=True)
@@ -334,7 +353,6 @@ def evaluate(checkpoint: Checkpoint, corpus: Corpus, tables: dict[str, Table],
     if not corpus.examples:
         raise ValueError("cannot evaluate an empty corpus")
     sampler = Sampler(tables, strategy, k, seed)
-    cfg = checkpoint.config
     counts: Counter = Counter()
     lf_hits = 0
     ex_hits = 0
@@ -348,16 +366,11 @@ def evaluate(checkpoint: Checkpoint, corpus: Corpus, tables: dict[str, Table],
             pred = predictor(example, table)
         else:
             try:
-                feats = build_features(example, table, sampler,
-                                       checkpoint.vocab, budget)
+                pred = predict(checkpoint, sampler, table, example.question,
+                               budget)
             except BudgetError:
                 counts["over_budget"] += 1
                 pred = SqlSketch(select_column=0)
-            else:
-                enc, _ = encode(feats, checkpoint.params, cfg)
-                heads, _ = predict_heads(enc, checkpoint.params, cfg)
-                pred = decode_sketch(heads, table.schema, feats.question,
-                                     feats.question_spans, cfg.max_span_len)
         lf = lf_equal(pred, example.gold)
         ex = ex_equal(pred, example.gold, table)
         if lf and not ex:

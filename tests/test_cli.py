@@ -170,3 +170,77 @@ def test_repl_predicts_and_executes(workspace, capsys, monkeypatch):
     assert "SELECT" in out and "->" in out
     # repl must not mutate corpora, tables, or checkpoints
     assert (data.read_bytes(), tables.read_bytes(), ckpt.read_bytes()) == before
+
+
+def train_small(workspace, data, tables, budget=128):
+    ckpt = workspace / "model.ckpt"
+    assert run("train", "--data", str(data), "--tables", str(tables),
+               "--out", str(ckpt), "--epochs", "1", "--batch-size", "8",
+               "--d-model", "16", "--layers", "1", "--heads", "2",
+               "--strategy", "rand", "--k", "2", "--budget", str(budget)) == 0
+    return ckpt
+
+
+def test_repl_reports_bad_line_and_goes_on(workspace, capsys, monkeypatch):
+    data, tables = synth(workspace)
+    ckpt = train_small(workspace, data, tables)
+    table_id = json.loads(tables.read_text().splitlines()[0])["id"]
+    capsys.readouterr()
+    import io
+    long_line = " ".join(["word"] * 40)
+    monkeypatch.setattr("sys.stdin", io.StringIO(f"{long_line}\nfoo\n"))
+    assert run("repl", "--tables", str(tables), "--table-id", table_id,
+               "--ckpt", str(ckpt), "--budget", "20") == 0
+    captured = capsys.readouterr()
+    errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and "budget is 20" in errors[0]
+    assert sum(line.startswith("SELECT") for line in captured.out.splitlines()) == 1
+
+
+def test_repl_prints_the_sql_eval_predicts(workspace, capsys, monkeypatch):
+    data, tables = synth(workspace)
+    ckpt = train_small(workspace, data, tables)
+    report = workspace / "eval.json"
+    assert run("eval", "--data", str(data), "--tables", str(tables),
+               "--ckpt", str(ckpt), "--strategy", "rel", "--k", "2",
+               "--out", str(report)) == 0
+    predictions = [json.loads(line) for line in
+                   report.with_suffix(".predictions.jsonl").read_text().splitlines()]
+    table_id = predictions[0]["table_id"]
+    mine = [p for p in predictions if p["table_id"] == table_id]
+    capsys.readouterr()
+    import io
+    monkeypatch.setattr("sys.stdin",
+                        io.StringIO("".join(p["question"] + "\n" for p in mine)))
+    assert run("repl", "--tables", str(tables), "--table-id", table_id,
+               "--ckpt", str(ckpt), "--strategy", "rel", "--k", "2") == 0
+    printed = [line for line in capsys.readouterr().out.splitlines()
+               if line.startswith("SELECT")]
+    assert printed == [p["pred_sql"] for p in mine]
+
+
+def test_serving_budget_defaults_to_checkpoint(workspace, capsys):
+    data, tables = synth(workspace)
+    ckpt = train_small(workspace, data, tables, budget=128)
+    report = workspace / "eval.json"
+    assert run("eval", "--data", str(data), "--tables", str(tables),
+               "--ckpt", str(ckpt), "--out", str(report)) == 0
+    manifest = json.loads((workspace / "eval.manifest.json").read_text())
+    assert manifest["config"]["budget"] == 128
+    capsys.readouterr()
+    assert run("eval", "--data", str(data), "--tables", str(tables),
+               "--ckpt", str(ckpt), "--budget", "512",
+               "--out", str(report)) == 1
+    assert "max_positions 128" in capsys.readouterr().err
+
+
+def test_augment_unknown_operator_names_file_and_line(workspace, capsys):
+    data, tables = synth(workspace)
+    replacements = workspace / "replacements.tsv"
+    replacements.write_text("# pattern, op, symbol\nmore than\tBOGUS\t>\n",
+                            encoding="utf-8")
+    assert run("augment", "--data", str(data), "--tables", str(tables),
+               "--replacements", str(replacements)) == 1
+    err = capsys.readouterr().err
+    assert f"{replacements}:2: unknown operator 'BOGUS'" in err
+    assert "Traceback" not in err

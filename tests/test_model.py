@@ -11,7 +11,7 @@ from nlsql.model import (
     HeadOutputs,
     ModelConfig,
     Target,
-    column_attention,
+    _batched_attention,
     decode_sketch,
     encode,
     example_loss,
@@ -94,29 +94,31 @@ def test_encoder_rejects_overlong_input(setup):
 
 def test_column_attention_uniform_for_identical_tokens():
     rng = np.random.default_rng(0)
-    d, m = 8, 5
-    header = rng.normal(size=d)
+    d, m, c = 8, 5, 3
+    headers = rng.normal(size=(c, d))
     question = np.tile(rng.normal(size=d), (m, 1))
     w = rng.normal(size=(d, d))
-    context, weights = column_attention(header, question, w)
+    context, weights = _batched_attention(headers, question, w)
+    assert weights.shape == (c, m)
     assert np.allclose(weights, 1.0 / m)
-    assert np.allclose(context, question[0])
+    assert np.allclose(context, np.tile(question[0], (c, 1)))
 
 
 def test_column_attention_single_token_weight_one():
     rng = np.random.default_rng(1)
-    context, weights = column_attention(
-        rng.normal(size=4), rng.normal(size=(1, 4)), rng.normal(size=(4, 4)))
-    assert weights.shape == (1,)
-    assert weights[0] == pytest.approx(1.0)
+    context, weights = _batched_attention(
+        rng.normal(size=(3, 4)), rng.normal(size=(1, 4)), rng.normal(size=(4, 4)))
+    assert weights.shape == (3, 1)
+    assert weights.ravel() == pytest.approx([1.0, 1.0, 1.0])
 
 
 def test_column_attention_weights_sum_to_one():
     rng = np.random.default_rng(2)
     for _ in range(10):
-        _, weights = column_attention(
-            rng.normal(size=6), rng.normal(size=(7, 6)), rng.normal(size=(6, 6)))
-        assert abs(weights.sum() - 1.0) < 1e-6
+        _, weights = _batched_attention(
+            rng.normal(size=(4, 6)), rng.normal(size=(7, 6)), rng.normal(size=(6, 6)))
+        assert weights.shape == (4, 7)
+        assert np.all(np.abs(weights.sum(axis=1) - 1.0) < 1e-6)
 
 
 def test_permuting_column_blocks_permutes_header_vectors(motogp_table):
