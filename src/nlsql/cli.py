@@ -97,10 +97,24 @@ def write_manifest(args, directory: Path, started: float,
     return path
 
 
-def _strategy(args) -> tuple[str, int]:
-    """``--strategy`` as ``strategy:k``, or a bare name that takes ``--k``."""
-    return parse_strategy(args.strategy if ":" in args.strategy
-                          else f"{args.strategy}:{args.k}")
+def _strategy(args, fallback: dict | None = None) -> tuple[str, int]:
+    """``--strategy`` as ``strategy:k``, or a bare name that takes ``--k``.
+    A flag left unset (None) takes its value from ``fallback``."""
+    strategy = fallback["strategy"] if args.strategy is None else args.strategy
+    if ":" in strategy:
+        return parse_strategy(strategy)
+    k = fallback["k"] if args.k is None else args.k
+    return parse_strategy(f"{strategy}:{k}")
+
+
+def _serving_strategy(args, checkpoint, default: str) -> tuple[str, int]:
+    """``--strategy``/``--k``, defaulting to the strategy the checkpoint was
+    trained with; ``default`` with k=3 only for a checkpoint that records
+    none. The resolved values go back into ``args`` for the manifest."""
+    trained = checkpoint.extra.get("train_config") \
+        or {"strategy": default, "k": 3}
+    args.strategy, args.k = _strategy(args, trained)
+    return args.strategy, args.k
 
 
 def _serving_budget(args, checkpoint) -> int:
@@ -270,7 +284,7 @@ def cmd_eval(args) -> int:
     corpus, tables = _load_pair(args)
     checkpoint = load_checkpoint(args.ckpt)
     args.budget = _serving_budget(args, checkpoint)
-    strategy, k = _strategy(args)
+    strategy, k = _serving_strategy(args, checkpoint, "rand")
     report = evaluate(checkpoint, corpus, tables, strategy, k,
                       budget=args.budget, seed=args.seed)
     print(report.render_text())
@@ -344,7 +358,7 @@ def cmd_repl(args) -> int:
     table = tables[args.table_id]
     checkpoint = load_checkpoint(args.ckpt)
     budget = _serving_budget(args, checkpoint)
-    strategy, k = _strategy(args)
+    strategy, k = _serving_strategy(args, checkpoint, "rel")
     sampler = Sampler(tables, strategy, k, args.seed)
     print(f"table {args.table_id}: {', '.join(table.schema.headers)}")
     print("enter a question (EOF to quit)")
@@ -460,8 +474,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = add("eval", cmd_eval, help="evaluate a checkpoint")
     _add_common_io(sub, data=True)
     sub.add_argument("--ckpt", required=True)
-    sub.add_argument("--strategy", default="rand")
-    sub.add_argument("--k", type=int, default=3)
+    sub.add_argument("--strategy", default=None,
+                     help="default: the checkpoint's training strategy")
+    sub.add_argument("--k", type=int, default=None,
+                     help="default: the checkpoint's training k")
     sub.add_argument("--budget", type=int, default=None,
                      help="token budget (default: the checkpoint's max_positions)")
     sub.add_argument("--out", help="report json path")
@@ -493,8 +509,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_io(sub)
     sub.add_argument("--table-id", required=True)
     sub.add_argument("--ckpt", required=True)
-    sub.add_argument("--strategy", default="rel")
-    sub.add_argument("--k", type=int, default=3)
+    sub.add_argument("--strategy", default=None,
+                     help="default: the checkpoint's training strategy")
+    sub.add_argument("--k", type=int, default=None,
+                     help="default: the checkpoint's training k")
     sub.add_argument("--budget", type=int, default=None,
                      help="token budget (default: the checkpoint's max_positions)")
 

@@ -1,17 +1,43 @@
 """In-memory single-table query engine and execution-accuracy comparator.
 
-Equality conditions compare normalized strings; order comparisons parse both
-operands as numbers and fail (with a warning counter) on unparseable cells,
-so dirty tables never crash scoring. Numeric aggregations skip unparseable
-cells; with no numeric survivors they return an empty result, mirroring SQL
-NULL semantics.
+Each table carries a column store, built on first use and cached on the
+``Table`` (``Table.columns``): per column, a codebook of the distinct raw
+cells in first-seen order (blanks included) and an ``int32`` code per row.
+The normalized string and the parsed number of a codebook entry are
+computed once, the first time a query needs them, so a query costs a few
+vector operations over the codes instead of a pass over the cell strings.
+
+Conditions become boolean masks over the rows, ANDed in sketch order into
+one mask of live rows. Equality compares normalized strings; order
+comparisons compare the parsed numbers. Semantics, warning counts included,
+are those of a row-by-row scan that stops at a row's first failing
+condition:
+
+- a row alive after the earlier conditions whose cell does not parse as a
+  number adds one ``unparseable_numeric_comparison`` warning at each order
+  comparison, and dies;
+- an order comparison whose value does not parse warns once for every row
+  still alive, and leaves none alive;
+- numeric aggregations skip unparseable select cells, with one
+  ``unparseable_aggregation_cell`` warning each, and with no numeric
+  survivors return an empty result, mirroring SQL NULL.
+
+So dirty tables never crash scoring. Results are plain Python values: the
+raw cells in row order for NONE, an ``int`` for COUNT, and a ``float`` for
+MAX/MIN/SUM/AVG, reduced with the builtins over the survivors in row order.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, defaultdict
+from collections.abc import Iterable
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import count
+from operator import itemgetter
+
+import numpy as np
 
 from .sketch import AggOp, CondOp, SqlSketch, SketchError, Table, validate_sketch
 from .util import normalize_value, parse_number
@@ -34,23 +60,53 @@ class QueryResult:
         )
 
 
-def _row_matches(row, sketch: SqlSketch, warnings: Counter) -> bool:
-    for cond in sketch.conds:
-        cell = row[cond.column_index]
-        if cond.op is CondOp.EQ:
-            if normalize_value(cell) != normalize_value(cond.value):
-                return False
-        else:
-            left = parse_number(cell)
-            right = parse_number(cond.value)
-            if left is None or right is None:
-                warnings[WARN_COMPARISON] += 1
-                return False
-            if cond.op is CondOp.GT and not left > right:
-                return False
-            if cond.op is CondOp.LT and not left < right:
-                return False
-    return True
+class Column:
+    """One dictionary-encoded column of a table's column store."""
+
+    def __init__(self, cells: Iterable[str], n_rows: int):
+        code_of = defaultdict(count().__next__)  # a new cell takes the next code
+        self.codes = np.fromiter(map(code_of.__getitem__, cells), np.int32,
+                                 n_rows)
+        self.codebook: tuple[str, ...] = tuple(code_of)
+
+    @cached_property
+    def numbers(self) -> np.ndarray:
+        """``parse_number`` of each codebook entry, NaN where it fails."""
+        parsed = map(parse_number, self.codebook)
+        return np.fromiter((math.nan if x is None else x for x in parsed),
+                           np.float64, len(self.codebook))
+
+    @cached_property
+    def _normalized(self) -> tuple[np.ndarray, dict[str, int]]:
+        """Per codebook entry, the id of its normalized string; and the map
+        from normalized string to id."""
+        id_of = defaultdict(count().__next__)
+        entry_ids = np.fromiter(
+            map(id_of.__getitem__, map(normalize_value, self.codebook)),
+            np.int32, len(self.codebook))
+        return entry_ids, dict(id_of)
+
+    def equals(self, value: str) -> np.ndarray:
+        """Row mask: the cell normalizes to the same string as ``value``."""
+        entry_ids, ids = self._normalized
+        wanted = ids.get(normalize_value(value), -1)
+        return (entry_ids == wanted)[self.codes]
+
+    def row_numbers(self, rows=slice(None)) -> np.ndarray:
+        """The parsed number of each selected row's cell (NaN: unparseable)."""
+        return self.numbers[self.codes[rows]]
+
+
+def build_columns(table: Table) -> tuple[Column, ...]:
+    """Dictionary-encode every column of a table (see ``Table.columns``)."""
+    rows = table.rows
+    return tuple(Column(map(itemgetter(col), rows), len(rows))
+                 for col in range(table.schema.n_columns))
+
+
+def _warn(warnings: Counter, kind: str, n_rows) -> None:
+    if n_rows:
+        warnings[kind] += int(n_rows)
 
 
 def execute(sketch: SqlSketch, table: Table) -> QueryResult:
@@ -64,22 +120,36 @@ def execute(sketch: SqlSketch, table: Table) -> QueryResult:
     if violations:
         raise SketchError("; ".join(violations))
 
+    columns = table.columns
     warnings: Counter = Counter()
-    survivors = [r for r in table.rows if _row_matches(r, sketch, warnings)]
-    col = sketch.select_column
+    alive = np.ones(len(table.rows), dtype=bool)
+    for cond in sketch.conds:
+        column = columns[cond.column_index]
+        if cond.op is CondOp.EQ:
+            alive &= column.equals(cond.value)
+            continue
+        bound = parse_number(cond.value)
+        if bound is None:
+            _warn(warnings, WARN_COMPARISON, np.count_nonzero(alive))
+            alive[:] = False
+            break
+        cells = column.row_numbers()
+        _warn(warnings, WARN_COMPARISON,
+              np.count_nonzero(alive & np.isnan(cells)))
+        alive &= (cells > bound) if cond.op is CondOp.GT else (cells < bound)
 
+    column = columns[sketch.select_column]
     if sketch.agg is AggOp.NONE:
-        return QueryResult(tuple(r[col] for r in survivors), warnings)
+        codes = column.codes[alive].tolist()
+        return QueryResult(tuple(map(column.codebook.__getitem__, codes)),
+                           warnings)
     if sketch.agg is AggOp.COUNT:
-        return QueryResult((len(survivors),), warnings)
+        return QueryResult((int(np.count_nonzero(alive)),), warnings)
 
-    numbers = []
-    for r in survivors:
-        parsed = parse_number(r[col])
-        if parsed is None:
-            warnings[WARN_AGGREGATION] += 1
-        else:
-            numbers.append(parsed)
+    cells = column.row_numbers(alive)
+    parsed = ~np.isnan(cells)
+    _warn(warnings, WARN_AGGREGATION, len(cells) - np.count_nonzero(parsed))
+    numbers = cells[parsed].tolist()
     if not numbers:
         return QueryResult((), warnings)
     if sketch.agg is AggOp.MAX:

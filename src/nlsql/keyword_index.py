@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import NamedTuple
+
+import numpy as np
 
 from .sketch import Table
 
@@ -72,10 +73,10 @@ class ContentIndex:
 
 
 def distinct_columns(table: Table) -> list[list[str]]:
-    """Each column's distinct non-empty cells, in first-seen order."""
-    return [[cell for cell in dict.fromkeys(map(itemgetter(col), table.rows))
-             if cell.strip()]
-            for col in range(table.schema.n_columns)]
+    """Each column's distinct non-empty cells, in first-seen order: the
+    non-blank entries of the column store's codebooks."""
+    return [[cell for cell in column.codebook if cell.strip()]
+            for column in table.columns]
 
 
 def build_index(table: Table) -> ContentIndex:
@@ -86,7 +87,11 @@ def build_index(table: Table) -> ContentIndex:
     """
     started = time.perf_counter()
     distinct = distinct_columns(table)
-    n_cells = sum(1 for row in table.rows for cell in row if cell.strip())
+    n_cells = 0
+    for column in table.columns:
+        rows_per_entry = np.bincount(column.codes, minlength=len(column.codebook))
+        n_cells += sum(n for cell, n in zip(column.codebook, rows_per_entry.tolist())
+                       if cell.strip())
     pattern_ids: dict[str, int] = {}
     patterns: list[tuple[int, dict]] = []
     for col, values in enumerate(distinct):

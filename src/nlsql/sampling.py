@@ -12,6 +12,7 @@ Sample sets persist to a line-delimited sidecar file, one record per
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .keyword_index import ContentIndex, distinct_columns, extract_matches
@@ -40,6 +41,31 @@ class SampleSet:
     def empty(cls, table_id: str, n_columns: int) -> "SampleSet":
         return cls(table_id=table_id, strategy=STRATEGY_RANDOM, k=0,
                    columns=((),) * n_columns)
+
+
+class _Without(Sequence):
+    """``values`` without the entries at the sorted positions ``skip``: a
+    read-only view that ``random.sample`` draws from exactly as it would
+    from the filtered list, without building that list."""
+
+    def __init__(self, values: tuple[str, ...], skip: list[int]):
+        self._values = values
+        self._skip = skip
+
+    def __len__(self) -> int:
+        return len(self._values) - len(self._skip)
+
+    def __getitem__(self, i: int) -> str:
+        for position in self._skip:
+            if position > i:
+                break
+            i += 1
+        return self._values[i]
+
+
+def _remaining(values: tuple[str, ...], hits: list[str]) -> Sequence:
+    """``values`` without ``hits``: the tuple itself when there are none."""
+    return _Without(values, sorted(map(values.index, hits))) if hits else values
 
 
 def sample_random(table: Table, k: int, seed: int = 0) -> SampleSet:
@@ -74,7 +100,7 @@ def sample_relevance(table: Table, index: ContentIndex, question: str,
         fill_needed = k - len(hits)
         if fill_needed > 0:
             rng = child_rng("sample", seed, table.table_id, col)
-            pool = [v for v in index.distinct_values[col] if v not in hits]
+            pool = _remaining(index.distinct_values[col], hits)
             hits = hits + rng.sample(pool, min(fill_needed, len(pool)))
         columns.append(tuple(hits))
     return SampleSet(table.table_id, STRATEGY_RELEVANCE, k, tuple(columns), seed)

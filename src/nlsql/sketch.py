@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import cached_property
 
 from .util import normalize_value
 
@@ -114,6 +115,13 @@ class Table:
     @property
     def table_id(self) -> str:
         return self.schema.table_id
+
+    @cached_property
+    def columns(self) -> tuple:
+        """The table's column store, one ``executor.Column`` per column:
+        built on first use and kept with the table, which is immutable."""
+        from .executor import build_columns  # executor imports this module
+        return build_columns(self)
 
 
 # Provenance tags carried by examples through augmentation.

@@ -7,6 +7,7 @@ types only, no shared helper code with the engine under test).
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 from nlsql.sketch import AggOp, CondOp, SqlSketch, Table
 
@@ -31,6 +32,17 @@ def _num(text):
 
 def naive_execute(sketch: SqlSketch, table: Table):
     """Return the result multiset as a plain list (numbers for aggregates)."""
+    return naive_execute_with_warnings(sketch, table)[0]
+
+
+def naive_execute_with_warnings(sketch: SqlSketch, table: Table):
+    """Return the result list and a Counter of warnings.
+
+    A row stops at its first failing condition. An order comparison whose
+    cell or value does not parse warns once for that row; a numeric
+    aggregation warns once per surviving select cell that does not parse.
+    """
+    warnings = Counter()
     survivors = []
     for row in table.rows:
         keep = True
@@ -42,6 +54,7 @@ def naive_execute(sketch: SqlSketch, table: Table):
             else:
                 left, right = _num(cell), _num(cond.value)
                 if left is None or right is None:
+                    warnings["unparseable_numeric_comparison"] += 1
                     keep = False
                 elif cond.op is CondOp.GT:
                     keep = keep and left > right
@@ -54,16 +67,22 @@ def naive_execute(sketch: SqlSketch, table: Table):
 
     col = sketch.select_column
     if sketch.agg is AggOp.NONE:
-        return [row[col] for row in survivors]
+        return [row[col] for row in survivors], warnings
     if sketch.agg is AggOp.COUNT:
-        return [len(survivors)]
-    numbers = [n for n in (_num(row[col]) for row in survivors) if n is not None]
+        return [len(survivors)], warnings
+    numbers = []
+    for row in survivors:
+        number = _num(row[col])
+        if number is None:
+            warnings["unparseable_aggregation_cell"] += 1
+        else:
+            numbers.append(number)
     if not numbers:
-        return []
+        return [], warnings
     if sketch.agg is AggOp.MAX:
-        return [max(numbers)]
+        return [max(numbers)], warnings
     if sketch.agg is AggOp.MIN:
-        return [min(numbers)]
+        return [min(numbers)], warnings
     if sketch.agg is AggOp.SUM:
-        return [sum(numbers)]
-    return [sum(numbers) / len(numbers)]
+        return [sum(numbers)], warnings
+    return [sum(numbers) / len(numbers)], warnings

@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+from nlsql import cli
 from nlsql.cli import cli_dispatch
 from nlsql.corpus import load_examples, save_examples, save_tables
+from nlsql.model import load_checkpoint, save_checkpoint
 from nlsql.sketch import Example, SqlSketch
 
 
@@ -232,6 +234,47 @@ def test_serving_budget_defaults_to_checkpoint(workspace, capsys):
                "--ckpt", str(ckpt), "--budget", "512",
                "--out", str(report)) == 1
     assert "max_positions 128" in capsys.readouterr().err
+
+
+def test_serving_strategy_defaults_to_checkpoint(workspace, capsys, monkeypatch):
+    data, tables = synth(workspace)
+    ckpt = train_small(workspace, data, tables)  # trained at rand:2
+    report = workspace / "eval.json"
+
+    def eval_strategy(*flags):
+        assert run("eval", "--data", str(data), "--tables", str(tables),
+                   "--ckpt", str(ckpt), "--out", str(report), *flags) == 0
+        config = json.loads((workspace / "eval.manifest.json").read_text())["config"]
+        return config["strategy"], config["k"]
+
+    assert eval_strategy() == ("rand", 2)
+    assert eval_strategy("--k", "1") == ("rand", 1)
+    assert eval_strategy("--strategy", "rel:3") == ("rel", 3)
+
+    served = []
+
+    class SpySampler(cli.Sampler):
+        def __init__(self, tables, strategy, k, seed=0):
+            served.append((strategy, k))
+            super().__init__(tables, strategy, k, seed)
+
+    monkeypatch.setattr(cli, "Sampler", SpySampler)
+    table_id = json.loads(tables.read_text().splitlines()[0])["id"]
+    import io
+    monkeypatch.setattr("sys.stdin", io.StringIO("anything\n"))
+    assert run("repl", "--tables", str(tables), "--table-id", table_id,
+               "--ckpt", str(ckpt)) == 0
+    assert served == [("rand", 2)]
+
+    # A checkpoint that records no training config keeps the old defaults.
+    checkpoint = load_checkpoint(ckpt)
+    checkpoint.extra.pop("train_config")
+    save_checkpoint(ckpt, checkpoint)
+    assert eval_strategy() == ("rand", 3)
+    monkeypatch.setattr("sys.stdin", io.StringIO("anything\n"))
+    assert run("repl", "--tables", str(tables), "--table-id", table_id,
+               "--ckpt", str(ckpt)) == 0
+    assert served[-1] == ("rel", 3)
 
 
 def test_augment_unknown_operator_names_file_and_line(workspace, capsys):

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import nlsql.executor as executor_module
 from nlsql.executor import (
     WARN_AGGREGATION,
     WARN_COMPARISON,
@@ -20,8 +21,9 @@ from nlsql.sketch import (
     Table,
     TableSchema,
 )
+from nlsql.synth import generate_bench_table
 
-from naive_executor import naive_execute
+from naive_executor import naive_execute_with_warnings
 
 
 def test_select_with_two_conditions(tennis_table):
@@ -120,14 +122,76 @@ def random_sketch(rng: random.Random, n_cols: int) -> SqlSketch:
     return SqlSketch(rng.randrange(n_cols), rng.choice(list(AggOp)), conds)
 
 
+def assert_matches_naive(sketch: SqlSketch, table: Table):
+    result = execute(sketch, table)
+    want, want_warnings = naive_execute_with_warnings(sketch, table)
+    assert list(result.values) == want, (sketch, table.rows[:12])
+    assert dict(result.warnings) == dict(want_warnings), (sketch, table.rows[:12])
+    return result
+
+
 def test_matches_naive_interpreter_on_random_cases():
     rng = random.Random(1234)
     for _ in range(500):
         table = random_table(rng)
-        sketch = random_sketch(rng, table.schema.n_columns)
-        got = list(execute(sketch, table).values)
-        want = naive_execute(sketch, table)
-        assert got == want, (sketch, table.rows)
+        assert_matches_naive(random_sketch(rng, table.schema.n_columns), table)
+
+
+def test_matches_naive_interpreter_on_bench_table():
+    # Each sketch's condition values are cells of one row, some re-cased, so
+    # equality conditions hit; order comparisons on text columns warn.
+    table = generate_bench_table(2_000, seed=3)
+    rng = random.Random(4321)
+    n_cols = table.schema.n_columns
+    hits = 0
+    for _ in range(300):
+        row = rng.choice(table.rows)
+        conds = []
+        for _ in range(rng.randint(0, 3)):
+            col = rng.randrange(n_cols)
+            value = row[col]
+            conds.append(Condition(col, rng.choice(list(CondOp)),
+                                   value.upper() if rng.random() < 0.3 else value))
+        sketch = SqlSketch(rng.randrange(n_cols), rng.choice(list(AggOp)),
+                           tuple(conds))
+        result = assert_matches_naive(sketch, table)
+        if any(c.op is CondOp.EQ for c in conds) \
+                and result.values not in ((), (0,)):
+            hits += 1
+    assert hits >= 15
+
+
+def test_result_values_are_plain_python(motogp_table):
+    (count,) = execute(SqlSketch(2, AggOp.COUNT), motogp_table).values
+    assert type(count) is int and count == 3
+    for agg in (AggOp.MAX, AggOp.MIN, AggOp.SUM, AggOp.AVG):
+        (value,) = execute(SqlSketch(2, agg), motogp_table).values
+        assert type(value) is float
+    cells = execute(SqlSketch(0, AggOp.NONE, (Condition(3, CondOp.GT, "24"),)),
+                    motogp_table).values
+    assert cells == ("Mike Di Meglio", "Stevie Bonsey")
+    assert all(type(cell) is str for cell in cells)
+
+
+def test_second_query_parses_only_condition_values(motogp_table, monkeypatch):
+    calls = []
+    for name in ("normalize_value", "parse_number"):
+        def counted(text, _name=name, _original=getattr(executor_module, name)):
+            calls.append((_name, text))
+            return _original(text)
+        monkeypatch.setattr(executor_module, name, counted)
+    sketch = SqlSketch(3, AggOp.SUM, (
+        Condition(1, CondOp.EQ, "KTM"),
+        Condition(2, CondOp.LT, "30"),
+        Condition(0, CondOp.GT, "5"),
+    ))
+    first = execute(sketch, motogp_table)
+    # The first query normalizes or parses each codebook entry it needs.
+    assert len(calls) > 3
+    calls.clear()
+    assert execute(sketch, motogp_table) == first
+    assert calls == [("normalize_value", "KTM"), ("parse_number", "30"),
+                     ("parse_number", "5")]
 
 
 @given(st.data())

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from nlsql.keyword_index import build_index, extract_matches
 from nlsql.sampling import (
+    _remaining,
     load_sample_sets,
     sample_exact_match_one,
     sample_random,
@@ -164,3 +165,18 @@ def test_em1_emits_at_most_one_per_column(seed):
     index = build_index(table)
     samples = sample_exact_match_one(table, index, question)
     assert all(len(column) <= 1 for column in samples.columns)
+
+
+@pytest.mark.parametrize("n_values", [12, 500])
+def test_relevance_fill_draws_match_the_filtered_list(n_values):
+    # random.sample copies a small population and probes a large one by
+    # index; the view must give the filtered list's draws on both paths.
+    values = tuple(f"value {i}" for i in range(n_values))
+    for hits in ([], [values[7]], [values[-1], values[2]]):
+        pool = [v for v in values if v not in hits]
+        remaining = _remaining(values, hits)
+        assert len(remaining) == len(pool) and list(remaining) == pool
+        for seed in range(200):
+            for n in (1, 3, 8, len(pool)):
+                assert random.Random(seed).sample(remaining, n) \
+                    == random.Random(seed).sample(pool, n), (hits, seed, n)
