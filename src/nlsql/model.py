@@ -287,9 +287,33 @@ def _acc(grads, name, g):
         grads[name] = g
 
 
+def _acc_rows(grads, name, params, rows, g):
+    """Add ``g`` into rows ``rows`` of grads[name], a dense block shaped like
+    params[name] that is zeroed on first use."""
+    if name not in grads:
+        grads[name] = np.zeros_like(params[name])
+    grads[name][rows] += g
+
+
+def _acc_embedding(grads, name, params, ids, dx):
+    """Scatter-add ``dx`` into the rows ``ids`` of an embedding gradient.
+
+    Repeated ids are summed first, in position order, into a block with one
+    row per distinct id, so only the rows the example uses are touched.
+    """
+    uniq, inverse = np.unique(ids, return_inverse=True)
+    block = np.zeros((len(uniq), dx.shape[1]))
+    np.add.at(block, inverse, dx)
+    _acc_rows(grads, name, params, uniq, block)
+
+
 def encode_bwd(dhidden: np.ndarray, params: dict, cfg: ModelConfig, cache,
                grads: dict) -> None:
-    """Backprop from d(hidden states) into parameter grads (accumulated)."""
+    """Backprop from d(hidden states) into parameter grads (accumulated).
+
+    The embedding gradients are row-sparse: only the rows of the tokens,
+    positions and segments the example uses are added to.
+    """
     feats, layer_caches, lnf_cache, masks = cache
 
     mask_iter = iter(reversed(masks))
@@ -327,16 +351,9 @@ def encode_bwd(dhidden: np.ndarray, params: dict, cfg: ModelConfig, cache,
         dx = dx + dres
     dx = undrop(dx)
 
-    n = len(feats.ids)
-    dtok = np.zeros_like(params["tok_emb"])
-    np.add.at(dtok, feats.ids, dx)
-    _acc(grads, "tok_emb", dtok)
-    dpos = np.zeros_like(params["pos_emb"])
-    dpos[:n] = dx
-    _acc(grads, "pos_emb", dpos)
-    dseg = np.zeros_like(params["seg_emb"])
-    np.add.at(dseg, feats.segments, dx)
-    _acc(grads, "seg_emb", dseg)
+    _acc_embedding(grads, "tok_emb", params, feats.ids, dx)
+    _acc_rows(grads, "pos_emb", params, slice(0, len(feats.ids)), dx)
+    _acc_embedding(grads, "seg_emb", params, feats.segments, dx)
 
 
 # ---------------------------------------------------------------------------
@@ -607,13 +624,21 @@ def example_loss(params: dict, cfg: ModelConfig, feats: Features,
 
 def example_loss_and_grads(params: dict, cfg: ModelConfig, feats: Features,
                            target: Target,
-                           dropout_rng: np.random.Generator | None = None):
-    """Loss, per-task breakdown, and gradients for one example."""
+                           dropout_rng: np.random.Generator | None = None,
+                           grads: dict | None = None):
+    """Loss, per-task breakdown, and gradients for one example.
+
+    The gradients are added into ``grads`` (a fresh dict when None), which is
+    returned with one dense block per parameter; training passes one dict
+    per batch, so the batch sum builds up in place. The embedding blocks are
+    touched only at the rows the example uses.
+    """
     enc, enc_cache = encode(feats, params, cfg, dropout_rng=dropout_rng)
     heads, head_cache = predict_heads(enc, params, cfg, sel_override=target.sel)
     loss, breakdown, dlogits = loss_from_heads(heads, target)
 
-    grads: dict[str, np.ndarray] = {}
+    if grads is None:
+        grads = {}
     dhc, dq = heads_bwd(dlogits, params, head_cache, grads)
 
     dhidden = np.zeros_like(enc.hidden)

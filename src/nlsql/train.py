@@ -156,24 +156,46 @@ def _is_encoder_param(name: str) -> bool:
 
 
 class AdamState:
+    """Dense Adam (Kingma & Ba, arXiv 1412.6980) over every parameter block."""
+
     def __init__(self, params):
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
         self.t = 0
+        # One buffer the size of the largest block; each block's update
+        # runs through a view of it instead of full-size temporaries.
+        self._scratch = np.empty(max(v.size for v in params.values()))
 
     def step(self, params, grads, cfg: TrainConfig):
+        """One update of every block in ``grads``, in place.
+
+        The operations are those of the textbook expression, in its order,
+        so the result is bit-identical to it. The gradient blocks are used
+        as scratch and hold no gradient afterwards.
+        """
         self.t += 1
         bias1 = 1.0 - cfg.beta1 ** self.t
         bias2 = 1.0 - cfg.beta2 ** self.t
         for name, g in grads.items():
-            self.m[name] = cfg.beta1 * self.m[name] + (1 - cfg.beta1) * g
-            self.v[name] = cfg.beta2 * self.v[name] + (1 - cfg.beta2) * g * g
-            m_hat = self.m[name] / bias1
-            v_hat = self.v[name] / bias2
             lr = cfg.lr
             if cfg.encoder_lr is not None and _is_encoder_param(name):
                 lr = cfg.encoder_lr
-            params[name] -= lr * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+            m, v = self.m[name], self.v[name]
+            s = self._scratch[:g.size].reshape(g.shape)
+            np.multiply(g, 1 - cfg.beta2, out=s)  # v = b2*v + ((1-b2)*g)*g
+            s *= g
+            v *= cfg.beta2
+            v += s
+            g *= 1 - cfg.beta1  # m = b1*m + (1-b1)*g
+            m *= cfg.beta1
+            m += g
+            np.divide(v, bias2, out=s)  # s = sqrt(v_hat) + eps
+            np.sqrt(s, out=s)
+            s += cfg.adam_eps
+            np.divide(m, bias1, out=g)  # p -= (lr*m_hat) / s
+            g *= lr
+            g /= s
+            params[name] -= g
 
 
 def clip_gradients(grads, max_norm: float) -> float:
@@ -192,8 +214,9 @@ def train(corpus: Corpus, tables: dict[str, Table], config: TrainConfig,
 
     ``model_config.vocab_size`` is always replaced with the size of the vocab
     built from the (possibly augmented) corpus and tables. History rows carry
-    per-epoch mean loss and task breakdown, plus dev LF/EX at the checkpoint
-    cadence and on the final epoch when a dev corpus is given.
+    per-epoch mean loss and task breakdown, the largest gradient norm before
+    clipping and the number of clipped steps, plus dev LF/EX at the
+    checkpoint cadence and on the final epoch when a dev corpus is given.
     """
     if not corpus.examples:
         raise ValueError("cannot train on an empty corpus")
@@ -242,30 +265,32 @@ def train(corpus: Corpus, tables: dict[str, Table], config: TrainConfig,
         child_rng("train", config.seed, "epoch", epoch).shuffle(order)
         epoch_loss = 0.0
         epoch_breakdown: Counter = Counter()
+        grad_norm_max = 0.0
+        clipped_steps = 0
         for start in range(0, len(order), config.batch_size):
             batch = order[start:start + config.batch_size]
-            grads_sum: dict[str, np.ndarray] = {}
+            grads: dict[str, np.ndarray] = {}
             for idx in batch:
                 feats, target = prepared[idx]
                 loss, breakdown, grads = example_loss_and_grads(
-                    params, model_config, feats, target, dropout_rng=dropout_rng
+                    params, model_config, feats, target,
+                    dropout_rng=dropout_rng, grads=grads,
                 )
                 epoch_loss += loss
                 epoch_breakdown.update(breakdown)
-                for name, g in grads.items():
-                    if name in grads_sum:
-                        grads_sum[name] += g
-                    else:
-                        grads_sum[name] = g
-            for g in grads_sum.values():
+            for g in grads.values():
                 g /= len(batch)
-            clip_gradients(grads_sum, config.clip_norm)
-            adam.step(params, grads_sum, config)
+            grad_norm = clip_gradients(grads, config.clip_norm)
+            grad_norm_max = max(grad_norm_max, grad_norm)
+            clipped_steps += 0 < config.clip_norm < grad_norm
+            adam.step(params, grads, config)
 
         row = {"epoch": epoch, "loss": epoch_loss / len(prepared)}
         row.update({
             f"loss_{k}": v / len(prepared) for k, v in sorted(epoch_breakdown.items())
         })
+        row["grad_norm_max"] = grad_norm_max
+        row["clipped_steps"] = clipped_steps
         cadence = config.checkpoint_every
         is_last = epoch == config.epochs - 1
         if dev_corpus is not None and (is_last or (cadence and (epoch + 1) % cadence == 0)):

@@ -4,6 +4,13 @@ from __future__ import annotations
 
 import math
 import random
+import re
+
+# A character that neither float() nor the thousands-separator retry accepts
+# anywhere: not a Unicode decimal digit, sign, point, exponent, underscore,
+# comma, a letter of inf / infinity / nan, or whitespace (which the retry
+# can leave at an end, as in "1 ,").
+_NEVER_NUMERIC = re.compile(r"[^\d\s+\-._eE,afintyAFINTY]")
 
 
 def normalize_value(s: str) -> str:
@@ -18,7 +25,7 @@ def parse_number(s: str) -> float | None:
     are rejected so dirty cells never poison comparisons.
     """
     text = s.strip()
-    if not text:
+    if not text or _NEVER_NUMERIC.search(text):
         return None
     try:
         value = float(text)

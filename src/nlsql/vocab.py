@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from collections import Counter
 
+import numpy as np
+
 from .serialize import CLS, HEADER_DELIM, SAMPLE_DELIM, SEP, token_texts
 
 PAD = "[PAD]"
@@ -30,16 +32,22 @@ class Vocab:
     @classmethod
     def build(cls, corpus, tables, max_size: int = 30_000) -> "Vocab":
         """Count tokens over questions, headers, and cell values; keep the
-        most frequent (ties break lexicographically for determinism)."""
+        most frequent (ties break lexicographically for determinism).
+
+        Each distinct cell of a column is tokenized once and its tokens
+        counted once per row that holds it (from the table's column store).
+        """
         counts: Counter = Counter()
         for example in corpus.examples:
             counts.update(token_texts(example.question))
         for table in tables.values():
             for header in table.schema.headers:
                 counts.update(token_texts(header))
-            for row in table.rows:
-                for cell in row:
-                    counts.update(token_texts(cell))
+            for column in table.columns:
+                rows = np.bincount(column.codes, minlength=len(column.codebook))
+                for cell, n in zip(column.codebook, rows.tolist()):
+                    for token in token_texts(cell):
+                        counts[token] += n
         for special in SPECIALS:
             counts.pop(special, None)
         budget = max(0, max_size - len(SPECIALS))

@@ -221,6 +221,84 @@ def test_gradients_match_finite_differences_spot(setup):
             assert abs(an - fd) <= 1e-4 * max(abs(an), abs(fd), 1e-3), name
 
 
+@pytest.mark.parametrize("dropout", [0.0, 0.3])
+def test_batch_accumulation_equals_sum_of_example_gradients(motogp_table,
+                                                            dropout):
+    questions = [
+        ("laps of derbi rider with grid 20 and laps over 1",
+         SqlSketch(2, AggOp.NONE, (Condition(1, CondOp.EQ, "derbi"),))),
+        ("grid of honda rider", SqlSketch(
+            3, AggOp.NONE, (Condition(1, CondOp.EQ, "honda"),))),
+        ("rider of ktm with grid 25", SqlSketch(
+            0, AggOp.NONE, (Condition(3, CondOp.EQ, "25"),))),
+    ]
+    examples = [Example(q, motogp_table.table_id, gold) for q, gold in questions]
+    tables = {motogp_table.table_id: motogp_table}
+    vocab = Vocab.build(Corpus(examples), tables)
+    cfg = ModelConfig(vocab_size=len(vocab), d_model=16, n_layers=2,
+                      n_heads=2, dropout=dropout, seed=3)
+    params = init_params(cfg)
+    samples = sample_random(motogp_table, 2, seed=0)
+    prepared = []
+    for example in examples:
+        serialized = serialize_input(tokenize(example.question),
+                                     motogp_table.schema, samples, 128,
+                                     question=example.question)
+        feats = prepare_features(serialized, vocab)
+        target, _ = make_target(example.gold, feats, cfg.max_conds)
+        prepared.append((feats, target))
+    ids = [feats.ids.tolist() for feats, _ in prepared]
+    assert len(set(ids[0])) < len(ids[0])  # "laps" repeats within one example
+    shared = set(ids[0]) & set(ids[1]) & set(ids[2])
+    assert vocab.index["rider"] in shared and vocab.index["grid"] in shared
+
+    def rng():
+        return np.random.default_rng(11) if dropout else None
+
+    fresh_rng = rng()
+    expected: dict = {}
+    for feats, target in prepared:
+        _, _, grads = example_loss_and_grads(params, cfg, feats, target,
+                                             dropout_rng=fresh_rng)
+        for name, g in grads.items():
+            if name in expected:
+                expected[name] += g
+            else:
+                expected[name] = g
+
+    batch_rng = rng()
+    batch: dict = {}
+    for feats, target in prepared:
+        _, _, returned = example_loss_and_grads(params, cfg, feats, target,
+                                                dropout_rng=batch_rng,
+                                                grads=batch)
+        assert returned is batch
+    assert list(batch) == list(expected)  # clipping sums the norm in this order
+    for name, g in expected.items():
+        assert batch[name].shape == params[name].shape, name
+        assert np.array_equal(batch[name], g), name
+
+    # The row-sparse embedding gradients of the first example, at the
+    # repeated token's row and at its first and last positions.
+    feats, target = prepared[0]
+    _, _, grads = example_loss_and_grads(params, cfg, feats, target)
+    repeated = next(i for i in ids[0] if ids[0].count(i) > 1)
+    last = len(ids[0]) - 1
+    h = 1e-5
+    for name, row in (("tok_emb", repeated), ("pos_emb", 0), ("pos_emb", last),
+                      ("seg_emb", int(feats.segments[0]))):
+        for col in (0, cfg.d_model - 1):
+            keep = params[name][row, col]
+            params[name][row, col] = keep + h
+            up = example_loss(params, cfg, feats, target)
+            params[name][row, col] = keep - h
+            down = example_loss(params, cfg, feats, target)
+            params[name][row, col] = keep
+            fd = (up - down) / (2 * h)
+            an = grads[name][row, col]
+            assert abs(an - fd) <= 1e-4 * max(abs(an), abs(fd), 1e-3), (name, row)
+
+
 def test_decode_empty_when_wnum_zero(setup):
     *_, example, table = setup
     m = 5

@@ -1,10 +1,17 @@
+import math
+from collections import Counter
+
 import numpy as np
 import pytest
 
+import nlsql.train as train_module
 from nlsql.corpus import Corpus
 from nlsql.model import ModelConfig
+from nlsql.serialize import token_texts
+from nlsql.sketch import AggOp, Example, SqlSketch, Table, TableSchema
 from nlsql.synth import SynthConfig, generate_synthetic_corpus
 from nlsql.train import (
+    AdamState,
     Sampler,
     TrainConfig,
     compare_strategies,
@@ -12,6 +19,7 @@ from nlsql.train import (
     parse_strategy,
     train,
 )
+from nlsql.vocab import SPECIALS, Vocab
 
 
 @pytest.fixture(scope="module")
@@ -150,3 +158,113 @@ def test_training_drops_unalignable_examples(tiny_setup):
     config = TrainConfig(epochs=1, batch_size=8, strategy="none", k=0, seed=0)
     ckpt, _ = train(mixed, tables, config, model_config=MODEL)
     assert ckpt.extra["counters"]["unalignable"] == 1
+
+
+def _textbook_adam_step(params, m, v, t, grads, cfg):
+    bias1 = 1.0 - cfg.beta1 ** t
+    bias2 = 1.0 - cfg.beta2 ** t
+    for name, g in grads.items():
+        m[name] = cfg.beta1 * m[name] + (1 - cfg.beta1) * g
+        v[name] = cfg.beta2 * v[name] + (1 - cfg.beta2) * g * g
+        m_hat = m[name] / bias1
+        v_hat = v[name] / bias2
+        lr = cfg.lr
+        if cfg.encoder_lr is not None and name.startswith(("tok_emb", "enc")):
+            lr = cfg.encoder_lr
+        params[name] = params[name] - lr * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+
+
+@pytest.mark.parametrize("encoder_lr", [None, 3e-4])
+def test_in_place_adam_step_is_bitwise_textbook(encoder_lr):
+    rng = np.random.default_rng(4)
+    shapes = {"tok_emb": (40, 8), "enc0.ffn.w1": (8, 12), "sel.w": (8,),
+              "agg.b2": (6,)}
+    # Entries as small as an update, so a last-bit change in it shows.
+    params = {name: rng.normal(size=shape) * 10.0 ** rng.integers(-6, 1, shape)
+              for name, shape in shapes.items()}
+    expected = {name: p.copy() for name, p in params.items()}
+    m = {name: np.zeros(shape) for name, shape in shapes.items()}
+    v = {name: np.zeros(shape) for name, shape in shapes.items()}
+    cfg = TrainConfig(lr=1e-3, encoder_lr=encoder_lr)
+    adam = AdamState(params)
+    for t in range(1, 4):
+        grads = {name: rng.normal(size=shape) * 10.0 ** rng.integers(-6, 3, shape)
+                 for name, shape in shapes.items()}
+        grads["tok_emb"][::3] = 0.0  # rows no example touched
+        _textbook_adam_step(expected, m, v, t, grads, cfg)
+        adam.step(params, {name: g.copy() for name, g in grads.items()}, cfg)
+        for name in shapes:
+            assert np.array_equal(adam.m[name], m[name]), (t, name)
+            assert np.array_equal(adam.v[name], v[name]), (t, name)
+            assert np.array_equal(params[name], expected[name]), (t, name)
+
+
+def _row_scan_counts(corpus, tables):
+    counts = Counter()
+    for example in corpus.examples:
+        counts.update(token_texts(example.question))
+    for table in tables.values():
+        for header in table.schema.headers:
+            counts.update(token_texts(header))
+        for row in table.rows:
+            for cell in row:
+                counts.update(token_texts(cell))
+    for special in SPECIALS:
+        counts.pop(special, None)
+    return counts
+
+
+def test_vocab_counts_cells_like_a_row_scan():
+    table = Table(
+        TableSchema("t", ("Name", "Team", "Pts"), ("text", "text", "real")),
+        (
+            ("alpha beta", "red", "10"),
+            ("alpha beta", "", "10"),
+            ("gamma", "red", ""),
+            ("", "blue blue", "7"),
+            ("delta", "red", "10"),
+            ("alpha beta", "green", "7"),
+        ),
+    )
+    other = Table(TableSchema("u", ("Team",), ("text",)),
+                  (("red",), ("zeta",), ("",), ("zeta",)))
+    tables = {"t": table, "u": other}
+    corpus = Corpus([
+        Example("which team has alpha", "t", SqlSketch(1, AggOp.NONE)),
+        Example("pts of gamma", "t", SqlSketch(2, AggOp.NONE)),
+    ])
+    counts = _row_scan_counts(corpus, tables)
+    ranked = sorted(counts, key=lambda t: (-counts[t], t))
+    ties = 0
+    for kept in range(len(ranked) + 2):
+        expected = list(SPECIALS) + ranked[:kept]
+        built = Vocab.build(corpus, tables, max_size=len(SPECIALS) + kept)
+        assert built.tokens == expected
+        if 0 < kept < len(ranked):
+            ties += counts[ranked[kept - 1]] == counts[ranked[kept]]
+    assert ties  # some caps cut between tokens of equal count
+
+
+@pytest.mark.parametrize("clip_norm", [0.0, 1e-12, 0.05])
+def test_history_reports_gradient_norms(tiny_setup, monkeypatch, clip_norm):
+    corpus, tables = tiny_setup
+    norms = []
+    clip = train_module.clip_gradients
+
+    def recording_clip(grads, max_norm):
+        norms.append(clip(grads, max_norm))
+        return norms[-1]
+
+    monkeypatch.setattr(train_module, "clip_gradients", recording_clip)
+    config = TrainConfig(epochs=2, batch_size=4, strategy="none", k=0, seed=1,
+                         clip_norm=clip_norm)
+    ckpt, history = train(corpus, tables, config, model_config=MODEL)
+    steps = math.ceil(ckpt.extra["counters"]["trainable"] / config.batch_size)
+    assert len(norms) == steps * len(history)
+    for epoch, row in enumerate(history):
+        epoch_norms = norms[epoch * steps:(epoch + 1) * steps]
+        assert row["grad_norm_max"] == max(epoch_norms) > 0
+        assert row["clipped_steps"] == sum(
+            clip_norm > 0 and n > clip_norm for n in epoch_norms)
+    if clip_norm == 1e-12:
+        assert all(row["clipped_steps"] == steps for row in history)
