@@ -16,7 +16,6 @@ import random
 from dataclasses import dataclass
 
 from .corpus import Corpus
-from .keyword_index import _is_boundary
 from .sketch import (
     AggOp,
     CondOp,
@@ -204,6 +203,12 @@ def synthesize_short_questions(
                 provenance=PROV_SYNTHESIZED, style="short")
         for q in questions
     ]
+
+
+def _is_boundary(text: str, start: int, end: int) -> bool:
+    before_ok = start == 0 or not text[start - 1].isalnum()
+    after_ok = end == len(text) or not text[end].isalnum()
+    return before_ok and after_ok
 
 
 def _find_occurrences(question: str, pattern: str) -> list[tuple[int, int]]:

@@ -519,33 +519,43 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config_file(path) -> dict:
+_BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
+               "0": False, "false": False, "no": False, "off": False}
+
+
+def _load_config_file(path) -> dict[str, tuple[int, str]]:
+    """``key -> (line number, raw value)`` from a flat ``key = value`` file."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            lines = list(handle)
+    except (OSError, UnicodeError) as exc:
+        raise ValueError(f"{path}: cannot read config file: {exc}") from exc
     values = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key = value")
-            key, _, raw = line.partition("=")
-            values[key.strip().replace("-", "_")] = raw.strip()
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected key = value")
+        key, _, raw = line.partition("=")
+        values[key.strip().replace("-", "_")] = (lineno, raw.strip())
     return values
 
 
-def _coerce(raw: str, current_default):
-    if isinstance(current_default, bool):
-        return raw.lower() in ("1", "true", "yes", "on")
-    if isinstance(current_default, int) and not isinstance(current_default, bool):
-        return int(raw)
-    if isinstance(current_default, float):
-        return float(raw)
-    return raw
+def _coerce(raw: str, action: argparse.Action):
+    """A config value parsed as its flag would parse it; a switch takes only
+    the words in ``_BOOL_WORDS``."""
+    if isinstance(action.default, bool):
+        if raw.lower() not in _BOOL_WORDS:
+            raise ValueError(f"expected one of {', '.join(_BOOL_WORDS)}, got {raw!r}")
+        return _BOOL_WORDS[raw.lower()]
+    return action.type(raw) if action.type else raw
 
 
 def _apply_config_defaults(parser, subparsers_map, argv) -> None:
     """Implement flags > config file > defaults by rewriting subparser
-    defaults before the real parse."""
+    defaults before the real parse. A malformed file raises ValueError
+    naming its line."""
     subcommand = next((a for a in argv if not a.startswith("-")), None)
     if subcommand not in subparsers_map:
         return
@@ -559,13 +569,17 @@ def _apply_config_defaults(parser, subparsers_map, argv) -> None:
         return
     values = _load_config_file(config_path)
     sub = subparsers_map[subcommand]
-    known = {action.dest: action.default for action in sub._actions}
-    unknown = set(values) - set(known)
+    actions = {action.dest: action for action in sub._actions}
+    unknown = set(values) - set(actions)
     if unknown:
         parser.error(f"unknown config keys: {sorted(unknown)}")
-    sub.set_defaults(**{
-        key: _coerce(raw, known[key]) for key, raw in values.items()
-    })
+    defaults = {}
+    for key, (lineno, raw) in values.items():
+        try:
+            defaults[key] = _coerce(raw, actions[key])
+        except ValueError as exc:
+            raise ValueError(f"{config_path}:{lineno}: {key}: {exc}") from exc
+    sub.set_defaults(**defaults)
 
 
 def cli_dispatch(argv) -> int:
@@ -582,6 +596,9 @@ def cli_dispatch(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    except ValueError as exc:  # a malformed --config file
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     if not getattr(args, "subcommand", None):
         parser.print_usage(sys.stderr)
         return 2

@@ -17,6 +17,7 @@ import json
 import logging
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .sketch import (
     AggOp,
@@ -134,7 +135,11 @@ def _parse_table(record: dict) -> Table:
             t = "text"
         types.append(t)
     schema = TableSchema(table_id=table_id, headers=tuple(headers), types=tuple(types))
-    rows = tuple(tuple(str(cell) for cell in row) for row in record.get("rows", []))
+    raw = record.get("rows", [])
+    if set(map(type, chain.from_iterable(raw))) <= {str}:
+        rows = tuple(map(tuple, raw))  # all cells already strings: no per-cell work
+    else:
+        rows = tuple(tuple(str(cell) for cell in row) for row in raw)
     return Table(schema=schema, rows=rows)
 
 

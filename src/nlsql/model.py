@@ -721,23 +721,21 @@ def save_checkpoint(path, checkpoint: Checkpoint) -> None:
     Layout: 8-byte magic, little-endian u64 header length, UTF-8 JSON header
     {version, config, vocab, extra, tensors: [{name, shape, offset, nbytes}]},
     then tensor payloads as little-endian float64, concatenated in header
-    order.
+    order. Each payload is written from its array's own buffer.
     """
+    arrays = {name: np.ascontiguousarray(checkpoint.params[name], dtype="<f8")
+              for name in sorted(checkpoint.params)}
     tensors = []
     offset = 0
-    blobs = []
-    for name in sorted(checkpoint.params):
-        arr = np.ascontiguousarray(checkpoint.params[name], dtype="<f8")
-        blob = arr.tobytes()
+    for name, arr in arrays.items():
         tensors.append({
             "name": name,
             "shape": list(arr.shape),
             "dtype": "<f8",
             "offset": offset,
-            "nbytes": len(blob),
+            "nbytes": arr.nbytes,
         })
-        blobs.append(blob)
-        offset += len(blob)
+        offset += arr.nbytes
     header = {
         "version": CHECKPOINT_VERSION,
         "config": asdict(checkpoint.config),
@@ -750,28 +748,41 @@ def save_checkpoint(path, checkpoint: Checkpoint) -> None:
         handle.write(_MAGIC)
         handle.write(struct.pack("<Q", len(payload)))
         handle.write(payload)
-        for blob in blobs:
-            handle.write(blob)
+        for arr in arrays.values():
+            handle.write(arr.data)
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Read a container written by ``save_checkpoint``; each tensor is read
+    straight into an array of its header shape. A short or inconsistent file
+    raises ValueError naming it."""
     with open(path, "rb") as handle:
-        magic = handle.read(8)
-        if magic != _MAGIC:
+        prefix = handle.read(16)
+        if len(prefix) < 16 or prefix[:8] != _MAGIC:
             raise ValueError(f"{path}: not a checkpoint file")
-        (header_len,) = struct.unpack("<Q", handle.read(8))
-        header = json.loads(handle.read(header_len).decode("utf-8"))
+        (header_len,) = struct.unpack("<Q", prefix[8:])
+        raw = handle.read(header_len)
+        if len(raw) < header_len:
+            raise ValueError(f"{path}: truncated header "
+                             f"({len(raw)} of {header_len} bytes)")
+        header = json.loads(raw.decode("utf-8"))
         if header.get("version") != CHECKPOINT_VERSION:
             raise ValueError(
                 f"{path}: unsupported checkpoint version {header.get('version')!r}"
             )
+        payload_start = handle.tell()
         params = {}
-        payload = handle.read()
-    for spec in header["tensors"]:
-        start = spec["offset"]
-        raw = payload[start:start + spec["nbytes"]]
-        params[spec["name"]] = np.frombuffer(raw, dtype="<f8").reshape(
-            spec["shape"]).copy()
+        for spec in header["tensors"]:
+            arr = np.empty(spec["shape"], dtype="<f8")
+            if arr.nbytes != spec["nbytes"]:
+                raise ValueError(f"{path}: tensor {spec['name']!r} has "
+                                 f"{spec['nbytes']} bytes for shape {spec['shape']}")
+            handle.seek(payload_start + spec["offset"])
+            got = handle.readinto(arr.data)
+            if got != arr.nbytes:
+                raise ValueError(f"{path}: truncated tensor {spec['name']!r} "
+                                 f"({got} of {arr.nbytes} bytes)")
+            params[spec["name"]] = arr
     config = ModelConfig(**header["config"])
     return Checkpoint(
         config=config,

@@ -103,9 +103,11 @@ class Table:
     rows: tuple[tuple[str, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(tuple(r) for r in self.rows))
+        object.__setattr__(self, "rows", tuple(map(tuple, self.rows)))
         width = self.schema.n_columns
-        for i, row in enumerate(self.rows):
+        if set(map(len, self.rows)) <= {width}:
+            return
+        for i, row in enumerate(self.rows):  # name the first bad row
             if len(row) != width:
                 raise ValueError(
                     f"table {self.schema.table_id!r} row {i}: "

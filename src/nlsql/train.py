@@ -162,9 +162,10 @@ class AdamState:
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
         self.t = 0
-        # One buffer the size of the largest block; each block's update
-        # runs through a view of it instead of full-size temporaries.
-        self._scratch = np.empty(max(v.size for v in params.values()))
+        # One buffer the size of the largest block; each block's update and
+        # its square for the gradient norm run through a view of it instead
+        # of full-size temporaries.
+        self.scratch = np.empty(max(v.size for v in params.values()))
 
     def step(self, params, grads, cfg: TrainConfig):
         """One update of every block in ``grads``, in place.
@@ -181,7 +182,7 @@ class AdamState:
             if cfg.encoder_lr is not None and _is_encoder_param(name):
                 lr = cfg.encoder_lr
             m, v = self.m[name], self.v[name]
-            s = self._scratch[:g.size].reshape(g.shape)
+            s = self.scratch[:g.size].reshape(g.shape)
             np.multiply(g, 1 - cfg.beta2, out=s)  # v = b2*v + ((1-b2)*g)*g
             s *= g
             v *= cfg.beta2
@@ -198,8 +199,16 @@ class AdamState:
             params[name] -= g
 
 
-def clip_gradients(grads, max_norm: float) -> float:
-    total = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads.values())))
+def clip_gradients(grads, max_norm: float, scratch: np.ndarray) -> float:
+    """Scale ``grads`` in place to a global norm of at most ``max_norm`` (0
+    turns clipping off) and return the norm before clipping. Each block is
+    squared into a view of ``scratch``, at least as large as the largest."""
+    total = 0.0
+    for g in grads.values():
+        square = scratch[:g.size].reshape(g.shape)
+        np.multiply(g, g, out=square)
+        total += float(np.sum(square))
+    total = float(np.sqrt(total))
     if max_norm > 0 and total > max_norm:
         scale = max_norm / total
         for g in grads.values():
@@ -280,7 +289,7 @@ def train(corpus: Corpus, tables: dict[str, Table], config: TrainConfig,
                 epoch_breakdown.update(breakdown)
             for g in grads.values():
                 g /= len(batch)
-            grad_norm = clip_gradients(grads, config.clip_norm)
+            grad_norm = clip_gradients(grads, config.clip_norm, adam.scratch)
             grad_norm_max = max(grad_norm_max, grad_norm)
             clipped_steps += 0 < config.clip_norm < grad_norm
             adam.step(params, grads, config)

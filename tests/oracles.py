@@ -1,4 +1,4 @@
-"""Brute-force keyword-matching oracle, independent of the trie automaton.
+"""Brute-force keyword-matching oracle, independent of the index's lookup.
 
 Scans every distinct cell with an overlapping regex search (lookahead, so
 self-overlapping occurrences are not lost), filters to word-boundary-anchored

@@ -167,7 +167,7 @@ def test_criterion_3_sampler_properties():
         if any(len(c) > 1 for c in em1.columns):
             em1_ok = False
 
-    # (d) automaton equals the brute-force containment oracle
+    # (d) the index equals the brute-force containment oracle
     mismatches = 0
     for _ in range(300):
         t = _random_table(rng, max_rows=50)  # <= 200 cells, well under 10^3

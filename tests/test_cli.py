@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import pytest
@@ -155,6 +156,34 @@ def test_config_file_unknown_key(workspace):
     assert run("synth", "--config", str(config)) == 2
 
 
+@pytest.mark.parametrize("text, message", [
+    ("epochs = 3\nlr 0.1\n", "bad.conf:2: expected key = value"),
+    ("# comment\n\nepochs = abc\n", "bad.conf:3: epochs: invalid literal"),
+    ("augment = maybe\n", "bad.conf:1: augment: expected one of"),
+    (None, "bad.conf: cannot read config file"),
+], ids=["no-equals", "bad-int", "bad-bool", "missing-file"])
+def test_malformed_config_file_is_an_error(workspace, capsys, text, message):
+    config = workspace / "bad.conf"
+    if text is not None:
+        config.write_text(text, encoding="utf-8")
+    assert run("train", "--config", str(config)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {config}") and message in err
+    assert "Traceback" not in err
+
+
+def test_config_values_parse_like_their_flags(workspace):
+    config = workspace / "run.conf"
+    config.write_text("lenient = Yes\nencoder-lr = 0.5\nbudget = 64\n",
+                      encoding="utf-8")
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices
+    cli._apply_config_defaults(parser, subparsers, ["train", "--config", str(config)])
+    args = parser.parse_args(["train", "--data", "d", "--tables", "t"])
+    assert (args.lenient, args.encoder_lr, args.budget) == (True, 0.5, 64)
+
+
 def test_repl_predicts_and_executes(workspace, capsys, monkeypatch):
     data, tables = synth(workspace)
     ckpt = workspace / "model.ckpt"
@@ -234,6 +263,16 @@ def test_serving_budget_defaults_to_checkpoint(workspace, capsys):
                "--ckpt", str(ckpt), "--budget", "512",
                "--out", str(report)) == 1
     assert "max_positions 128" in capsys.readouterr().err
+
+
+def test_eval_on_truncated_checkpoint_is_an_error(workspace, capsys):
+    data, tables = synth(workspace)
+    ckpt = train_small(workspace, data, tables)
+    ckpt.write_bytes(ckpt.read_bytes()[:-64])
+    capsys.readouterr()
+    assert run("eval", "--data", str(data), "--tables", str(tables),
+               "--ckpt", str(ckpt)) == 1
+    assert capsys.readouterr().err.startswith(f"error: {ckpt}: truncated")
 
 
 def test_serving_strategy_defaults_to_checkpoint(workspace, capsys, monkeypatch):

@@ -85,6 +85,13 @@ def test_load_tables_empty_rows_ok(tmp_path):
     assert load_tables(path)["t"].rows == ()
 
 
+def test_load_tables_numeric_cells_coerced(tmp_path):
+    path = tmp_path / "tables.jsonl"
+    write_lines(path, [{"id": "t", "header": ["A", "B"], "types": ["text", "real"],
+                        "rows": [["x", 200], [1.5, True]]}])
+    assert load_tables(path)["t"].rows == (("x", "200"), ("1.5", "True"))
+
+
 def test_load_tables_arity_mismatch(tmp_path):
     path = tmp_path / "tables.jsonl"
     write_lines(path, [{"id": "t", "header": ["A", "B", "C"],

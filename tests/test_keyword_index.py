@@ -1,8 +1,14 @@
+import itertools
 import random
 
 from hypothesis import given, settings, strategies as st
 
-from nlsql.keyword_index import build_index, extract_matches
+from nlsql.keyword_index import (
+    _normalize_with_map,
+    build_index,
+    extract_matches,
+    normalize_pattern,
+)
 from nlsql.sketch import Table, TableSchema
 
 from oracles import oracle_matches
@@ -42,7 +48,7 @@ def test_no_partial_word_matches(league_table):
 def test_longest_match_wins():
     table = Table(
         TableSchema("t", ("City", "Borough"), ("text", "text")),
-        (("new york", "york"),),
+        (("new york", "york"), ("new", "york")),
     )
     index = build_index(table)
     matches = extract_matches(index, "offices in new york please")
@@ -78,14 +84,36 @@ def test_index_queries_do_not_mutate(tennis_table):
 # Brute-force oracle equivalence ---------------------------------------------
 
 WORDS = ["fox", "new", "york", "bmw", "rafael", "nadal", "42", "200", "x1",
-         "clay-court", "Di Meglio", "a", "ab", "a a"]
+         "clay-court", "Di Meglio", "a", "ab", "a a", "(a)", "x.",
+         "İstanbul", "ΣΟΦΙΑ", "straße", "ﬁne"]
+# Joins between words: spaces, tab and \x1c whitespace, punctuation, none.
+JOINS = [" ", " ", "  ", "\t", "\x1c", "", ", ", "-", "? ", "."]
+
+
+def _spelling(word: str, rng: random.Random) -> str:
+    """The word as written, in upper, lower or mixed case."""
+    case = rng.randrange(4)
+    if case == 1:
+        return word.upper()
+    if case == 2:
+        return word.lower()
+    if case == 3:
+        return "".join(ch.upper() if rng.random() < 0.5 else ch.lower()
+                       for ch in word)
+    return word
+
+
+def _phrase(rng: random.Random, n_words: int) -> str:
+    text = ""
+    for i in range(n_words):
+        text += (rng.choice(JOINS) if i else "") + _spelling(rng.choice(WORDS), rng)
+    return text
 
 
 def random_table_and_question(rng: random.Random):
     n_cols = rng.randint(1, 3)
     rows = tuple(
-        tuple(" ".join(rng.sample(WORDS, rng.randint(1, 2)))
-              for _ in range(n_cols))
+        tuple(_phrase(rng, rng.randint(1, 2)) for _ in range(n_cols))
         for _ in range(rng.randint(0, 8))
     )
     table = Table(
@@ -93,8 +121,7 @@ def random_table_and_question(rng: random.Random):
                     ("text",) * n_cols),
         rows,
     )
-    question = " ".join(rng.choice(WORDS) for _ in range(rng.randint(0, 10)))
-    return table, question
+    return table, _phrase(rng, rng.randint(0, 10))
 
 
 @given(st.integers(0, 2**32))
@@ -106,3 +133,19 @@ def test_matches_brute_force_oracle(seed):
     got = [(m.column_index, m.cell, m.span)
            for m in extract_matches(index, question)]
     assert got == oracle_matches(table, question)
+
+
+# normalize_pattern's ASCII fast path against the character loop -------------
+
+def test_normalize_pattern_matches_the_loop_on_every_3_char_ascii_string():
+    ascii_chars = [chr(i) for i in range(128)]
+    for text in map("".join, itertools.product(ascii_chars, repeat=3)):
+        assert normalize_pattern(text) == _normalize_with_map(text)[0], repr(text)
+
+
+@given(st.text(st.characters(codec="ascii"), max_size=20)
+       | st.text(st.characters(codec="utf-8")
+                 | st.sampled_from(["İ", "Σ", "ß", "ﬁ", "\x1c", "\t"]), max_size=20))
+@settings(max_examples=300, deadline=None)
+def test_normalize_pattern_matches_the_loop(text):
+    assert normalize_pattern(text) == _normalize_with_map(text)[0]

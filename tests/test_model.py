@@ -1,5 +1,9 @@
+import json
 import math
 import random
+import re
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -474,4 +478,62 @@ def test_checkpoint_rejects_bad_magic(tmp_path):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(b"NOTMAGIC" + b"\0" * 16)
     with pytest.raises(ValueError, match="not a checkpoint"):
+        load_checkpoint(path)
+
+
+def _big_checkpoint():
+    vocab = Vocab([f"w{i}" for i in range(1994)])
+    cfg = ModelConfig(vocab_size=len(vocab), d_model=128, n_layers=2, n_heads=2)
+    return Checkpoint(cfg, vocab, init_params(cfg))
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+def test_checkpoint_io_holds_no_second_copy_of_the_tensors(tmp_path):
+    ckpt = _big_checkpoint()
+    tensor_bytes = sum(a.nbytes for a in ckpt.params.values())
+    path = tmp_path / "big.ckpt"
+    save_peak, _ = _traced_peak(save_checkpoint, path, ckpt)
+    load_peak, loaded = _traced_peak(load_checkpoint, path)
+    assert save_peak < 0.25 * tensor_bytes
+    assert load_peak < 1.2 * tensor_bytes
+    for name, arr in ckpt.params.items():
+        assert np.array_equal(loaded.params[name], arr)
+
+
+def _rewrite(path, edit_header=None, payload_bytes=None):
+    """Rewrite a checkpoint with an edited header and/or a cut payload."""
+    data = path.read_bytes()
+    (header_len,) = struct.unpack("<Q", data[8:16])
+    header = json.loads(data[16:16 + header_len])
+    payload = data[16 + header_len:]
+    if edit_header:
+        edit_header(header)
+    raw = json.dumps(header).encode()
+    path.write_bytes(data[:8] + struct.pack("<Q", len(raw)) + raw
+                     + payload[:payload_bytes])
+
+
+def _cut_last_tensor(header):
+    header["tensors"][-1]["nbytes"] -= 8
+
+
+@pytest.mark.parametrize("damage", [
+    lambda path: _rewrite(path, payload_bytes=-100),  # truncated payload
+    lambda path: path.write_bytes(path.read_bytes()[:200]),  # header past the end
+    lambda path: _rewrite(path, edit_header=_cut_last_tensor),  # nbytes vs shape
+], ids=["truncated", "header-past-end", "nbytes-vs-shape"])
+def test_damaged_checkpoint_raises_naming_the_file(tmp_path, setup, damage):
+    cfg, params, feats, target, example, table = setup
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, Checkpoint(cfg, Vocab([]), params))
+    damage(path)
+    with pytest.raises(ValueError, match=re.escape(str(path))):
         load_checkpoint(path)

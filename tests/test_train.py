@@ -199,6 +199,20 @@ def test_in_place_adam_step_is_bitwise_textbook(encoder_lr):
             assert np.array_equal(params[name], expected[name]), (t, name)
 
 
+@pytest.mark.parametrize("max_norm", [0.0, 1.0])
+def test_clip_through_scratch_is_bitwise_textbook(max_norm):
+    rng = np.random.default_rng(5)
+    shapes = {"tok_emb": (300, 8), "enc0.ffn.w1": (8, 12), "sel.w": (8,)}
+    grads = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+    norm = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads.values())))
+    expected = {name: g * (max_norm / norm) if max_norm else g.copy()
+                for name, g in grads.items()}
+    scratch = np.full(300 * 8, np.nan)  # stale contents must not leak in
+    assert train_module.clip_gradients(grads, max_norm, scratch) == norm
+    for name in shapes:
+        assert np.array_equal(grads[name], expected[name]), name
+
+
 def _row_scan_counts(corpus, tables):
     counts = Counter()
     for example in corpus.examples:
@@ -251,8 +265,8 @@ def test_history_reports_gradient_norms(tiny_setup, monkeypatch, clip_norm):
     norms = []
     clip = train_module.clip_gradients
 
-    def recording_clip(grads, max_norm):
-        norms.append(clip(grads, max_norm))
+    def recording_clip(grads, max_norm, scratch):
+        norms.append(clip(grads, max_norm, scratch))
         return norms[-1]
 
     monkeypatch.setattr(train_module, "clip_gradients", recording_clip)
