@@ -99,10 +99,6 @@ def load_replacement_map(path) -> ReplacementMap:
 @dataclass(frozen=True)
 class AugmentConfig:
     variants_per_example: int = 8
-    include_select_prefix: bool = True
-    include_select_suffix: bool = True
-    shuffle_conditions: bool = True
-    swap_column_value: bool = True
     symbol_substitution_probability: float = 0.5
     mix_ratio: float = 0.5
     seed: int = 0
@@ -116,15 +112,12 @@ class AugmentConfig:
             raise ValueError("variants_per_example must be >= 0")
 
 
-def _condition_forms(header: str, cond: Condition, config: AugmentConfig,
+def _condition_forms(header: str, cond: Condition,
                      rmap: ReplacementMap) -> list[str]:
     h = header.lower()
     v = normalize_value(cond.value)
     if cond.op is CondOp.EQ:
-        forms = [v, f"{h} {v}"]
-        if config.swap_column_value:
-            forms.append(f"{v} {h}")
-        return forms
+        return [v, f"{h} {v}", f"{v} {h}"]
     # Order conditions keep a relational phrase so the operator survives in
     # the surface form (and gives symbol substitution something to rewrite).
     phrases = rmap.patterns_for(cond.op) or (cond.op.symbol,)
@@ -157,44 +150,25 @@ def synthesize_short_questions(
     if gold.agg is not AggOp.NONE:
         sel = f"{AGG_WORDS[gold.agg]} {sel}"
 
-    positions = []
-    if config.include_select_prefix:
-        positions.append("prefix")
-    if config.include_select_suffix:
-        positions.append("suffix")
-    if not positions:
-        positions = ["prefix"]
-
     per_cond_forms = [
-        _condition_forms(schema.headers[c.column_index], c, config, rmap)
+        _condition_forms(schema.headers[c.column_index], c, rmap)
         for c in gold.conds
     ]
-    orderings = (
-        list(itertools.permutations(range(len(gold.conds))))
-        if config.shuffle_conditions
-        else [tuple(range(len(gold.conds)))]
-    )
+    orderings = itertools.permutations(range(len(gold.conds)))
+
+    def templates():
+        for prefix, order in itertools.product((True, False), orderings):
+            for combo in itertools.product(*(per_cond_forms[i] for i in order)):
+                yield " ".join((sel, *combo) if prefix else (*combo, sel))
 
     questions: list[str] = []
     seen: set[str] = set()
-    for position in positions:
-        for order in orderings:
-            for combo in itertools.product(*(per_cond_forms[i] for i in order)):
-                pieces = list(combo)
-                if position == "prefix":
-                    pieces.insert(0, sel)
-                else:
-                    pieces.append(sel)
-                question = " ".join(pieces)
-                if question not in seen:
-                    seen.add(question)
-                    questions.append(question)
-                if len(questions) >= _MAX_ENUMERATION:
-                    break
-            if len(questions) >= _MAX_ENUMERATION:
+    for question in templates():
+        if question not in seen:
+            seen.add(question)
+            questions.append(question)
+            if len(questions) == _MAX_ENUMERATION:
                 break
-        if len(questions) >= _MAX_ENUMERATION:
-            break
 
     if len(questions) > config.variants_per_example:
         questions = rng.sample(questions, config.variants_per_example)

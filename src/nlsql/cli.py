@@ -60,6 +60,11 @@ def _out_dir(args) -> Path:
     return path
 
 
+def _out_path(args, name: str) -> Path:
+    """``--out``, or ``name`` in the output directory when it is absent."""
+    return Path(args.out) if args.out else _out_dir(args) / name
+
+
 def _digest(path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as handle:
@@ -69,7 +74,7 @@ def _digest(path) -> str:
 
 
 def write_manifest(args, directory: Path, started: float,
-                   outputs: list[str]) -> Path:
+                   outputs: list[str]) -> None:
     """One manifest per run: resolved config, seeds, input digests, version."""
     snapshot = {}
     inputs = {}
@@ -94,7 +99,6 @@ def write_manifest(args, directory: Path, started: float,
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(manifest, handle, indent=2)
         handle.write("\n")
-    return path
 
 
 def _strategy(args, fallback: dict | None = None) -> tuple[str, int]:
@@ -127,6 +131,13 @@ def _serving_budget(args, checkpoint) -> int:
         raise ValueError(f"--budget {args.budget} exceeds the checkpoint's "
                          f"max_positions {limit}")
     return args.budget
+
+
+def _table(args, tables):
+    """The table ``--table-id`` names."""
+    if args.table_id not in tables:
+        raise ValueError(f"unknown table {args.table_id!r}")
+    return tables[args.table_id]
 
 
 def _load_pair(args):
@@ -181,8 +192,7 @@ def cmd_augment(args) -> int:
         seed=args.seed,
     )
     augmented = augment_corpus(corpus, tables, config, rmap)
-    directory = _out_dir(args)
-    out_path = Path(args.out) if args.out else directory / "augmented.jsonl"
+    out_path = _out_path(args, "augmented.jsonl")
     save_examples(augmented, out_path)
     write_manifest(args, out_path.parent, started, [str(out_path)])
     stats = augmented.meta["augmentation"]
@@ -193,27 +203,27 @@ def cmd_augment(args) -> int:
 
 def cmd_index(args) -> int:
     tables = load_tables(args.tables, strict=not args.lenient)
-    selected = [args.table_id] if args.table_id else sorted(tables)
-    for table_id in selected:
-        if table_id not in tables:
-            print(f"unknown table {table_id!r}", file=sys.stderr)
-            return 1
-        index = build_index(tables[table_id])
-        print(f"{table_id}: {index.n_patterns} patterns over {index.n_cells} "
-              f"cells, built in {index.build_seconds:.3f}s")
+    selected = [_table(args, tables)] if args.table_id \
+        else [tables[table_id] for table_id in sorted(tables)]
+    for table in selected:
+        index = build_index(table)
+        print(f"{table.table_id}: {index.n_patterns} patterns over "
+              f"{index.n_cells} cells, built in {index.build_seconds:.3f}s")
     return 0
+
+
+def _table_samples(args):
+    """The ``--table-id`` table and its samples for ``--question``."""
+    tables = load_tables(args.tables, strict=not args.lenient)
+    table = _table(args, tables)
+    strategy, k = _strategy(args)
+    sampler = Sampler(tables, strategy, k, args.seed)
+    return table, sampler.sample_for(args.table_id, args.question or "")
 
 
 def cmd_sample(args) -> int:
     started = time.time()
-    tables = load_tables(args.tables, strict=not args.lenient)
-    if args.table_id not in tables:
-        print(f"unknown table {args.table_id!r}", file=sys.stderr)
-        return 1
-    table = tables[args.table_id]
-    strategy, k = _strategy(args)
-    sampler = Sampler(tables, strategy, k, args.seed)
-    samples = sampler.sample_for(args.table_id, args.question or "")
+    table, samples = _table_samples(args)
     for col, values in enumerate(samples.columns):
         print(f"{table.schema.headers[col]}: {list(values)}")
     if args.out:
@@ -223,14 +233,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_serialize(args) -> int:
-    tables = load_tables(args.tables, strict=not args.lenient)
-    if args.table_id not in tables:
-        print(f"unknown table {args.table_id!r}", file=sys.stderr)
-        return 1
-    table = tables[args.table_id]
-    strategy, k = _strategy(args)
-    sampler = Sampler(tables, strategy, k, args.seed)
-    samples = sampler.sample_for(args.table_id, args.question)
+    table, samples = _table_samples(args)
     serialized = serialize_input(tokenize(args.question), table.schema,
                                  samples, args.budget, question=args.question)
     print(serialized.render())
@@ -265,8 +268,7 @@ def cmd_train(args) -> int:
     )
     checkpoint, history = train(corpus, tables, train_config,
                                 model_config=model_config, dev_corpus=dev_corpus)
-    directory = _out_dir(args)
-    ckpt_path = Path(args.out) if args.out else directory / "model.ckpt"
+    ckpt_path = _out_path(args, "model.ckpt")
     save_checkpoint(ckpt_path, checkpoint)
     history_path = ckpt_path.with_suffix(".history.json")
     with open(history_path, "w", encoding="utf-8") as handle:
@@ -274,7 +276,7 @@ def cmd_train(args) -> int:
     write_manifest(args, ckpt_path.parent, started,
                    [str(ckpt_path), str(history_path)])
     final = history[-1]
-    print(f"trained {train_config.epochs} epochs, final loss {final['loss']:.4f}, "
+    print(f"trained {len(history)} epochs, final loss {final['loss']:.4f}, "
           f"checkpoint at {ckpt_path}")
     return 0
 
@@ -288,8 +290,7 @@ def cmd_eval(args) -> int:
     report = evaluate(checkpoint, corpus, tables, strategy, k,
                       budget=args.budget, seed=args.seed)
     print(report.render_text())
-    directory = _out_dir(args)
-    report_path = Path(args.out) if args.out else directory / "eval.json"
+    report_path = _out_path(args, "eval.json")
     save_report(report, report_path)
     predictions_path = report_path.with_suffix(".predictions.jsonl")
     save_predictions(report, predictions_path)
@@ -307,8 +308,7 @@ def cmd_compare(args) -> int:
     comparison = compare_strategies(checkpoint, corpus, tables, labels,
                                     budget=args.budget, seed=args.seed)
     print(comparison.render_text())
-    directory = _out_dir(args)
-    out_path = Path(args.out) if args.out else directory / "comparison.json"
+    out_path = _out_path(args, "comparison.json")
     with open(out_path, "w", encoding="utf-8") as handle:
         json.dump(comparison.to_dict(), handle, indent=2)
     write_manifest(args, out_path.parent, started, [str(out_path)])
@@ -323,39 +323,39 @@ def cmd_bench(args) -> int:
     report = bench_sampling(tables, strategy, k, n_queries=args.queries,
                             seed=args.seed, budget=args.budget)
     print(report.render_text())
-    directory = _out_dir(args)
-    out_path = Path(args.out) if args.out else directory / "bench.json"
+    out_path = _out_path(args, "bench.json")
     report.save(out_path)
     write_manifest(args, out_path.parent, started, [str(out_path)])
     return 0
 
 
 def _parse_sketch_json(text: str) -> SqlSketch:
-    record = json.loads(text)
-    conds = tuple(
-        Condition(int(col), CondOp(int(op)), str(value))
-        for col, op, value in record.get("conds", [])
-    )
-    return SqlSketch(select_column=int(record["sel"]),
-                     agg=AggOp(int(record.get("agg", 0))), conds=conds)
+    try:
+        record = json.loads(text)
+        if not isinstance(record, dict):
+            raise TypeError("expected a JSON object")
+        conds = tuple(
+            Condition(int(col), CondOp(int(op)), str(value))
+            for col, op, value in record.get("conds", [])
+        )
+        return SqlSketch(select_column=int(record["sel"]),
+                         agg=AggOp(int(record.get("agg", 0))), conds=conds)
+    except KeyError as exc:
+        raise ValueError(f"--sketch: missing key {exc}") from None
+    except (OverflowError, RecursionError, TypeError, ValueError) as exc:
+        raise ValueError(f"--sketch: {exc}") from None
 
 
 def cmd_render(args) -> int:
-    tables = load_tables(args.tables, strict=not args.lenient)
-    if args.table_id not in tables:
-        print(f"unknown table {args.table_id!r}", file=sys.stderr)
-        return 1
+    table = _table(args, load_tables(args.tables, strict=not args.lenient))
     sketch = _parse_sketch_json(args.sketch)
-    print(render_sql(sketch, tables[args.table_id].schema))
+    print(render_sql(sketch, table.schema))
     return 0
 
 
 def cmd_repl(args) -> int:
     tables = load_tables(args.tables, strict=not args.lenient)
-    if args.table_id not in tables:
-        print(f"unknown table {args.table_id!r}", file=sys.stderr)
-        return 1
-    table = tables[args.table_id]
+    table = _table(args, tables)
     checkpoint = load_checkpoint(args.ckpt)
     budget = _serving_budget(args, checkpoint)
     strategy, k = _serving_strategy(args, checkpoint, "rel")
@@ -383,13 +383,28 @@ def cmd_repl(args) -> int:
 # Parser assembly
 
 
-def _add_common_io(sub, tables=True, data=False):
+def _add_common_io(sub, data=False):
     if data:
         sub.add_argument("--data", required=True, help="examples jsonl")
-    if tables:
-        sub.add_argument("--tables", required=True, help="tables jsonl")
+    sub.add_argument("--tables", required=True, help="tables jsonl")
     sub.add_argument("--lenient", action="store_true",
                      help="skip malformed lines instead of failing")
+
+
+def _add_strategy(sub, default, help=None):
+    sub.add_argument("--strategy", default=default, help=help)
+    sub.add_argument("--k", type=int, default=3)
+
+
+def _add_serving(sub, strategy=True):
+    """Serving flags, each defaulting to what the checkpoint records."""
+    if strategy:
+        sub.add_argument("--strategy", default=None,
+                         help="default: the checkpoint's training strategy")
+        sub.add_argument("--k", type=int, default=None,
+                         help="default: the checkpoint's training k")
+    sub.add_argument("--budget", type=int, default=None,
+                     help="token budget (default: the checkpoint's max_positions)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -433,9 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = add("sample", cmd_sample, help="draw content samples for one table")
     _add_common_io(sub)
     sub.add_argument("--table-id", required=True)
-    sub.add_argument("--strategy", default="rand",
-                     help="none|rand|rel|em1, optionally strategy:k")
-    sub.add_argument("--k", type=int, default=3)
+    _add_strategy(sub, "rand", help="none|rand|rel|em1, optionally strategy:k")
     sub.add_argument("--question", help="question text (rel/em1)")
     sub.add_argument("--out", help="sample-set sidecar jsonl")
 
@@ -443,8 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_io(sub)
     sub.add_argument("--table-id", required=True)
     sub.add_argument("--question", required=True)
-    sub.add_argument("--strategy", default="rand")
-    sub.add_argument("--k", type=int, default=3)
+    _add_strategy(sub, "rand")
     sub.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
 
     sub = add("train", cmd_train, help="train a model")
@@ -456,8 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--lr", type=float, default=1e-3)
     sub.add_argument("--encoder-lr", type=float, default=None)
     sub.add_argument("--clip-norm", type=float, default=1.0)
-    sub.add_argument("--strategy", default="rand")
-    sub.add_argument("--k", type=int, default=3)
+    _add_strategy(sub, "rand")
     sub.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     sub.add_argument("--augment", action="store_true",
                      help="blend synthesized variants into training data")
@@ -474,25 +485,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = add("eval", cmd_eval, help="evaluate a checkpoint")
     _add_common_io(sub, data=True)
     sub.add_argument("--ckpt", required=True)
-    sub.add_argument("--strategy", default=None,
-                     help="default: the checkpoint's training strategy")
-    sub.add_argument("--k", type=int, default=None,
-                     help="default: the checkpoint's training k")
-    sub.add_argument("--budget", type=int, default=None,
-                     help="token budget (default: the checkpoint's max_positions)")
+    _add_serving(sub)
     sub.add_argument("--out", help="report json path")
 
     sub = add("compare", cmd_compare, help="evaluate strategies side by side")
     _add_common_io(sub, data=True)
     sub.add_argument("--ckpt", required=True)
     sub.add_argument("--strategies", default="none,rand:3,rel:3")
-    sub.add_argument("--budget", type=int, default=None,
-                     help="token budget (default: the checkpoint's max_positions)")
+    _add_serving(sub, strategy=False)
     sub.add_argument("--out", help="comparison json path")
 
     sub = add("bench", cmd_bench, help="benchmark sampling over a size ladder")
-    sub.add_argument("--strategy", default="rel")
-    sub.add_argument("--k", type=int, default=3)
+    _add_strategy(sub, "rel")
     sub.add_argument("--rows", default="1000,100000",
                      help="comma-separated table sizes")
     sub.add_argument("--queries", type=int, default=100)
@@ -509,12 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_io(sub)
     sub.add_argument("--table-id", required=True)
     sub.add_argument("--ckpt", required=True)
-    sub.add_argument("--strategy", default=None,
-                     help="default: the checkpoint's training strategy")
-    sub.add_argument("--k", type=int, default=None,
-                     help="default: the checkpoint's training k")
-    sub.add_argument("--budget", type=int, default=None,
-                     help="token budget (default: the checkpoint's max_positions)")
+    _add_serving(sub)
 
     return parser
 

@@ -46,12 +46,6 @@ class Corpus:
     split: str = "train"  # {train, dev, test}
     meta: dict = field(default_factory=dict)
 
-    def __len__(self) -> int:
-        return len(self.examples)
-
-    def __iter__(self):
-        return iter(self.examples)
-
 
 def _parse_example(record: dict) -> Example:
     question = record["question"]

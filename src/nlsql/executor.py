@@ -53,12 +53,6 @@ class QueryResult:
     values: tuple
     warnings: Counter = field(default_factory=Counter)
 
-    @property
-    def is_aggregate(self) -> bool:
-        return len(self.values) <= 1 and all(
-            isinstance(v, (int, float)) for v in self.values
-        )
-
 
 class Column:
     """One dictionary-encoded column of a table's column store."""

@@ -62,7 +62,6 @@ class ContentIndex:
     """Pattern lookup plus per-column distinct values for one table."""
 
     table_id: str
-    n_columns: int
     n_cells: int  # non-empty cells scanned at build time
     distinct_values: tuple[tuple[str, ...], ...]  # per column, first-seen order
     build_seconds: float = 0.0
@@ -101,7 +100,6 @@ def build_index(table: Table) -> ContentIndex:
             patterns.setdefault(normalize_pattern(cell), {}).setdefault(col, cell)
     index = ContentIndex(
         table_id=table.table_id,
-        n_columns=table.schema.n_columns,
         n_cells=n_cells,
         distinct_values=tuple(tuple(values) for values in distinct),
         _patterns=patterns,

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import netops as nn
-from .serialize import SerializedInput, token_texts
+from .serialize import N_SEGMENTS, SerializedInput, token_texts
 from .sketch import AggOp, CondOp, Condition, SqlSketch, TableSchema
 from .vocab import Vocab
 
@@ -73,7 +73,7 @@ def init_params(cfg: ModelConfig) -> dict[str, np.ndarray]:
     # ~30x and leave each Adam step large against the 0.02-sized entries.
     p["tok_emb"] = rng.normal(0.0, 1.0, size=(cfg.vocab_size, d))
     p["pos_emb"] = rng.normal(0.0, 1.0, size=(cfg.max_positions, d))
-    p["seg_emb"] = rng.normal(0.0, 1.0, size=(4, d))
+    p["seg_emb"] = rng.normal(0.0, 1.0, size=(N_SEGMENTS, d))
     for i in range(cfg.n_layers):
         pre = f"enc{i}."
         p[pre + "ln1.g"] = np.ones(d)
@@ -402,6 +402,13 @@ def _column_head_fwd(head, hc, q, params):
     return logits, (ctx, probs, t)
 
 
+def _mlp_fwd(head, x, params):
+    """The agg and wnum output tail, tanh(x.w1 + b1).w2 + b2 over one row;
+    returns (logits, t)."""
+    t = np.tanh(x @ params[head + ".w1"] + params[head + ".b1"])
+    return (t @ params[head + ".w2"] + params[head + ".b2"])[0], t
+
+
 def predict_heads(enc: EncoderOutput, params: dict, cfg: ModelConfig,
                   sel_override: int | None = None):
     """All six head outputs; returns (HeadOutputs, cache).
@@ -420,14 +427,12 @@ def predict_heads(enc: EncoderOutput, params: dict, cfg: ModelConfig,
         else int(np.argmax(sel_logits))
     h_star = hc[sel_idx:sel_idx + 1]
     agg_ctx, agg_probs = _batched_attention(h_star, q, params["agg.att_w"])
-    agg_t = np.tanh(agg_ctx @ params["agg.w1"] + params["agg.b1"])
-    agg_logits = (agg_t @ params["agg.w2"] + params["agg.b2"])[0]
+    agg_logits, agg_t = _mlp_fwd("agg", agg_ctx, params)
 
     pool_scores = q @ params["wnum.u"]
     pool_probs = nn.softmax(pool_scores)
     summary = (pool_probs @ q)[None, :]
-    wnum_t = np.tanh(summary @ params["wnum.w1"] + params["wnum.b1"])
-    wnum_logits = (wnum_t @ params["wnum.w2"] + params["wnum.b2"])[0]
+    wnum_logits, wnum_t = _mlp_fwd("wnum", summary, params)
 
     wcol_logits, wcol_cache = _column_head_fwd("wcol", hc, q, params)
     wcol_scores = 1.0 / (1.0 + np.exp(-wcol_logits))
@@ -500,6 +505,16 @@ def _column_head_bwd(head, dlogits, params, cache, hc, q, dhc, dq, grads):
                    dhc, dq, grads, head + ".att_w")
 
 
+def _mlp_bwd(head, dlogits, x, t, params, grads):
+    """Backward through _mlp_fwd; accumulates into grads, returns d(x)."""
+    _acc(grads, head + ".w2", t.T @ dlogits[None, :])
+    _acc(grads, head + ".b2", dlogits)
+    dt = (dlogits[None, :] @ params[head + ".w2"].T) * (1.0 - t * t)
+    _acc(grads, head + ".b1", dt.sum(axis=0))
+    _acc(grads, head + ".w1", x.T @ dt)
+    return dt @ params[head + ".w1"].T
+
+
 def heads_bwd(dlogits: dict, params: dict, cache: dict, grads: dict):
     """Backward from head-logit gradients; returns d(hidden header vecs) and
     d(question vecs)."""
@@ -511,15 +526,9 @@ def heads_bwd(dlogits: dict, params: dict, cache: dict, grads: dict):
                      dhc, dq, grads)
 
     # aggregation head (conditioned on cached select column)
-    dagg = dlogits["agg"]
     agg_ctx, agg_probs, agg_t = cache["agg"]
     sel_idx = cache["sel_idx"]
-    _acc(grads, "agg.w2", agg_t.T @ dagg[None, :])
-    _acc(grads, "agg.b2", dagg)
-    dt = (dagg[None, :] @ params["agg.w2"].T) * (1.0 - agg_t * agg_t)
-    _acc(grads, "agg.b1", dt.sum(axis=0))
-    _acc(grads, "agg.w1", agg_ctx.T @ dt)
-    dctx = dt @ params["agg.w1"].T
+    dctx = _mlp_bwd("agg", dlogits["agg"], agg_ctx, agg_t, params, grads)
     h_star = hc[sel_idx:sel_idx + 1]
     dh_star = np.zeros_like(h_star)
     _attention_bwd(dctx, agg_probs, h_star, q, params["agg.att_w"],
@@ -527,14 +536,9 @@ def heads_bwd(dlogits: dict, params: dict, cache: dict, grads: dict):
     dhc[sel_idx] += dh_star[0]
 
     # where-count head
-    dwnum = dlogits["wnum"]
     pool_scores, pool_probs, summary, wnum_t = cache["wnum"]
-    _acc(grads, "wnum.w2", wnum_t.T @ dwnum[None, :])
-    _acc(grads, "wnum.b2", dwnum)
-    dt = (dwnum[None, :] @ params["wnum.w2"].T) * (1.0 - wnum_t * wnum_t)
-    _acc(grads, "wnum.b1", dt.sum(axis=0))
-    _acc(grads, "wnum.w1", summary.T @ dt)
-    dsummary = (dt @ params["wnum.w1"].T)[0]
+    dsummary = _mlp_bwd("wnum", dlogits["wnum"], summary, wnum_t, params,
+                        grads)[0]
     dpool = q @ dsummary
     dq += np.outer(pool_probs, dsummary)
     dscores = nn.softmax_bwd(dpool, pool_probs)

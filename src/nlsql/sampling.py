@@ -19,6 +19,7 @@ from .keyword_index import ContentIndex, distinct_columns, extract_matches
 from .sketch import Table
 from .util import child_rng
 
+STRATEGY_NONE = "none"
 STRATEGY_RANDOM = "random"
 STRATEGY_RELEVANCE = "relevance"
 STRATEGY_EM1 = "em1"
@@ -39,7 +40,7 @@ class SampleSet:
 
     @classmethod
     def empty(cls, table_id: str, n_columns: int) -> "SampleSet":
-        return cls(table_id=table_id, strategy=STRATEGY_RANDOM, k=0,
+        return cls(table_id=table_id, strategy=STRATEGY_NONE, k=0,
                    columns=((),) * n_columns)
 
 
@@ -134,19 +135,3 @@ def save_sample_sets(sample_sets, path) -> None:
             handle.write(json.dumps(record, ensure_ascii=False))
             handle.write("\n")
 
-
-def load_sample_sets(path) -> list[SampleSet]:
-    out = []
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            if not line.strip():
-                continue
-            record = json.loads(line)
-            out.append(SampleSet(
-                table_id=record["table_id"],
-                strategy=record["strategy"],
-                k=int(record["k"]),
-                columns=tuple(tuple(c) for c in record["columns"]),
-                seed=record.get("seed"),
-            ))
-    return out

@@ -141,8 +141,7 @@ class Example:
     style: str = ""  # optional surface-style tag ("verbose" / "short")
 
 
-def validate_sketch(sketch: SqlSketch, schema: TableSchema,
-                    max_conds: int = MAX_CONDS) -> list[str]:
+def validate_sketch(sketch: SqlSketch, schema: TableSchema) -> list[str]:
     """Return violation descriptors; empty list means the sketch is valid."""
     violations = []
     n = schema.n_columns
@@ -150,9 +149,9 @@ def validate_sketch(sketch: SqlSketch, schema: TableSchema,
         violations.append(
             f"select-column-out-of-range: {sketch.select_column} not in [0, {n})"
         )
-    if len(sketch.conds) > max_conds:
+    if len(sketch.conds) > MAX_CONDS:
         violations.append(
-            f"too-many-conditions: {len(sketch.conds)} > {max_conds}"
+            f"too-many-conditions: {len(sketch.conds)} > {MAX_CONDS}"
         )
     for i, cond in enumerate(sketch.conds):
         if not 0 <= cond.column_index < n:

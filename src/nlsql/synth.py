@@ -15,7 +15,7 @@ sentence-style question followed by a short keyword-style one, tagged via
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .augment import AGG_WORDS, ReplacementMap
 from .corpus import Corpus
@@ -92,7 +92,6 @@ class SynthConfig:
     n_columns_max: int = 5
     questions_per_table: int = 8
     seed: int = 0
-    pools: dict = field(default_factory=dict)  # archetype -> value tuple overrides
 
     def __post_init__(self):
         counts = (
@@ -103,9 +102,6 @@ class SynthConfig:
             raise ValueError("all SynthConfig counts must be >= 1")
         if self.n_columns_min > self.n_columns_max:
             raise ValueError("n_columns_min must not exceed n_columns_max")
-
-    def pool(self, archetype: str) -> tuple[str, ...]:
-        return tuple(self.pools.get(archetype, DEFAULT_POOLS[archetype]))
 
 
 def _make_table(config: SynthConfig, index: int, rng: random.Random):
@@ -123,7 +119,7 @@ def _make_table(config: SynthConfig, index: int, rng: random.Random):
 
     domains = []
     for arch in archetypes:
-        pool = config.pool(arch)
+        pool = DEFAULT_POOLS[arch]
         if arch in _DOMAIN_SIZES:
             lo, hi = _DOMAIN_SIZES[arch]
             size = min(len(pool), rng.randint(lo, hi))
@@ -407,12 +403,11 @@ def _covering_cells(domain: list[str], n_rows: int, rng: random.Random) -> list[
     return cells
 
 
-def generate_bench_table(n_rows: int, seed: int = 0,
-                         distinct_code_cap: int = 50_000) -> Table:
+def generate_bench_table(n_rows: int, seed: int = 0) -> Table:
     """A wide synthetic table for scaling benchmarks.
 
     Pool-valued columns keep distinct counts bounded while the Code column
-    scales with row count (capped), so index size grows with the table.
+    scales with row count (capped at 50k), so index size grows with the table.
     """
     rng = child_rng("bench", seed, n_rows)
     persons = DEFAULT_POOLS["person"]
@@ -424,7 +419,7 @@ def generate_bench_table(n_rows: int, seed: int = 0,
             rng.choice(persons),
             rng.choice(brands),
             rng.choice(categories),
-            f"c-{i % distinct_code_cap:05d}",
+            f"c-{i % 50_000:05d}",
             str(rng.randint(0, 500)),
         ))
     schema = TableSchema(

@@ -341,10 +341,6 @@ class EvalReport:
     counts: dict[str, int]
     predictions: list[dict] = field(default_factory=list)
 
-    @property
-    def errors(self) -> list[dict]:
-        return [p for p in self.predictions if not p["lf"]]
-
     def to_dict(self) -> dict:
         return {
             "n": self.n,
@@ -473,18 +469,15 @@ class Comparison:
         return {"rows": self.rows}
 
 
-def compare_strategies(checkpoints, corpus: Corpus, tables: dict[str, Table],
-                       strategies, budget: int = 512, seed: int = 0) -> Comparison:
-    """Evaluate one checkpoint per strategy (or one shared checkpoint).
-
-    ``strategies`` is a list of labels like "none", "rand:3", "rel:3";
-    ``checkpoints`` is a single Checkpoint or a {label: Checkpoint} map.
-    """
+def compare_strategies(checkpoint: Checkpoint, corpus: Corpus,
+                       tables: dict[str, Table], strategies, budget: int = 512,
+                       seed: int = 0) -> Comparison:
+    """Evaluate one checkpoint under each strategy, a list of labels like
+    "none", "rand:3", "rel:3"."""
     rows = []
     for label in strategies:
         strategy, k = parse_strategy(label)
-        ckpt = checkpoints[label] if isinstance(checkpoints, dict) else checkpoints
-        report = evaluate(ckpt, corpus, tables, strategy, k,
+        report = evaluate(checkpoint, corpus, tables, strategy, k,
                           budget=budget, seed=seed)
         row = {"strategy": label, "n": report.n, "lf": report.lf_accuracy,
                "ex": report.ex_accuracy}

@@ -71,6 +71,36 @@ def test_render_matches_canonical_form(workspace, tmp_path, motogp_table, capsys
     )
 
 
+@pytest.mark.parametrize("sketch", [
+    '{"agg":0}', '[1,2]', '{"sel":0,"conds":5}', '{"sel":0,"conds":[[1,0]]}',
+    '{"sel":1e400}', '{"sel":0,"agg":9}', 'not json',
+    pytest.param("[" * 100_000, id="nested-too-deep"),
+])
+def test_render_rejects_a_malformed_sketch(workspace, motogp_table, capsys,
+                                           sketch):
+    tables_path = workspace / "tables.jsonl"
+    save_tables({motogp_table.table_id: motogp_table}, tables_path)
+    assert run("render", "--tables", str(tables_path),
+               "--table-id", "2-14125739-3", "--sketch", sketch) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --sketch") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("subcommand, extra", [
+    ("index", []),
+    ("sample", []),
+    ("serialize", ["--question", "q"]),
+    ("render", ["--sketch", '{"sel":0}']),
+    ("repl", ["--ckpt", "missing.ckpt"]),
+])
+def test_unknown_table_id_is_an_error(workspace, capsys, subcommand, extra):
+    _, tables = synth(workspace)
+    capsys.readouterr()
+    assert run(subcommand, "--tables", str(tables), "--table-id", "nope",
+               *extra) == 1
+    assert capsys.readouterr().err == "error: unknown table 'nope'\n"
+
+
 def test_index_and_sample_and_serialize(workspace, capsys):
     data, tables = synth(workspace)
     table_id = json.loads(tables.read_text().splitlines()[0])["id"]
@@ -123,6 +153,33 @@ def test_train_eval_compare_smoke(workspace, capsys):
                "--out", str(cmp_path)) == 0
     rows = json.loads(cmp_path.read_text())["rows"]
     assert [r["strategy"] for r in rows] == ["none", "rand:2"]
+
+
+def test_train_reports_the_epochs_it_ran(workspace, capsys):
+    data, tables = synth(workspace)
+    capsys.readouterr()
+    ckpt = workspace / "model.ckpt"
+    assert run("train", "--data", str(data), "--tables", str(tables),
+               "--out", str(ckpt), "--epochs", "200", "--stop-loss", "100",
+               "--batch-size", "8", "--d-model", "16", "--layers", "1",
+               "--heads", "2", "--budget", "128") == 0
+    assert len(json.loads(ckpt.with_suffix(".history.json").read_text())) == 1
+    assert capsys.readouterr().out.startswith("trained 1 epochs,")
+
+
+def test_train_out_makes_no_default_output_dir(workspace, monkeypatch):
+    data, tables = synth(workspace)
+    monkeypatch.delenv("NLSQL_OUT_DIR")
+    elsewhere = workspace / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    ckpt = workspace / "m.ckpt"
+    assert run("train", "--data", str(data), "--tables", str(tables),
+               "--out", str(ckpt), "--epochs", "1", "--batch-size", "8",
+               "--d-model", "16", "--layers", "1", "--heads", "2",
+               "--budget", "128") == 0
+    assert ckpt.exists() and (workspace / "train.manifest.json").exists()
+    assert list(elsewhere.iterdir()) == []
 
 
 def test_bench_command(workspace):

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -6,13 +7,13 @@ from hypothesis import given, settings, strategies as st
 from nlsql.keyword_index import build_index, extract_matches
 from nlsql.sampling import (
     _remaining,
-    load_sample_sets,
     sample_exact_match_one,
     sample_random,
     sample_relevance,
     save_sample_sets,
 )
 from nlsql.sketch import Table, TableSchema
+from nlsql.train import Sampler
 
 
 def test_random_k_zero_gives_empty_lists(tennis_table):
@@ -93,12 +94,21 @@ def test_index_table_mismatch_rejected(tennis_table, league_table):
         sample_relevance(tennis_table, index, "q", 1, 0)
 
 
-def test_sidecar_round_trip(tmp_path, tennis_table, league_table):
-    sets = [sample_random(tennis_table, 2, seed=5),
-            sample_random(league_table, 1, seed=5)]
+def test_sidecar_records_name_each_strategy(tmp_path, tennis_table):
+    tables = {tennis_table.table_id: tennis_table}
+    drawn = sample_random(tennis_table, 2, seed=5)
+    sets = [Sampler(tables, "none", 0).sample_for(tennis_table.table_id, ""),
+            drawn]
     path = tmp_path / "samples.jsonl"
     save_sample_sets(sets, path)
-    assert load_sample_sets(path) == sets
+    records = [json.loads(line)
+               for line in path.read_text(encoding="utf-8").splitlines()]
+    assert records == [
+        {"table_id": tennis_table.table_id, "strategy": "none", "k": 0,
+         "seed": None, "columns": [[], [], []]},
+        {"table_id": tennis_table.table_id, "strategy": "random", "k": 2,
+         "seed": 5, "columns": [list(c) for c in drawn.columns]},
+    ]
 
 
 # Properties ------------------------------------------------------------------
