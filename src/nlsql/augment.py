@@ -6,7 +6,10 @@ the select header lands at the front or the back, each condition shows up as
 Symbol substitution rewrites relational ngrams ("more than", "under", ...)
 to their operator symbols, but only when the gold sketch actually contains a
 condition with that operator, so the rewrite is meaning-preserving by
-construction. Gold sketches are never modified.
+construction. Phrases are found by the content index's lookup
+(``keyword_index.find_phrases``): case-insensitive, word-boundary-anchored,
+longest first, and a space in a pattern matches any whitespace run. Gold
+sketches are never modified.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import random
 from dataclasses import dataclass
 
 from .corpus import Corpus
+from .keyword_index import find_phrases, normalize_pattern
 from .sketch import (
     AggOp,
     CondOp,
@@ -64,7 +68,8 @@ class ReplacementMap:
         for entry in self.entries:
             if not entry.pattern or entry.pattern != entry.pattern.lower():
                 raise ValueError(f"patterns must be lowercase and non-empty: {entry}")
-        # Longest patterns win ties during matching.
+        # Longest first: the order synthesis uses each operator's phrases in;
+        # of patterns that normalize alike, the first one's symbol is used.
         ordered = tuple(sorted(self.entries, key=lambda e: -len(e.pattern)))
         object.__setattr__(self, "entries", ordered)
 
@@ -179,29 +184,6 @@ def synthesize_short_questions(
     ]
 
 
-def _is_boundary(text: str, start: int, end: int) -> bool:
-    before_ok = start == 0 or not text[start - 1].isalnum()
-    after_ok = end == len(text) or not text[end].isalnum()
-    return before_ok and after_ok
-
-
-def _find_occurrences(question: str, pattern: str) -> list[tuple[int, int]]:
-    """Word-boundary-anchored, case-insensitive occurrences of a lowercase
-    pattern; pattern spaces match single spaces in the question."""
-    lowered = question.lower()
-    spans = []
-    start = 0
-    while True:
-        pos = lowered.find(pattern, start)
-        if pos < 0:
-            break
-        end = pos + len(pattern)
-        if _is_boundary(lowered, pos, end):
-            spans.append((pos, end))
-        start = pos + 1
-    return spans
-
-
 def substitute_relational_symbols(
     example: Example,
     replacement_map: ReplacementMap,
@@ -211,27 +193,17 @@ def substitute_relational_symbols(
     """Rewrite relational ngrams to operator symbols, gated on the gold ops.
 
     A pattern is eligible only if the gold sketch has a condition with the
-    pattern's operator. Overlapping occurrences resolve longest-first; each
-    surviving occurrence is rewritten with the given probability.
+    pattern's operator. Overlapping occurrences resolve left-to-right,
+    longest first; each surviving occurrence is rewritten with the given
+    probability.
     """
     gold_ops = {c.op for c in example.gold.conds}
-    candidates: list[tuple[int, int, str]] = []
-    for entry in replacement_map.entries:  # longest patterns first
-        if entry.op not in gold_ops:
-            continue
-        for start, end in _find_occurrences(example.question, entry.pattern):
-            candidates.append((start, end, entry.symbol))
-    if not candidates:
-        return example
-
-    candidates.sort(key=lambda c: (c[0], -(c[1] - c[0])))
-    selected: list[tuple[int, int, str]] = []
-    cursor = -1
-    for start, end, symbol in candidates:
-        if start > cursor:
-            selected.append((start, end, symbol))
-            cursor = end - 1
-
+    symbols: dict[str, str] = {}
+    for entry in replacement_map.entries:
+        if entry.op in gold_ops:
+            symbols.setdefault(normalize_pattern(entry.pattern), entry.symbol)
+    selected = find_phrases(symbols, max(map(len, symbols), default=0),
+                            example.question)
     fired = [span for span in selected if rng.random() < probability]
     if not fired:
         return example

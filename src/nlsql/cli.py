@@ -317,7 +317,10 @@ def cmd_compare(args) -> int:
 
 def cmd_bench(args) -> int:
     started = time.time()
-    sizes = [int(s) for s in args.rows.split(",") if s]
+    sizes = [int(s) if s.strip().isdecimal() else 0 for s in args.rows.split(",") if s]
+    if not sizes or min(sizes) < 1:
+        raise ValueError(f"--rows: expected comma-separated table sizes of at "
+                         f"least 1, got {args.rows!r}")
     strategy, k = _strategy(args)
     tables = [generate_bench_table(size, seed=args.seed) for size in sizes]
     report = bench_sampling(tables, strategy, k, n_queries=args.queries,

@@ -69,25 +69,41 @@ def _parse_example(record: dict) -> Example:
     )
 
 
-def load_examples(path, split: str = "train", strict: bool = True) -> Corpus:
-    """Load a line-delimited example file.
-
-    Malformed lines raise (strict) or are skipped with a line-numbered
-    warning (lenient). An empty file yields an empty corpus with a warning.
-    """
-    examples = []
+def read_jsonl(path, strict: bool, consume) -> int:
+    """Pass each non-blank line's JSON record to ``consume``; return the number
+    of lines skipped. A line that does not decode (nested too deep, say) or
+    that ``consume`` rejects raises CorpusFormatError naming the file and line
+    (strict) or is skipped with a line-numbered warning (lenient)."""
     skipped = 0
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
             try:
-                examples.append(_parse_example(json.loads(line)))
-            except (KeyError, TypeError, ValueError) as exc:
+                consume(json.loads(line))
+            except (KeyError, TypeError, ValueError, OverflowError,
+                    RecursionError) as exc:
                 if strict:
                     raise CorpusFormatError(f"{path}:{lineno}: {exc}") from exc
                 skipped += 1
                 logger.warning("%s:%d: skipping malformed line (%s)", path, lineno, exc)
+    return skipped
+
+
+def write_jsonl(records, path) -> None:
+    """Write one compact JSON record per line, non-ASCII kept as is."""
+    with open(path, "w", encoding="utf-8") as handle:
+        for record in records:
+            handle.write(json.dumps(record, ensure_ascii=False))
+            handle.write("\n")
+
+
+def load_examples(path, split: str = "train", strict: bool = True) -> Corpus:
+    """Load a line-delimited example file (malformed lines: ``read_jsonl``).
+    An empty file yields an empty corpus with a warning."""
+    examples: list[Example] = []
+    skipped = read_jsonl(path, strict,
+                         lambda record: examples.append(_parse_example(record)))
     if not examples:
         logger.warning("%s: no examples loaded", path)
     meta = {"skipped_lines": skipped} if skipped else {}
@@ -112,10 +128,7 @@ def example_to_record(example: Example) -> dict:
 
 
 def save_examples(corpus: Corpus, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for example in corpus.examples:
-            handle.write(json.dumps(example_to_record(example), ensure_ascii=False))
-            handle.write("\n")
+    write_jsonl(map(example_to_record, corpus.examples), path)
 
 
 def _parse_table(record: dict) -> Table:
@@ -140,20 +153,14 @@ def _parse_table(record: dict) -> Table:
 def load_tables(path, strict: bool = True) -> dict[str, Table]:
     """Load a line-delimited table file into a table_id -> Table map."""
     tables: dict[str, Table] = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                table = _parse_table(json.loads(line))
-                if table.table_id in tables:
-                    raise ValueError(f"duplicate table_id {table.table_id!r}")
-            except (KeyError, TypeError, ValueError) as exc:
-                if strict:
-                    raise CorpusFormatError(f"{path}:{lineno}: {exc}") from exc
-                logger.warning("%s:%d: skipping malformed table (%s)", path, lineno, exc)
-                continue
-            tables[table.table_id] = table
+
+    def add(record: dict) -> None:
+        table = _parse_table(record)
+        if table.table_id in tables:
+            raise ValueError(f"duplicate table_id {table.table_id!r}")
+        tables[table.table_id] = table
+
+    read_jsonl(path, strict, add)
     return tables
 
 
@@ -167,10 +174,7 @@ def table_to_record(table: Table) -> dict:
 
 
 def save_tables(tables: dict[str, Table], path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for table in tables.values():
-            handle.write(json.dumps(table_to_record(table), ensure_ascii=False))
-            handle.write("\n")
+    write_jsonl(map(table_to_record, tables.values()), path)
 
 
 @dataclass

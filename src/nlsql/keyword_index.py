@@ -7,6 +7,8 @@ character and end at the end or before one: a question is matched by looking
 up each such boundary-anchored substring no longer than the longest pattern.
 Matches are case-insensitive and resolved left-to-right longest-first with no
 overlaps. The index is read-only after build and safe for concurrent readers.
+``find_phrases`` is that lookup over any phrase dict; augmentation uses it to
+find relational phrases.
 """
 
 from __future__ import annotations
@@ -109,18 +111,14 @@ def build_index(table: Table) -> ContentIndex:
     return index
 
 
-def extract_matches(index: ContentIndex, question: str) -> list[Match]:
-    """Find cells mentioned in a question.
-
-    Every word-boundary-anchored substring up to the longest pattern's length
-    is looked up; overlaps resolve left-to-right, longest match first. A
-    pattern present in several columns yields one Match per column
-    (ascending column order).
-    """
-    normalized, index_map = _normalize_with_map(question)
+def find_phrases(phrases: dict, longest: int, text: str) -> list[tuple]:
+    """``(start, end, value)`` in original-text offsets for each phrase of
+    ``text`` that is a key of ``phrases`` (normalized, none longer than
+    ``longest``), found and resolved as the module docstring describes."""
+    normalized, index_map = _normalize_with_map(text)
     cuts = [i for i, ch in enumerate(normalized) if not ch.isalnum()]
     ends = cuts + [len(normalized)]
-    matches: list[Match] = []
+    spans = []
     cursor = 0
     for start in [0] + [i + 1 for i in cuts]:
         if start < cursor:
@@ -128,13 +126,20 @@ def extract_matches(index: ContentIndex, question: str) -> list[Match]:
         # Candidates at one start, longest first: the first hit is the one
         # the left-to-right, longest-first resolution keeps.
         lo = bisect_right(ends, start)
-        hi = bisect_right(ends, start + index._longest)
+        hi = bisect_right(ends, start + longest)
         for end in reversed(ends[lo:hi]):
-            columns = index._patterns.get(normalized[start:end])
-            if columns is not None:
+            value = phrases.get(normalized[start:end])
+            if value is not None:
                 cursor = end
-                span = (index_map[start], index_map[end - 1] + 1)
-                for col in sorted(columns):
-                    matches.append(Match(col, columns[col], span))
+                spans.append((index_map[start], index_map[end - 1] + 1, value))
                 break
-    return matches
+    return spans
+
+
+def extract_matches(index: ContentIndex, question: str) -> list[Match]:
+    """Find cells mentioned in a question. A pattern present in several
+    columns yields one Match per column (ascending column order)."""
+    return [Match(col, columns[col], (start, end))
+            for start, end, columns in find_phrases(index._patterns, index._longest,
+                                                    question)
+            for col in sorted(columns)]

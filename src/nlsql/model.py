@@ -370,7 +370,6 @@ class HeadOutputs:
     wval_start_logits: np.ndarray  # (C, m) over question positions only
     wval_end_logits: np.ndarray  # (C, m)
     wcol_logits: np.ndarray  # (C,) pre-sigmoid, kept for the stable loss
-    agg_condition_column: int  # column the agg head was conditioned on
 
 
 def _batched_attention(hc, q, w):
@@ -457,7 +456,6 @@ def predict_heads(enc: EncoderOutput, params: dict, cfg: ModelConfig,
         wval_start_logits=wvs_logits,
         wval_end_logits=wve_logits,
         wcol_logits=wcol_logits,
-        agg_condition_column=sel_idx,
     )
     cache = {
         "hc": hc, "q": q,

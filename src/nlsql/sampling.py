@@ -11,10 +11,10 @@ Sample sets persist to a line-delimited sidecar file, one record per
 
 from __future__ import annotations
 
-import json
 from collections.abc import Sequence
 from dataclasses import dataclass
 
+from .corpus import write_jsonl
 from .keyword_index import ContentIndex, distinct_columns, extract_matches
 from .sketch import Table
 from .util import child_rng
@@ -123,15 +123,6 @@ def sample_exact_match_one(table: Table, index: ContentIndex,
 
 
 def save_sample_sets(sample_sets, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for s in sample_sets:
-            record = {
-                "table_id": s.table_id,
-                "strategy": s.strategy,
-                "k": s.k,
-                "seed": s.seed,
-                "columns": [list(c) for c in s.columns],
-            }
-            handle.write(json.dumps(record, ensure_ascii=False))
-            handle.write("\n")
-
+    write_jsonl(({"table_id": s.table_id, "strategy": s.strategy, "k": s.k,
+                  "seed": s.seed, "columns": [list(c) for c in s.columns]}
+                 for s in sample_sets), path)

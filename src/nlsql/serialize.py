@@ -139,11 +139,8 @@ def serialize_input(
     def block_width(col: int) -> int:
         return sum(len(s) for s in sample_tokens[col])
 
-    def delimiter_count(col: int) -> int:
-        n = len(sample_tokens[col])
-        return n if n else 0  # one '||' plus n-1 '|'
-
-    total = base + sum(block_width(c) + delimiter_count(c)
+    # A block of n samples has n delimiters: one '||' plus n-1 '|'.
+    total = base + sum(block_width(c) + len(sample_tokens[c])
                        for c in range(schema.n_columns))
     while total > budget:
         widest = max(range(schema.n_columns), key=block_width)

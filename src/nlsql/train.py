@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .augment import AugmentConfig, augment_corpus
-from .corpus import Corpus
+from .corpus import Corpus, write_jsonl
 from .executor import ex_equal
 from .keyword_index import build_index
 from .model import (
@@ -438,10 +438,7 @@ def save_report(report: EvalReport, path) -> None:
 
 
 def save_predictions(report: EvalReport, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for record in report.predictions:
-            handle.write(json.dumps(record, ensure_ascii=False))
-            handle.write("\n")
+    write_jsonl(report.predictions, path)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,8 @@ from nlsql.sketch import (
 from nlsql.synth import SynthConfig, generate_synthetic_corpus
 from nlsql.util import child_rng
 
+from oracles import oracle_matches
+
 
 @pytest.fixture
 def roster_table() -> Table:
@@ -122,6 +124,57 @@ def test_substitute_word_boundaries():
     out = substitute_relational_symbols(example, ReplacementMap(),
                                         child_rng("s", 3), probability=1.0)
     assert out.question == "moreover the laps are > 10"
+
+
+def test_substitute_keeps_offsets_after_a_letter_that_lowers_to_two():
+    # "İ".lower() is two characters; the rewrite must still land on the
+    # phrase in the original question.
+    gold = SqlSketch(0, AggOp.NONE, (Condition(1, CondOp.GT, "5"),))
+    example = Example("İzmir laps more than 5", "t", gold)
+    out = substitute_relational_symbols(example, ReplacementMap(),
+                                        child_rng("s", 4), probability=1.0)
+    assert out.question == "İzmir laps > 5"
+
+
+SUBSTITUTION_WORDS = ("over", "moreover", "more", "than", "more than", "less",
+                      "under", "fewer", "larger", "bigger than", "laps", "10",
+                      "İzmir", "overs")
+
+
+@given(st.lists(st.tuples(st.sampled_from(SUBSTITUTION_WORDS),
+                          st.sampled_from((" ", "  ", "\t", " \t ", "-", "")),
+                          st.integers(0, 2**16)),
+                max_size=10),
+       st.sets(st.sampled_from((CondOp.EQ, CondOp.GT, CondOp.LT)), min_size=1))
+@settings(max_examples=200, deadline=None)
+def test_substitute_matches_the_brute_force_oracle(words, ops):
+    """At probability 1 every phrase the oracle finds among the eligible
+    patterns, and nothing else, becomes its symbol."""
+    question = ""
+    for word, join, case_bits in words:
+        if word.isascii():
+            word = "".join(ch.upper() if case_bits >> i & 1 else ch
+                           for i, ch in enumerate(word))
+        question += (join if question else "") + word
+    question = question or "laps"
+    rmap = ReplacementMap()
+    eligible = [e for e in rmap.entries if e.op in ops]
+    symbol = {}
+    for entry in eligible:
+        symbol.setdefault(entry.pattern, entry.symbol)
+    table = Table(TableSchema("t", ("Pattern",), ("text",)),
+                  tuple((e.pattern,) for e in eligible))
+    expected, cursor = "", 0
+    for _, cell, (start, end) in oracle_matches(table, question):
+        expected += question[cursor:start] + symbol[cell]
+        cursor = end
+    expected += question[cursor:]
+
+    gold = SqlSketch(0, AggOp.NONE,
+                     tuple(Condition(0, op, "10") for op in sorted(ops)))
+    out = substitute_relational_symbols(Example(question, "t", gold), rmap,
+                                        child_rng("s", 5), probability=1.0)
+    assert out.question == expected
 
 
 def test_replacement_map_longest_first_and_file_round_trip(tmp_path):

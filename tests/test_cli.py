@@ -59,6 +59,41 @@ def test_validate_fails_on_dangling_table(workspace, tmp_path):
     assert run("validate", "--data", str(data), "--tables", str(tables)) == 1
 
 
+DEEP_LINE = "[" * 100_000 + "]" * 100_000
+OVERFLOW_EXAMPLE = ('{"question": "q", "table_id": "t", '
+                    '"sql": {"sel": 1e400, "agg": 0, "conds": []}}')
+
+
+@pytest.mark.parametrize("which, bad", [
+    ("data", DEEP_LINE), ("tables", DEEP_LINE), ("data", OVERFLOW_EXAMPLE),
+], ids=["deep-examples", "deep-tables", "overflow-examples"])
+def test_validate_reports_or_skips_an_undecodable_line(workspace, capsys,
+                                                        which, bad):
+    data, tables = synth(workspace)
+    argv = ("validate", "--data", str(data), "--tables", str(tables))
+    capsys.readouterr()
+    assert run(*argv) == 0
+    clean = capsys.readouterr().out
+    path = data if which == "data" else tables
+    lines = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("\n".join([lines[0], bad, *lines[1:]]) + "\n",
+                    encoding="utf-8")
+    assert run(*argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}:2: ")
+    assert run(*argv, "--lenient") == 0
+    assert capsys.readouterr().out == clean
+
+
+def test_a_huge_number_in_a_table_is_text(workspace, capsys):
+    # A table record has no integer field: 1e400 is a cell, read as "inf".
+    data, tables = synth(workspace)
+    with open(tables, "a", encoding="utf-8") as handle:
+        handle.write('{"id": "big", "header": ["A"], "rows": [[1e400]], '
+                     '"sel": 1e400}\n')
+    assert run("validate", "--data", str(data), "--tables", str(tables)) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_render_matches_canonical_form(workspace, tmp_path, motogp_table, capsys):
     tables_path = tmp_path / "tables.jsonl"
     save_tables({motogp_table.table_id: motogp_table}, tables_path)
@@ -189,6 +224,19 @@ def test_bench_command(workspace):
     payload = json.loads(out.read_text())
     assert [r["rows"] for r in payload["rows"]] == [50, 200]
     assert all(r["setup_seconds"] >= 0 for r in payload["rows"])
+
+
+@pytest.mark.parametrize("rows", ["0", "100,0", "-5", "x", ","])
+def test_bench_rejects_table_sizes_below_one(workspace, capsys, monkeypatch,
+                                             rows):
+    def no_tables(*args, **kwargs):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(cli, "generate_bench_table", no_tables)
+    out = workspace / "bench.json"
+    assert run("bench", f"--rows={rows}", "--out", str(out)) == 1
+    assert capsys.readouterr().err.startswith("error: --rows: ")
+    assert not out.exists()
 
 
 def test_config_file_defaults_and_flag_precedence(workspace):

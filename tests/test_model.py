@@ -173,7 +173,6 @@ def test_uniform_sel_logits_costs_ln4():
         wval_start_logits=np.zeros((4, 6)),
         wval_end_logits=np.zeros((4, 6)),
         wcol_logits=np.zeros(4),
-        agg_condition_column=0,
     )
     target = Target(sel=1, agg=0, n_conds=0, wcol=np.zeros(4), conds=[])
     _, breakdown, _ = loss_from_heads(heads, target)
@@ -197,7 +196,7 @@ def test_perfect_predictions_drive_loss_to_zero():
     starts[1, 2] = big
     ends[1, 3] = big
     heads = HeadOutputs(sel, agg, wnum, 1 / (1 + np.exp(-wcol_logits)), wop,
-                        starts, ends, wcol_logits, 2)
+                        starts, ends, wcol_logits)
     wcol = np.zeros(4)
     wcol[1] = 1.0
     target = Target(sel=2, agg=3, n_conds=1, wcol=wcol, conds=[(1, 0, 2, 3)])
@@ -315,7 +314,6 @@ def test_decode_empty_when_wnum_zero(setup):
         wval_start_logits=np.zeros((4, m)),
         wval_end_logits=np.zeros((4, m)),
         wcol_logits=np.zeros(4),
-        agg_condition_column=1,
     )
     spans = tuple((i, i + 1) for i in range(m))
     sketch = decode_sketch(heads, table.schema, "a b c d e", spans)
@@ -337,7 +335,6 @@ def test_decode_top_n_columns_and_tie_break(setup):
         wval_start_logits=np.zeros((4, m)),
         wval_end_logits=np.zeros((4, m)),
         wcol_logits=np.zeros(4),
-        agg_condition_column=0,
     )
     spans = tuple((i, i + 1) for i in range(m))
     sketch = decode_sketch(heads, table.schema, "a b c d", spans)
@@ -350,7 +347,7 @@ def test_decode_top_n_columns_and_tie_break(setup):
         sel_logits=np.zeros(4), agg_logits=np.zeros(6), wnum_logits=wnum1,
         wcol_scores=tie, wop_logits=np.zeros((4, 3)),
         wval_start_logits=np.zeros((4, m)), wval_end_logits=np.zeros((4, m)),
-        wcol_logits=np.zeros(4), agg_condition_column=0,
+        wcol_logits=np.zeros(4),
     )
     sketch = decode_sketch(heads_tie, table.schema, "a b c d", spans)
     assert [c.column_index for c in sketch.conds] == [1]
@@ -370,7 +367,7 @@ def test_decode_respects_span_length_and_boundaries(setup):
         wcol_scores=np.array([0.9, 0.1, 0.1, 0.1]),
         wop_logits=np.zeros((4, 3)),
         wval_start_logits=starts, wval_end_logits=ends,
-        wcol_logits=np.zeros(4), agg_condition_column=0,
+        wcol_logits=np.zeros(4),
     )
     question = "alpha beta gamma delta echo fox"
     tokens = tokenize(question)
@@ -399,7 +396,7 @@ def test_sel_argmax_scale_invariance(setup):
     scaled = HeadOutputs(
         heads.sel_logits * 7.0, heads.agg_logits, heads.wnum_logits,
         heads.wcol_scores, heads.wop_logits, heads.wval_start_logits,
-        heads.wval_end_logits, heads.wcol_logits, heads.agg_condition_column,
+        heads.wval_end_logits, heads.wcol_logits,
     )
     a = decode_sketch(heads, table.schema, feats.question, feats.question_spans)
     b = decode_sketch(scaled, table.schema, feats.question, feats.question_spans)
