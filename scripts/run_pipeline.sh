@@ -35,9 +35,9 @@ $PY -m nlsql bench --strategy rel --k 3 --rows 500,2000 --queries 20 \
 echo "pipeline complete: $OUT"
 
 # Fixed-seed outputs: equal hashes before and after a refactor mean it kept
-# training, evaluation and comparison byte-identical.
+# augmentation, training, evaluation and comparison byte-identical.
 (cd "$OUT" && $PY -c 'import hashlib, sys
 for p in sys.argv[1:]:
     print(hashlib.sha256(open(p, "rb").read()).hexdigest(), p)' \
-    model.ckpt model.history.json eval.json eval.predictions.jsonl \
-    comparison.json)
+    augmented.jsonl model.ckpt model.history.json eval.json \
+    eval.predictions.jsonl comparison.json)

@@ -202,6 +202,8 @@ def substitute_relational_symbols(
     for entry in replacement_map.entries:
         if entry.op in gold_ops:
             symbols.setdefault(normalize_pattern(entry.pattern), entry.symbol)
+    if not symbols:
+        return example
     selected = find_phrases(symbols, max(map(len, symbols), default=0),
                             example.question)
     fired = [span for span in selected if rng.random() < probability]
@@ -264,4 +266,4 @@ def augment_corpus(
     }
     meta = dict(corpus.meta)
     meta["augmentation"] = stats
-    return Corpus(examples=out, split=corpus.split, meta=meta)
+    return Corpus(examples=out, meta=meta)

@@ -24,7 +24,6 @@ from . import __version__
 from .augment import AugmentConfig, ReplacementMap, augment_corpus, load_replacement_map
 from .bench import bench_sampling
 from .corpus import (
-    CorpusFormatError,
     load_examples,
     load_tables,
     save_examples,
@@ -206,9 +205,12 @@ def cmd_index(args) -> int:
     selected = [_table(args, tables)] if args.table_id \
         else [tables[table_id] for table_id in sorted(tables)]
     for table in selected:
+        started = time.perf_counter()
         index = build_index(table)
+        seconds = time.perf_counter() - started
+        n_cells = sum(1 for row in table.rows for cell in row if cell.strip())
         print(f"{table.table_id}: {index.n_patterns} patterns over "
-              f"{index.n_cells} cells, built in {index.build_seconds:.3f}s")
+              f"{n_cells} cells, built in {seconds:.3f}s")
     return 0
 
 
@@ -246,7 +248,7 @@ def cmd_serialize(args) -> int:
 def cmd_train(args) -> int:
     started = time.time()
     corpus, tables = _load_pair(args)
-    dev_corpus = load_examples(args.dev, split="dev") if args.dev else None
+    dev_corpus = load_examples(args.dev) if args.dev else None
     strategy, k = _strategy(args)
     augment_config = None
     if args.augment:
@@ -606,7 +608,11 @@ def cli_dispatch(argv) -> int:
         return 2
     try:
         return args.func(args)
-    except (CorpusFormatError, FileNotFoundError, ValueError) as exc:
+    except OSError as exc:  # a missing or unreadable file, or a directory
+        where = f"{exc.filename}: " if exc.filename is not None else ""
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
+        return 1
+    except ValueError as exc:  # CorpusFormatError among them
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

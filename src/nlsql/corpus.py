@@ -43,7 +43,6 @@ class CorpusFormatError(ValueError):
 @dataclass
 class Corpus:
     examples: list[Example]
-    split: str = "train"  # {train, dev, test}
     meta: dict = field(default_factory=dict)
 
 
@@ -69,12 +68,11 @@ def _parse_example(record: dict) -> Example:
     )
 
 
-def read_jsonl(path, strict: bool, consume) -> int:
-    """Pass each non-blank line's JSON record to ``consume``; return the number
-    of lines skipped. A line that does not decode (nested too deep, say) or
-    that ``consume`` rejects raises CorpusFormatError naming the file and line
-    (strict) or is skipped with a line-numbered warning (lenient)."""
-    skipped = 0
+def read_jsonl(path, strict: bool, consume) -> None:
+    """Pass each non-blank line's JSON record to ``consume``. A line that does
+    not decode (nested too deep, say) or that ``consume`` rejects raises
+    CorpusFormatError naming the file and line (strict) or is skipped with a
+    line-numbered warning (lenient)."""
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             if not line.strip():
@@ -85,9 +83,7 @@ def read_jsonl(path, strict: bool, consume) -> int:
                     RecursionError) as exc:
                 if strict:
                     raise CorpusFormatError(f"{path}:{lineno}: {exc}") from exc
-                skipped += 1
                 logger.warning("%s:%d: skipping malformed line (%s)", path, lineno, exc)
-    return skipped
 
 
 def write_jsonl(records, path) -> None:
@@ -98,16 +94,14 @@ def write_jsonl(records, path) -> None:
             handle.write("\n")
 
 
-def load_examples(path, split: str = "train", strict: bool = True) -> Corpus:
+def load_examples(path, strict: bool = True) -> Corpus:
     """Load a line-delimited example file (malformed lines: ``read_jsonl``).
     An empty file yields an empty corpus with a warning."""
     examples: list[Example] = []
-    skipped = read_jsonl(path, strict,
-                         lambda record: examples.append(_parse_example(record)))
+    read_jsonl(path, strict, lambda record: examples.append(_parse_example(record)))
     if not examples:
         logger.warning("%s: no examples loaded", path)
-    meta = {"skipped_lines": skipped} if skipped else {}
-    return Corpus(examples=examples, split=split, meta=meta)
+    return Corpus(examples=examples)
 
 
 def example_to_record(example: Example) -> dict:

@@ -64,6 +64,12 @@ class Column:
         self.codebook: tuple[str, ...] = tuple(code_of)
 
     @cached_property
+    def distinct(self) -> tuple[str, ...]:
+        """The column's distinct non-empty cells in first-seen order: the
+        codebook's non-blank entries."""
+        return tuple(cell for cell in self.codebook if cell.strip())
+
+    @cached_property
     def numbers(self) -> np.ndarray:
         """``parse_number`` of each codebook entry, NaN where it fails."""
         parsed = map(parse_number, self.codebook)

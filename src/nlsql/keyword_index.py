@@ -1,10 +1,12 @@
 """Multi-pattern keyword index over a table's cell values.
 
-Distinct cell values are normalized (lowercase, whitespace collapsed) into a
-dict from pattern to the columns holding it. Matches are anchored at word
-boundaries, so a match can only start at 0 or after a non-alphanumeric
-character and end at the end or before one: a question is matched by looking
-up each such boundary-anchored substring no longer than the longest pattern.
+The index holds only the lookup. Each column's distinct cell values come
+from the table's column store (``executor.Column.distinct``) and are
+normalized (lowercase, whitespace collapsed) into a dict from pattern to the
+columns holding it. Matches are anchored at word boundaries, so a match can
+only start at 0 or after a non-alphanumeric character and end at the end or
+before one: a question is matched by looking up each such boundary-anchored
+substring no longer than the longest pattern.
 Matches are case-insensitive and resolved left-to-right longest-first with no
 overlaps. The index is read-only after build and safe for concurrent readers.
 ``find_phrases`` is that lookup over any phrase dict; augmentation uses it to
@@ -13,19 +15,23 @@ find relational phrases.
 
 from __future__ import annotations
 
-import time
 from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
-
-import numpy as np
 
 from .sketch import Table
 
 
-def _normalize_with_map(text: str) -> tuple[str, list[int]]:
+def _normalize_with_map(text: str) -> tuple[str, Sequence[int]]:
     """Lowercase and collapse whitespace, keeping a map from each normalized
-    character position back to its original position."""
+    character position back to its original position. ASCII text that
+    collapses to its own length keeps every offset; other text takes the
+    loop, because ``str.lower()`` lowers Σ by context and expands İ."""
+    if text.isascii():
+        collapsed = " ".join(text.split())
+        if len(collapsed) == len(text):
+            return collapsed.lower(), range(len(text))
     out: list[str] = []
     index_map: list[int] = []
     pending_space_at = -1
@@ -45,11 +51,7 @@ def _normalize_with_map(text: str) -> tuple[str, list[int]]:
 
 
 def normalize_pattern(text: str) -> str:
-    """``_normalize_with_map``'s text. For ASCII, ``str.split`` and
-    ``str.lower`` on the whole string give the same; other text keeps the
-    loop, because ``str.lower()`` lowers Σ by context and expands İ."""
-    if text.isascii():
-        return " ".join(text.split()).lower()
+    """``_normalize_with_map``'s text."""
     return _normalize_with_map(text)[0]
 
 
@@ -61,26 +63,16 @@ class Match(NamedTuple):
 
 @dataclass
 class ContentIndex:
-    """Pattern lookup plus per-column distinct values for one table."""
+    """The pattern lookup for one table."""
 
     table_id: str
-    n_cells: int  # non-empty cells scanned at build time
-    distinct_values: tuple[tuple[str, ...], ...]  # per column, first-seen order
-    build_seconds: float = 0.0
     # normalized pattern -> {column -> first-seen original cell}
-    _patterns: dict[str, dict[int, str]] = field(default_factory=dict, repr=False)
-    _longest: int = 0  # length of the longest pattern
+    _patterns: dict[str, dict[int, str]] = field(repr=False)
+    _longest: int  # length of the longest pattern
 
     @property
     def n_patterns(self) -> int:
         return len(self._patterns)
-
-
-def distinct_columns(table: Table) -> list[list[str]]:
-    """Each column's distinct non-empty cells, in first-seen order: the
-    non-blank entries of the column store's codebooks."""
-    return [[cell for cell in column.codebook if cell.strip()]
-            for column in table.columns]
 
 
 def build_index(table: Table) -> ContentIndex:
@@ -89,26 +81,11 @@ def build_index(table: Table) -> ContentIndex:
     Cells that normalize identically share one pattern; each column keeps its
     first-seen original spelling for reporting.
     """
-    started = time.perf_counter()
-    distinct = distinct_columns(table)
-    n_cells = 0
-    for column in table.columns:
-        rows_per_entry = np.bincount(column.codes, minlength=len(column.codebook))
-        n_cells += sum(n for cell, n in zip(column.codebook, rows_per_entry.tolist())
-                       if cell.strip())
     patterns: dict[str, dict[int, str]] = {}
-    for col, values in enumerate(distinct):
-        for cell in values:
+    for col, column in enumerate(table.columns):
+        for cell in column.distinct:
             patterns.setdefault(normalize_pattern(cell), {}).setdefault(col, cell)
-    index = ContentIndex(
-        table_id=table.table_id,
-        n_cells=n_cells,
-        distinct_values=tuple(tuple(values) for values in distinct),
-        _patterns=patterns,
-        _longest=max(map(len, patterns), default=0),
-    )
-    index.build_seconds = time.perf_counter() - started
-    return index
+    return ContentIndex(table.table_id, patterns, max(map(len, patterns), default=0))
 
 
 def find_phrases(phrases: dict, longest: int, text: str) -> list[tuple]:

@@ -17,11 +17,12 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import asdict, dataclass, field
+from itertools import groupby
 
 import numpy as np
 
 from . import netops as nn
-from .serialize import N_SEGMENTS, SerializedInput, token_texts
+from .serialize import N_SEGMENTS, SEG_HEADER, SerializedInput, token_texts
 from .sketch import AggOp, CondOp, Condition, SqlSketch, TableSchema
 from .vocab import Vocab
 
@@ -129,35 +130,29 @@ def init_params(cfg: ModelConfig) -> dict[str, np.ndarray]:
 class Features:
     ids: np.ndarray
     segments: np.ndarray
-    question_positions: np.ndarray
-    header_positions: list[np.ndarray]
-    n_columns: int
+    header_spans: list[tuple[int, int]]  # per column, its header's [start, end)
     question: str
-    question_spans: tuple[tuple[int, int], ...]
+    question_spans: tuple[tuple[int, int], ...]  # positions 1..m hold the question
     question_tokens: tuple[str, ...]
 
 
 def prepare_features(serialized: SerializedInput, vocab: Vocab) -> Features:
-    ids = np.asarray(vocab.encode(serialized.tokens), dtype=np.int64)
-    segments = np.asarray(serialized.segments, dtype=np.int64)
-    n_columns = max(serialized.columns, default=-1) + 1
-    header_positions = [
-        np.asarray(serialized.header_positions(c), dtype=np.int64)
-        for c in range(n_columns)
-    ]
-    qpos = np.asarray(serialized.question_positions, dtype=np.int64)
-    question_tokens = tuple(
-        serialized.tokens[i] for i in serialized.question_positions
-    )
+    """Positions come from the layout the ``serialize`` docstring states."""
+    header_spans = []
+    start = 0
+    for (segment, _), run in groupby(zip(serialized.segments, serialized.columns)):
+        end = start + sum(1 for _ in run)
+        if segment == SEG_HEADER:
+            header_spans.append((start, end))
+        start = end
+    m = len(serialized.question_spans)
     return Features(
-        ids=ids,
-        segments=segments,
-        question_positions=qpos,
-        header_positions=header_positions,
-        n_columns=n_columns,
+        ids=np.asarray(vocab.encode(serialized.tokens), dtype=np.int64),
+        segments=np.asarray(serialized.segments, dtype=np.int64),
+        header_spans=header_spans,
         question=serialized.question,
         question_spans=serialized.question_spans,
-        question_tokens=question_tokens,
+        question_tokens=serialized.tokens[1:1 + m],
     )
 
 
@@ -189,13 +184,14 @@ def make_target(gold: SqlSketch, feats: Features,
     """Build the supervision target; None when a gold value has no question
     span (such examples are excluded from training). The flag reports
     whether any value occurred more than once (first occurrence is used)."""
-    if len(gold.conds) > max_conds or gold.select_column >= feats.n_columns:
+    n_columns = len(feats.header_spans)
+    if len(gold.conds) > max_conds or gold.select_column >= n_columns:
         return None, False
-    wcol = np.zeros(feats.n_columns)
+    wcol = np.zeros(n_columns)
     conds = []
     ambiguous = False
     for cond in gold.conds:
-        if cond.column_index >= feats.n_columns:
+        if cond.column_index >= n_columns:
             return None, False
         span, n_hits = find_span(feats.question_tokens, cond.value)
         if span is None:
@@ -221,7 +217,6 @@ class EncoderOutput:
     hidden: np.ndarray  # (n, d)
     header_vecs: np.ndarray  # (C, d) mean over each column's header tokens
     question_vecs: np.ndarray  # (m, d)
-    feats: Features
 
 
 def encode(feats: Features, params: dict, cfg: ModelConfig,
@@ -269,13 +264,11 @@ def encode(feats: Features, params: dict, cfg: ModelConfig,
                              lin1_cache, gelu_cache, lin2_cache))
     hidden, lnf_cache = nn.layernorm_fwd(x, params["ln_f.g"], params["ln_f.b"])
 
-    header_vecs = np.stack([
-        hidden[pos].mean(axis=0) if len(pos) else np.zeros(cfg.d_model)
-        for pos in feats.header_positions
-    ]) if feats.n_columns else np.zeros((0, cfg.d_model))
-    question_vecs = hidden[feats.question_positions]
+    header_vecs = np.stack([hidden[start:end].mean(axis=0)
+                            for start, end in feats.header_spans])
+    question_vecs = hidden[1:1 + len(feats.question_spans)]
 
-    enc = EncoderOutput(hidden, header_vecs, question_vecs, feats)
+    enc = EncoderOutput(hidden, header_vecs, question_vecs)
     cache = (feats, layer_caches, lnf_cache, masks)
     return enc, cache
 
@@ -365,11 +358,10 @@ class HeadOutputs:
     sel_logits: np.ndarray  # (C,)
     agg_logits: np.ndarray  # (6,)
     wnum_logits: np.ndarray  # (max_conds + 1,)
-    wcol_scores: np.ndarray  # (C,) in (0, 1)
     wop_logits: np.ndarray  # (C, 3)
     wval_start_logits: np.ndarray  # (C, m) over question positions only
     wval_end_logits: np.ndarray  # (C, m)
-    wcol_logits: np.ndarray  # (C,) pre-sigmoid, kept for the stable loss
+    wcol_logits: np.ndarray  # (C,) pre-sigmoid
 
 
 def _batched_attention(hc, q, w):
@@ -434,7 +426,6 @@ def predict_heads(enc: EncoderOutput, params: dict, cfg: ModelConfig,
     wnum_logits, wnum_t = _mlp_fwd("wnum", summary, params)
 
     wcol_logits, wcol_cache = _column_head_fwd("wcol", hc, q, params)
-    wcol_scores = 1.0 / (1.0 + np.exp(-wcol_logits))
 
     wop_logits, wop_cache = _column_head_fwd("wop", hc, q, params)
 
@@ -451,7 +442,6 @@ def predict_heads(enc: EncoderOutput, params: dict, cfg: ModelConfig,
         sel_logits=sel_logits,
         agg_logits=agg_logits,
         wnum_logits=wnum_logits,
-        wcol_scores=wcol_scores,
         wop_logits=wop_logits,
         wval_start_logits=wvs_logits,
         wval_end_logits=wve_logits,
@@ -644,10 +634,9 @@ def example_loss_and_grads(params: dict, cfg: ModelConfig, feats: Features,
     dhc, dq = heads_bwd(dlogits, params, head_cache, grads)
 
     dhidden = np.zeros_like(enc.hidden)
-    dhidden[enc.feats.question_positions] += dq
-    for col, pos in enumerate(enc.feats.header_positions):
-        if len(pos):
-            dhidden[pos] += dhc[col] / len(pos)
+    dhidden[1:1 + len(dq)] += dq
+    for (start, end), dh in zip(feats.header_spans, dhc):
+        dhidden[start:end] += dh / (end - start)
     encode_bwd(dhidden, params, cfg, enc_cache, grads)
     for name, value in params.items():
         if name not in grads:
@@ -663,8 +652,9 @@ def decode_sketch(heads: HeadOutputs, schema: TableSchema, question: str,
                   question_spans, max_span_len: int = 16) -> SqlSketch:
     """Turn head scores into a sketch.
 
-    select/agg/where-count by argmax; where columns are the top-n sigmoid
-    scores with ties going to the lower column index; per chosen column the
+    select/agg/where-count by argmax; where columns are the top-n
+    where-column logits (not their sigmoids, which round to 1.0 for large
+    logits) with ties going to the lower column index; per chosen column the
     operator is argmax and the value is the (start, end) span maximizing
     start+end logits subject to start <= end < start + max_span_len, read
     back from the original question characters.
@@ -683,7 +673,7 @@ def decode_sketch(heads: HeadOutputs, schema: TableSchema, question: str,
         n_conds = 0
 
     order = sorted(range(n_columns),
-                   key=lambda c: (-float(heads.wcol_scores[c]), c))
+                   key=lambda c: (-float(heads.wcol_logits[c]), c))
     conds = []
     for col in sorted(order[:n_conds]):
         op = CondOp(int(np.argmax(heads.wop_logits[col])))
@@ -756,39 +746,44 @@ def save_checkpoint(path, checkpoint: Checkpoint) -> None:
 
 def load_checkpoint(path) -> Checkpoint:
     """Read a container written by ``save_checkpoint``; each tensor is read
-    straight into an array of its header shape. A short or inconsistent file
-    raises ValueError naming it."""
+    straight into an array of its header shape. A short, inconsistent or
+    malformed file raises ValueError naming it."""
     with open(path, "rb") as handle:
-        prefix = handle.read(16)
-        if len(prefix) < 16 or prefix[:8] != _MAGIC:
-            raise ValueError(f"{path}: not a checkpoint file")
-        (header_len,) = struct.unpack("<Q", prefix[8:])
-        raw = handle.read(header_len)
-        if len(raw) < header_len:
-            raise ValueError(f"{path}: truncated header "
-                             f"({len(raw)} of {header_len} bytes)")
-        header = json.loads(raw.decode("utf-8"))
-        if header.get("version") != CHECKPOINT_VERSION:
-            raise ValueError(
-                f"{path}: unsupported checkpoint version {header.get('version')!r}"
-            )
-        payload_start = handle.tell()
-        params = {}
-        for spec in header["tensors"]:
-            arr = np.empty(spec["shape"], dtype="<f8")
-            if arr.nbytes != spec["nbytes"]:
-                raise ValueError(f"{path}: tensor {spec['name']!r} has "
-                                 f"{spec['nbytes']} bytes for shape {spec['shape']}")
-            handle.seek(payload_start + spec["offset"])
-            got = handle.readinto(arr.data)
-            if got != arr.nbytes:
-                raise ValueError(f"{path}: truncated tensor {spec['name']!r} "
-                                 f"({got} of {arr.nbytes} bytes)")
-            params[spec["name"]] = arr
+        try:
+            return _read_checkpoint(handle)
+        except KeyError as exc:
+            raise ValueError(f"{path}: header has no {exc} field") from exc
+        except (OSError, TypeError, ValueError, OverflowError,
+                RecursionError) as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+
+
+def _read_checkpoint(handle) -> Checkpoint:
+    prefix = handle.read(16)
+    if len(prefix) < 16 or prefix[:8] != _MAGIC:
+        raise ValueError("not a checkpoint file")
+    (header_len,) = struct.unpack("<Q", prefix[8:])
+    raw = handle.read(header_len)
+    if len(raw) < header_len:
+        raise ValueError(f"truncated header ({len(raw)} of {header_len} bytes)")
+    header = json.loads(raw.decode("utf-8"))
+    if not isinstance(header, dict):
+        raise ValueError("header is not a JSON object")
+    if header.get("version") != CHECKPOINT_VERSION:
+        raise ValueError(f"unsupported checkpoint version {header.get('version')!r}")
     config = ModelConfig(**header["config"])
-    return Checkpoint(
-        config=config,
-        vocab=Vocab(header["vocab"]),
-        params=params,
-        extra=header.get("extra", {}),
-    )
+    vocab = Vocab(header["vocab"])
+    payload_start = handle.tell()
+    params = {}
+    for spec in header["tensors"]:
+        arr = np.empty(spec["shape"], dtype="<f8")
+        if arr.nbytes != spec["nbytes"]:
+            raise ValueError(f"tensor {spec['name']!r} has {spec['nbytes']} "
+                             f"bytes for shape {spec['shape']}")
+        handle.seek(payload_start + spec["offset"])
+        got = handle.readinto(arr.data)
+        if got != arr.nbytes:
+            raise ValueError(f"truncated tensor {spec['name']!r} "
+                             f"({got} of {arr.nbytes} bytes)")
+        params[spec["name"]] = arr
+    return Checkpoint(config, vocab, params, header.get("extra", {}))

@@ -15,7 +15,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .corpus import write_jsonl
-from .keyword_index import ContentIndex, distinct_columns, extract_matches
+from .keyword_index import ContentIndex, extract_matches
 from .sketch import Table
 from .util import child_rng
 
@@ -75,7 +75,7 @@ def sample_random(table: Table, k: int, seed: int = 0) -> SampleSet:
     if k < 0:
         raise ValueError("k must be >= 0")
     columns = []
-    for col, values in enumerate(distinct_columns(table)):
+    for col, values in enumerate(column.distinct for column in table.columns):
         rng = child_rng("sample", seed, table.table_id, col)
         columns.append(tuple(rng.sample(values, min(k, len(values)))))
     return SampleSet(table.table_id, STRATEGY_RANDOM, k, tuple(columns), seed)
@@ -101,7 +101,7 @@ def sample_relevance(table: Table, index: ContentIndex, question: str,
         fill_needed = k - len(hits)
         if fill_needed > 0:
             rng = child_rng("sample", seed, table.table_id, col)
-            pool = _remaining(index.distinct_values[col], hits)
+            pool = _remaining(table.columns[col].distinct, hits)
             hits = hits + rng.sample(pool, min(fill_needed, len(pool)))
         columns.append(tuple(hits))
     return SampleSet(table.table_id, STRATEGY_RELEVANCE, k, tuple(columns), seed)

@@ -9,6 +9,12 @@ contributes only its header tokens. Every token carries a segment label
 inside a column block carry that column's ordinal, so headers and samples
 are exactly recoverable from the labels.
 
+Positions follow from the layout, and the encoder's features rely on it:
+with m question tokens, the question is positions 1..m (``[CLS]`` is 0), and
+each column's header tokens form one run, the runs in column order. Every
+header has at least one token, since a schema rejects blank headers and each
+non-space character makes a token.
+
 Over-budget inputs shed samples — the last sample of whichever column
 currently has the most sample tokens goes first — and never question or
 header tokens; if those alone exceed the budget, serialization fails.
@@ -72,17 +78,6 @@ class SerializedInput:
 
     def __len__(self) -> int:
         return len(self.tokens)
-
-    @property
-    def question_positions(self) -> list[int]:
-        return [i for i, s in enumerate(self.segments) if s == SEG_QUESTION]
-
-    def header_positions(self, column: int) -> list[int]:
-        return [
-            i
-            for i, (seg, col) in enumerate(zip(self.segments, self.columns))
-            if seg == SEG_HEADER and col == column
-        ]
 
     def recover_columns(self) -> list[tuple[list[str], list[list[str]]]]:
         """Rebuild (header tokens, sample token lists) per column from the

@@ -255,9 +255,7 @@ def generate_synthetic_corpus(config: SynthConfig) -> tuple[Corpus, dict[str, Ta
                 question=_short_question(table, sketch, rng),
                 table_id=table.table_id, gold=sketch, style="short",
             ))
-    corpus = Corpus(examples=examples, split="train",
-                    meta={"archetypes": manifest, "seed": config.seed})
-    return corpus, tables
+    return Corpus(examples=examples, meta={"archetypes": manifest}), tables
 
 
 # ---------------------------------------------------------------------------
@@ -389,11 +387,7 @@ def generate_ambiguity_probe(
                 heldout.append(Example(question=ambiguous,
                                        table_id=table.table_id,
                                        gold=sketch, style="probe"))
-    return (
-        Corpus(train, split="train", meta={"probe": True}),
-        Corpus(heldout, split="dev", meta={"probe": True}),
-        tables,
-    )
+    return Corpus(train), Corpus(heldout), tables
 
 
 def _covering_cells(domain: list[str], n_rows: int, rng: random.Random) -> list[str]:

@@ -1,5 +1,6 @@
 import argparse
 import json
+import struct
 
 import pytest
 
@@ -7,7 +8,7 @@ from nlsql import cli
 from nlsql.cli import cli_dispatch
 from nlsql.corpus import load_examples, save_examples, save_tables
 from nlsql.model import load_checkpoint, save_checkpoint
-from nlsql.sketch import Example, SqlSketch
+from nlsql.sketch import Example, SqlSketch, Table, TableSchema
 
 
 @pytest.fixture
@@ -84,6 +85,13 @@ def test_validate_reports_or_skips_an_undecodable_line(workspace, capsys,
     assert capsys.readouterr().out == clean
 
 
+def test_validate_on_a_directory_is_an_error(workspace, capsys):
+    data, tables = synth(workspace)
+    capsys.readouterr()
+    assert run("validate", "--data", str(workspace), "--tables", str(tables)) == 1
+    assert capsys.readouterr().err.startswith(f"error: {workspace}: ")
+
+
 def test_a_huge_number_in_a_table_is_text(workspace, capsys):
     # A table record has no integer field: 1e400 is a cell, read as "inf".
     data, tables = synth(workspace)
@@ -151,6 +159,20 @@ def test_index_and_sample_and_serialize(workspace, capsys):
                "--question", "anything here", "--strategy", "rand",
                "--k", "1") == 0
     assert "[CLS]" in capsys.readouterr().out
+
+
+def test_index_prints_pattern_and_cell_counts(workspace, tennis_table, capsys):
+    # Blank cells are not counted; cells that normalize alike share a pattern.
+    blanks = Table(TableSchema("blanks", ("A", "B"), ("text", "text")),
+                   (("x", ""), ("X", "  "), ("Y  y", "z")))
+    tables = workspace / "tables.jsonl"
+    save_tables({t.table_id: t for t in (tennis_table, blanks)}, tables)
+    assert run("index", "--tables", str(tables)) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(", built in ")[0] for line in lines] == [
+        "1-tennis: 8 patterns over 9 cells",
+        "blanks: 3 patterns over 4 cells",
+    ]
 
 
 def test_augment_command(workspace, capsys):
@@ -378,6 +400,39 @@ def test_eval_on_truncated_checkpoint_is_an_error(workspace, capsys):
     assert run("eval", "--data", str(data), "--tables", str(tables),
                "--ckpt", str(ckpt)) == 1
     assert capsys.readouterr().err.startswith(f"error: {ckpt}: truncated")
+
+
+def _edit_header(path, edit):
+    data = path.read_bytes()
+    (header_len,) = struct.unpack("<Q", data[8:16])
+    header = json.loads(data[16:16 + header_len])
+    edit(header)
+    raw = json.dumps(header).encode()
+    path.write_bytes(data[:8] + struct.pack("<Q", len(raw)) + raw
+                     + data[16 + header_len:])
+
+
+def _not_utf8(path):
+    data = bytearray(path.read_bytes())
+    data[16] = 0xFF  # the header's opening brace
+    path.write_bytes(bytes(data))
+
+
+@pytest.mark.parametrize("damage", [
+    lambda path: _edit_header(path, lambda header: header.pop("tensors")),
+    lambda path: _edit_header(path, lambda header: header["config"].update(x=1)),
+    _not_utf8,
+], ids=["no-tensors", "unknown-config-key", "header-not-utf8"])
+def test_eval_on_a_malformed_checkpoint_header_is_an_error(workspace, capsys,
+                                                           damage):
+    data, tables = synth(workspace)
+    ckpt = train_small(workspace, data, tables)
+    damage(ckpt)
+    capsys.readouterr()
+    assert run("eval", "--data", str(data), "--tables", str(tables),
+               "--ckpt", str(ckpt)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {ckpt}: ") and "Traceback" not in err
 
 
 def test_serving_strategy_defaults_to_checkpoint(workspace, capsys, monkeypatch):

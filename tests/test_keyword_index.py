@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from nlsql.keyword_index import (
@@ -16,9 +17,8 @@ from oracles import oracle_matches
 
 def test_index_contains_all_distinct_cells(tennis_table):
     index = build_index(tennis_table)
-    assert index.n_cells == 9
-    assert index.distinct_values[0] == ("winner", "runner-up")
-    assert index.distinct_values[2] == (
+    assert tennis_table.columns[0].distinct == ("winner", "runner-up")
+    assert tennis_table.columns[2].distinct == (
         "Rafael Nadal", "Novak Djokovic", "Jarkko Nieminen")
     # "winner" appears in two rows of one column: one pattern entry
     assert index.n_patterns == 8
@@ -135,12 +135,46 @@ def test_matches_brute_force_oracle(seed):
     assert got == oracle_matches(table, question)
 
 
-# normalize_pattern's ASCII fast path against the character loop -------------
+# The ASCII fast path against the character loop -----------------------------
+
+def loop_normalize(text):
+    """Reference: lowercase and collapse whitespace one character at a time,
+    mapping each output character to its original position."""
+    out, index_map = [], []
+    pending_space_at = -1
+    for i, ch in enumerate(text):
+        if ch.isspace():
+            if out and pending_space_at < 0:
+                pending_space_at = i
+            continue
+        if pending_space_at >= 0:
+            out.append(" ")
+            index_map.append(pending_space_at)
+            pending_space_at = -1
+        lowered = ch.lower()
+        out.append(lowered if len(lowered) == 1 else ch)
+        index_map.append(i)
+    return "".join(out), index_map
+
+
+def assert_matches_loop(text):
+    normalized, index_map = _normalize_with_map(text)
+    assert (normalized, list(index_map)) == loop_normalize(text), repr(text)
+    assert normalize_pattern(text) == normalized
+
 
 def test_normalize_pattern_matches_the_loop_on_every_3_char_ascii_string():
     ascii_chars = [chr(i) for i in range(128)]
     for text in map("".join, itertools.product(ascii_chars, repeat=3)):
-        assert normalize_pattern(text) == _normalize_with_map(text)[0], repr(text)
+        assert_matches_loop(text)
+
+
+@pytest.mark.parametrize("text", [
+    "More than 5", "a\tb c", " leading", "trailing ", "double  space",
+    "\tTab\tand\t\ttabs\t", "a \t\nb", "\x1cX\x1fY",
+])
+def test_ascii_offsets_match_the_loop(text):
+    assert_matches_loop(text)
 
 
 @given(st.text(st.characters(codec="ascii"), max_size=20)
@@ -148,4 +182,4 @@ def test_normalize_pattern_matches_the_loop_on_every_3_char_ascii_string():
                  | st.sampled_from(["İ", "Σ", "ß", "ﬁ", "\x1c", "\t"]), max_size=20))
 @settings(max_examples=300, deadline=None)
 def test_normalize_pattern_matches_the_loop(text):
-    assert normalize_pattern(text) == _normalize_with_map(text)[0]
+    assert_matches_loop(text)

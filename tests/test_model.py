@@ -30,7 +30,7 @@ from nlsql.model import (
     save_checkpoint,
 )
 from nlsql.sampling import sample_random
-from nlsql.serialize import serialize_input, tokenize
+from nlsql.serialize import SEG_HEADER, SEG_QUESTION, serialize_input, tokenize
 from nlsql.sketch import (
     AggOp,
     CondOp,
@@ -71,7 +71,7 @@ def test_encoder_and_head_shapes(setup):
     cfg, params, feats, target, example, table = setup
     enc, _ = encode(feats, params, cfg)
     n = len(feats.ids)
-    m = len(feats.question_positions)
+    m = len(feats.question_spans)
     assert enc.hidden.shape == (n, cfg.d_model)
     assert enc.header_vecs.shape == (table.schema.n_columns, cfg.d_model)
     assert enc.question_vecs.shape == (m, cfg.d_model)
@@ -80,12 +80,12 @@ def test_encoder_and_head_shapes(setup):
     assert heads.sel_logits.shape == (4,)
     assert heads.agg_logits.shape == (6,)
     assert heads.wnum_logits.shape == (cfg.max_conds + 1,)
-    assert heads.wcol_scores.shape == (4,)
+    assert heads.wcol_logits.shape == (4,)
     assert heads.wop_logits.shape == (4, 3)
     assert heads.wval_start_logits.shape == (4, m)
     assert heads.wval_end_logits.shape == (4, m)
     assert np.all(np.isfinite(heads.sel_logits))
-    assert np.all((heads.wcol_scores > 0) & (heads.wcol_scores < 1))
+    assert np.all(np.isfinite(heads.wcol_logits))
 
 
 def test_residual_stream_starts_at_unit_scale(setup):
@@ -168,7 +168,6 @@ def test_uniform_sel_logits_costs_ln4():
         sel_logits=np.zeros(4),
         agg_logits=np.zeros(6),
         wnum_logits=np.zeros(5),
-        wcol_scores=np.full(4, 0.5),
         wop_logits=np.zeros((4, 3)),
         wval_start_logits=np.zeros((4, 6)),
         wval_end_logits=np.zeros((4, 6)),
@@ -195,8 +194,7 @@ def test_perfect_predictions_drive_loss_to_zero():
     ends = np.full((4, 6), -big)
     starts[1, 2] = big
     ends[1, 3] = big
-    heads = HeadOutputs(sel, agg, wnum, 1 / (1 + np.exp(-wcol_logits)), wop,
-                        starts, ends, wcol_logits)
+    heads = HeadOutputs(sel, agg, wnum, wop, starts, ends, wcol_logits)
     wcol = np.zeros(4)
     wcol[1] = 1.0
     target = Target(sel=2, agg=3, n_conds=1, wcol=wcol, conds=[(1, 0, 2, 3)])
@@ -309,7 +307,6 @@ def test_decode_empty_when_wnum_zero(setup):
         sel_logits=np.array([0.1, 0.9, 0.0, 0.0]),
         agg_logits=np.zeros(6),
         wnum_logits=np.array([5.0, 0, 0, 0, 0]),
-        wcol_scores=np.full(4, 0.9),
         wop_logits=np.zeros((4, 3)),
         wval_start_logits=np.zeros((4, m)),
         wval_end_logits=np.zeros((4, m)),
@@ -330,11 +327,10 @@ def test_decode_top_n_columns_and_tie_break(setup):
         sel_logits=np.zeros(4),
         agg_logits=np.zeros(6),
         wnum_logits=wnum,
-        wcol_scores=np.array([0.9, 0.1, 0.8, 0.2]),
         wop_logits=np.zeros((4, 3)),
         wval_start_logits=np.zeros((4, m)),
         wval_end_logits=np.zeros((4, m)),
-        wcol_logits=np.zeros(4),
+        wcol_logits=np.array([0.9, 0.1, 0.8, 0.2]),
     )
     spans = tuple((i, i + 1) for i in range(m))
     sketch = decode_sketch(heads, table.schema, "a b c d", spans)
@@ -345,11 +341,28 @@ def test_decode_top_n_columns_and_tie_break(setup):
     wnum1[1] = 9.0
     heads_tie = HeadOutputs(
         sel_logits=np.zeros(4), agg_logits=np.zeros(6), wnum_logits=wnum1,
-        wcol_scores=tie, wop_logits=np.zeros((4, 3)),
+        wop_logits=np.zeros((4, 3)),
         wval_start_logits=np.zeros((4, m)), wval_end_logits=np.zeros((4, m)),
-        wcol_logits=np.zeros(4),
+        wcol_logits=tie,
     )
     sketch = decode_sketch(heads_tie, table.schema, "a b c d", spans)
+    assert [c.column_index for c in sketch.conds] == [1]
+
+
+def test_decode_ranks_where_columns_past_sigmoid_saturation(setup):
+    # sigmoid(40) and sigmoid(50) both round to 1.0; the logits still differ.
+    *_, table = setup
+    m = 4
+    wnum = np.zeros(5)
+    wnum[1] = 9.0
+    heads = HeadOutputs(
+        sel_logits=np.zeros(4), agg_logits=np.zeros(6), wnum_logits=wnum,
+        wop_logits=np.zeros((4, 3)),
+        wval_start_logits=np.zeros((4, m)), wval_end_logits=np.zeros((4, m)),
+        wcol_logits=np.array([40.0, 50.0, 0.0, 0.0]),
+    )
+    spans = tuple((i, i + 1) for i in range(m))
+    sketch = decode_sketch(heads, table.schema, "a b c d", spans)
     assert [c.column_index for c in sketch.conds] == [1]
 
 
@@ -364,10 +377,9 @@ def test_decode_respects_span_length_and_boundaries(setup):
     wnum[1] = 9.0
     heads = HeadOutputs(
         sel_logits=np.zeros(4), agg_logits=np.zeros(6), wnum_logits=wnum,
-        wcol_scores=np.array([0.9, 0.1, 0.1, 0.1]),
         wop_logits=np.zeros((4, 3)),
         wval_start_logits=starts, wval_end_logits=ends,
-        wcol_logits=np.zeros(4),
+        wcol_logits=np.array([0.9, 0.1, 0.1, 0.1]),
     )
     question = "alpha beta gamma delta echo fox"
     tokens = tokenize(question)
@@ -395,7 +407,7 @@ def test_sel_argmax_scale_invariance(setup):
     heads, _ = predict_heads(enc, params, cfg)
     scaled = HeadOutputs(
         heads.sel_logits * 7.0, heads.agg_logits, heads.wnum_logits,
-        heads.wcol_scores, heads.wop_logits, heads.wval_start_logits,
+        heads.wop_logits, heads.wval_start_logits,
         heads.wval_end_logits, heads.wcol_logits,
     )
     a = decode_sketch(heads, table.schema, feats.question, feats.question_spans)
@@ -418,6 +430,36 @@ def test_make_target_drops_unalignable(setup):
     assert target is None
 
 
+@given(st.integers(0, 2**32))
+@settings(max_examples=25, deadline=None)
+def test_encoder_reads_the_rows_the_labels_name(seed):
+    # The question and header vectors equal, bit for bit, a gather of the
+    # rows labelled as question and the mean of each column's header rows.
+    rng = random.Random(seed)
+    words = ["alpha", "beta", "42", "3.5", "gamma-delta", "x"]
+    n_cols = rng.randint(1, 5)
+    headers = tuple(" ".join(rng.choices(words, k=rng.randint(1, 3)))
+                    for _ in range(n_cols))
+    schema = TableSchema("t", headers, ("text",) * n_cols)
+    table = Table(schema, [[rng.choice(words) for _ in range(n_cols)]
+                           for _ in range(4)])
+    question = " ".join(rng.choices(words, k=rng.randint(1, 8)))
+    vocab = Vocab.build(Corpus([Example(question, "t", SqlSketch(0))]),
+                        {"t": table})
+    cfg = ModelConfig(vocab_size=len(vocab), d_model=8, n_layers=1, n_heads=2)
+    serialized = serialize_input(tokenize(question), schema,
+                                 sample_random(table, 2, seed), 128,
+                                 question=question)
+    enc, _ = encode(prepare_features(serialized, vocab), init_params(cfg), cfg)
+    labels = list(zip(serialized.segments, serialized.columns))
+    question_rows = [i for i, (seg, _) in enumerate(labels) if seg == SEG_QUESTION]
+    assert enc.question_vecs.tobytes() == enc.hidden[question_rows].tobytes()
+    for col in range(n_cols):
+        rows = [i for i, label in enumerate(labels) if label == (SEG_HEADER, col)]
+        assert enc.header_vecs[col].tobytes() \
+            == enc.hidden[rows].mean(axis=0).tobytes()
+
+
 @given(st.data())
 @settings(max_examples=15, deadline=None)
 def test_head_shapes_hold_for_arbitrary_inputs(data):
@@ -437,11 +479,11 @@ def test_head_shapes_hold_for_arbitrary_inputs(data):
     feats = prepare_features(serialized, vocab)
     enc, _ = encode(feats, params, cfg)
     heads, _ = predict_heads(enc, params, cfg)
-    m = len(feats.question_positions)
+    m = len(feats.question_spans)
     assert heads.sel_logits.shape == (n_cols,)
     assert heads.agg_logits.shape == (6,)
     assert heads.wnum_logits.shape == (cfg.max_conds + 1,)
-    assert heads.wcol_scores.shape == (n_cols,)
+    assert heads.wcol_logits.shape == (n_cols,)
     assert heads.wop_logits.shape == (n_cols, 3)
     assert heads.wval_start_logits.shape == (n_cols, m)
     assert heads.wval_end_logits.shape == (n_cols, m)

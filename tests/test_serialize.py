@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nlsql.model import prepare_features
 from nlsql.sampling import SampleSet, sample_random
 from nlsql.serialize import (
     BudgetError,
@@ -15,6 +16,7 @@ from nlsql.serialize import (
     tokenize,
 )
 from nlsql.sketch import TableSchema
+from nlsql.vocab import Vocab
 
 
 def test_tokenize_spans_recover_text():
@@ -141,3 +143,41 @@ def test_round_trip_recovers_headers_and_samples(seed):
         header_tokens, sample_lists = recovered[col]
         assert header_tokens == token_texts(headers[col])
         assert sample_lists == [token_texts(c) for c in columns[col]]
+
+
+# Layout contract ---------------------------------------------------------------
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_question_and_header_positions_follow_the_layout(data):
+    # With m question tokens the question is positions 1..m, and each
+    # column's header tokens are one run, in column order, whatever the
+    # samples and however many of them the budget sheds.
+    header = st.text(st.characters(codec="utf-8"), max_size=12).filter(str.strip)
+    headers = tuple(data.draw(st.lists(header, min_size=1, max_size=5)))
+    n_cols = len(headers)
+    schema = TableSchema("t", headers, ("text",) * n_cols)
+    columns = tuple(data.draw(st.lists(st.sampled_from(CELL_WORDS), max_size=3))
+                    for _ in range(n_cols))
+    question = data.draw(st.text(max_size=40))
+    question_tokens = tokenize(question)
+    m = len(question_tokens)
+    base = 2 + m + sum(len(token_texts(h)) for h in headers) + n_cols
+    budget = data.draw(st.integers(base, base + 30))
+    serialized = serialize_input(question_tokens, schema,
+                                 SampleSet("t", "random", 3, columns), budget,
+                                 question=question)
+
+    assert serialized.tokens[1:1 + m] == tuple(t.text for t in question_tokens)
+    assert [i for i, s in enumerate(serialized.segments) if s == SEG_QUESTION] \
+        == list(range(1, 1 + m))
+    runs = []
+    for col in range(n_cols):
+        rows = [i for i, (s, c) in enumerate(zip(serialized.segments,
+                                                 serialized.columns))
+                if s == SEG_HEADER and c == col]
+        assert rows == list(range(rows[0], rows[-1] + 1))
+        assert [serialized.tokens[i] for i in rows] == token_texts(headers[col])
+        runs.append((rows[0], rows[-1] + 1))
+    assert runs == sorted(runs)
+    assert prepare_features(serialized, Vocab([])).header_spans == runs
