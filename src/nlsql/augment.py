@@ -80,9 +80,12 @@ class ReplacementMap:
 def load_replacement_map(path) -> ReplacementMap:
     """Read `pattern <TAB> op <TAB> symbol` lines; op is a symbol or name."""
     entries = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
+    with open(path, "rb") as handle:
+        for lineno, raw in enumerate(handle, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
             if not line or line.startswith("#"):
                 continue
             parts = line.split("\t")

@@ -34,7 +34,7 @@ from .executor import execute
 from .keyword_index import build_index
 from .model import ModelConfig, load_checkpoint, save_checkpoint
 from .sampling import save_sample_sets
-from .serialize import DEFAULT_BUDGET, serialize_input, tokenize
+from .serialize import DEFAULT_BUDGET, SEGMENT_LETTERS, serialize_input, tokenize
 from .sketch import AggOp, CondOp, Condition, SqlSketch, render_sql
 from .synth import SynthConfig, generate_bench_table, generate_synthetic_corpus
 from .train import (
@@ -239,8 +239,7 @@ def cmd_serialize(args) -> int:
     serialized = serialize_input(tokenize(args.question), table.schema,
                                  samples, args.budget, question=args.question)
     print(serialized.render())
-    seg_names = {0: "q", 1: "h", 2: "s", 3: "-"}
-    print(" ".join(seg_names[s] for s in serialized.segments))
+    print(" ".join(SEGMENT_LETTERS[s] for s in serialized.segments))
     print(" ".join(str(c) if c >= 0 else "." for c in serialized.columns))
     return 0
 

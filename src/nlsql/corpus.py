@@ -69,16 +69,20 @@ def _parse_example(record: dict) -> Example:
 
 
 def read_jsonl(path, strict: bool, consume) -> None:
-    """Pass each non-blank line's JSON record to ``consume``. A line that does
-    not decode (nested too deep, say) or that ``consume`` rejects raises
-    CorpusFormatError naming the file and line (strict) or is skipped with a
-    line-numbered warning (lenient)."""
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
+    """Pass each non-blank line's JSON record to ``consume``. A line that is
+    not UTF-8, that does not decode (nested too deep, say) or that ``consume``
+    rejects raises CorpusFormatError naming the file and line (strict) or is
+    skipped with a line-numbered warning (lenient)."""
+    with open(path, "rb") as handle:
+        # Not enumerate: its reused result tuple would keep each line's bytes
+        # alive next to the decoded text (a table can be one multi-MB line).
+        lineno = 0
+        for line in handle:
+            lineno += 1
             try:
-                consume(json.loads(line))
+                line = line.decode("utf-8")
+                if line.strip():
+                    consume(json.loads(line))
             except (KeyError, TypeError, ValueError, OverflowError,
                     RecursionError) as exc:
                 if strict:

@@ -47,6 +47,8 @@ class ModelConfig:
         if min(self.vocab_size, self.d_model, self.n_layers, self.n_heads,
                self.max_positions, self.max_conds, self.max_span_len) < 1:
             raise ValueError("all ModelConfig dimensions must be >= 1")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
 
     @property
     def ffn(self) -> int:
@@ -786,4 +788,10 @@ def _read_checkpoint(handle) -> Checkpoint:
             raise ValueError(f"truncated tensor {spec['name']!r} "
                              f"({got} of {arr.nbytes} bytes)")
         params[spec["name"]] = arr
+    expected = {"tok_emb": (config.vocab_size, config.d_model),
+                "pos_emb": (config.max_positions, config.d_model)}
+    found = {name: params[name].shape for name in expected if name in params}
+    if len(vocab) != config.vocab_size or found != expected:
+        raise ValueError(f"a vocabulary of {len(vocab)} tokens and tables {found} "
+                         f"do not fit vocab_size {config.vocab_size} and {expected}")
     return Checkpoint(config, vocab, params, header.get("extra", {}))

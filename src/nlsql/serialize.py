@@ -7,7 +7,9 @@ between samples, `[SEP]` closing each column block. A column with no samples
 contributes only its header tokens. Every token carries a segment label
 (question / header / sample / separator) and header/sample/delimiter tokens
 inside a column block carry that column's ordinal, so headers and samples
-are exactly recoverable from the labels.
+are exactly recoverable from the labels: inside a column block a delimiter
+is known by its separator label, not by its text, so a `|` in a header or a
+cell round-trips as an ordinary header or sample token.
 
 Positions follow from the layout, and the encoder's features rely on it:
 with m question tokens, the question is positions 1..m (``[CLS]`` is 0), and
@@ -39,6 +41,7 @@ SEG_HEADER = 1
 SEG_SAMPLE = 2
 SEG_SEPARATOR = 3
 N_SEGMENTS = 4
+SEGMENT_LETTERS = "qhs-"  # indexed by segment label, for debug printing
 
 DEFAULT_BUDGET = 512
 
@@ -80,30 +83,19 @@ class SerializedInput:
         return len(self.tokens)
 
     def recover_columns(self) -> list[tuple[list[str], list[list[str]]]]:
-        """Rebuild (header tokens, sample token lists) per column from the
-        segment/column labels alone."""
-        n_columns = max(self.columns, default=-1) + 1
-        out = []
-        for col in range(n_columns):
-            header = [
-                t for t, seg, c in zip(self.tokens, self.segments, self.columns)
-                if c == col and seg == SEG_HEADER
-            ]
-            samples: list[list[str]] = []
-            current: list[str] | None = None
-            for t, seg, c in zip(self.tokens, self.segments, self.columns):
-                if c != col:
-                    continue
-                if t == HEADER_DELIM:
-                    current = []
-                elif t == SAMPLE_DELIM:
-                    samples.append(current or [])
-                    current = []
-                elif seg == SEG_SAMPLE:
-                    (current if current is not None else samples).append(t)
-            if current is not None:
-                samples.append(current)
-            out.append((header, samples))
+        """Rebuild (header tokens, sample token lists) per column in one pass
+        over the segment/column labels; no token text is compared."""
+        out = [([], []) for _ in range(max(self.columns, default=-1) + 1)]
+        for token, segment, col in zip(self.tokens, self.segments, self.columns):
+            if col < 0:
+                continue
+            header, samples = out[col]
+            if segment == SEG_HEADER:
+                header.append(token)
+            elif segment == SEG_SEPARATOR:  # '||' or '|' opens a sample
+                samples.append([])
+            else:
+                samples[-1].append(token)
         return out
 
     def render(self) -> str:
@@ -119,10 +111,8 @@ def serialize_input(
 ) -> SerializedInput:
     """Assemble the delimited token sequence for one (question, table) pair."""
     header_tokens = [token_texts(h) for h in schema.headers]
-    sample_tokens: list[list[list[str]]] = []
-    for col in range(schema.n_columns):
-        cells = samples.columns[col] if samples is not None else ()
-        sample_tokens.append([token_texts(c) for c in cells])
+    cells = samples.columns if samples is not None else [()] * schema.n_columns
+    sample_tokens = [[token_texts(c) for c in column] for column in cells]
 
     base = 2 + len(question_tokens) + sum(len(h) for h in header_tokens)
     base += schema.n_columns  # one [SEP] per column block
@@ -142,41 +132,23 @@ def serialize_input(
         dropped = sample_tokens[widest].pop()
         total -= len(dropped) + 1  # the sample and one delimiter
 
-    tokens: list[str] = [CLS]
-    segments: list[int] = [SEG_SEPARATOR]
-    columns: list[int] = [-1]
-    spans: list[tuple[int, int]] = []
-    for tok in question_tokens:
-        tokens.append(tok.text)
-        segments.append(SEG_QUESTION)
-        columns.append(-1)
-        spans.append((tok.start, tok.end))
-    tokens.append(SEP)
-    segments.append(SEG_SEPARATOR)
-    columns.append(-1)
-
+    layout = [(CLS, SEG_SEPARATOR, -1)]
+    layout += [(tok.text, SEG_QUESTION, -1) for tok in question_tokens]
+    layout.append((SEP, SEG_SEPARATOR, -1))
     for col in range(schema.n_columns):
-        for t in header_tokens[col]:
-            tokens.append(t)
-            segments.append(SEG_HEADER)
-            columns.append(col)
+        layout += [(t, SEG_HEADER, col) for t in header_tokens[col]]
         for i, sample in enumerate(sample_tokens[col]):
-            tokens.append(HEADER_DELIM if i == 0 else SAMPLE_DELIM)
-            segments.append(SEG_SEPARATOR)
-            columns.append(col)
-            for t in sample:
-                tokens.append(t)
-                segments.append(SEG_SAMPLE)
-                columns.append(col)
-        tokens.append(SEP)
-        segments.append(SEG_SEPARATOR)
-        columns.append(-1)
+            layout.append((SAMPLE_DELIM if i else HEADER_DELIM, SEG_SEPARATOR, col))
+            for t in sample:  # a comprehension per sample would cost a call each
+                layout.append((t, SEG_SAMPLE, col))
+        layout.append((SEP, SEG_SEPARATOR, -1))
 
-    assert len(tokens) <= budget
+    assert len(layout) <= budget
+    tokens, segments, columns = zip(*layout)
     return SerializedInput(
-        tokens=tuple(tokens),
-        segments=tuple(segments),
-        columns=tuple(columns),
-        question_spans=tuple(spans),
+        tokens=tokens,
+        segments=segments,
+        columns=columns,
+        question_spans=tuple((tok.start, tok.end) for tok in question_tokens),
         question=question,
     )

@@ -372,13 +372,11 @@ def _subtask_match(pred: SqlSketch, gold: SqlSketch) -> dict[str, bool]:
 
 
 def evaluate(checkpoint: Checkpoint, corpus: Corpus, tables: dict[str, Table],
-             strategy: str, k: int, budget: int = 512, seed: int = 0,
-             predictor=None) -> EvalReport:
+             strategy: str, k: int, budget: int = 512, seed: int = 0) -> EvalReport:
     """Sample, serialize, encode, decode, and score every example.
 
-    ``predictor(example, table) -> SqlSketch`` overrides the model path (used
-    by oracle tests). Per-example LF implies EX by the executor's contract;
-    a violation would indicate an engine bug and raises immediately.
+    Per-example LF implies EX by the executor's contract; a violation would
+    indicate an engine bug and raises immediately.
     """
     if not corpus.examples:
         raise ValueError("cannot evaluate an empty corpus")
@@ -392,15 +390,11 @@ def evaluate(checkpoint: Checkpoint, corpus: Corpus, tables: dict[str, Table],
         table = tables.get(example.table_id)
         if table is None:
             raise ValueError(f"example {i}: unknown table {example.table_id!r}")
-        if predictor is not None:
-            pred = predictor(example, table)
-        else:
-            try:
-                pred = predict(checkpoint, sampler, table, example.question,
-                               budget)
-            except BudgetError:
-                counts["over_budget"] += 1
-                pred = SqlSketch(select_column=0)
+        try:
+            pred = predict(checkpoint, sampler, table, example.question, budget)
+        except BudgetError:
+            counts["over_budget"] += 1
+            pred = SqlSketch(select_column=0)
         lf = lf_equal(pred, example.gold)
         ex = ex_equal(pred, example.gold, table)
         if lf and not ex:

@@ -65,9 +65,14 @@ OVERFLOW_EXAMPLE = ('{"question": "q", "table_id": "t", '
                     '"sql": {"sel": 1e400, "agg": 0, "conds": []}}')
 
 
+NOT_UTF8 = '{"question": "\udcff"}'  # written as the byte 0xff
+
+
 @pytest.mark.parametrize("which, bad", [
     ("data", DEEP_LINE), ("tables", DEEP_LINE), ("data", OVERFLOW_EXAMPLE),
-], ids=["deep-examples", "deep-tables", "overflow-examples"])
+    ("data", NOT_UTF8), ("tables", NOT_UTF8),
+], ids=["deep-examples", "deep-tables", "overflow-examples",
+        "not-utf8-examples", "not-utf8-tables"])
 def test_validate_reports_or_skips_an_undecodable_line(workspace, capsys,
                                                         which, bad):
     data, tables = synth(workspace)
@@ -77,8 +82,8 @@ def test_validate_reports_or_skips_an_undecodable_line(workspace, capsys,
     clean = capsys.readouterr().out
     path = data if which == "data" else tables
     lines = path.read_text(encoding="utf-8").splitlines()
-    path.write_text("\n".join([lines[0], bad, *lines[1:]]) + "\n",
-                    encoding="utf-8")
+    path.write_bytes(("\n".join([lines[0], bad, *lines[1:]]) + "\n")
+                     .encode("utf-8", "surrogateescape"))
     assert run(*argv) == 1
     assert capsys.readouterr().err.startswith(f"error: {path}:2: ")
     assert run(*argv, "--lenient") == 0
@@ -418,11 +423,26 @@ def _not_utf8(path):
     path.write_bytes(bytes(data))
 
 
+def _pad_vocab(header, config_too=False):
+    # 50 tokens after the specials move each later token's id 50 rows on,
+    # past the end of tok_emb for most of them.
+    header["vocab"][6:6] = [f"pad{i}" for i in range(50)]
+    if config_too:
+        header["config"]["vocab_size"] += 50
+
+
 @pytest.mark.parametrize("damage", [
     lambda path: _edit_header(path, lambda header: header.pop("tensors")),
     lambda path: _edit_header(path, lambda header: header["config"].update(x=1)),
     _not_utf8,
-], ids=["no-tensors", "unknown-config-key", "header-not-utf8"])
+    lambda path: _edit_header(path, _pad_vocab),
+    lambda path: _edit_header(path, lambda header: _pad_vocab(header, True)),
+    lambda path: _edit_header(
+        path, lambda header: header["config"].update(max_positions=129)),
+    lambda path: _edit_header(path, lambda header: header["config"].update(dropout=1)),
+], ids=["no-tensors", "unknown-config-key", "header-not-utf8",
+        "vocab-vs-config", "vocab-vs-tok-emb", "max-positions-vs-pos-emb",
+        "dropout-out-of-range"])
 def test_eval_on_a_malformed_checkpoint_header_is_an_error(workspace, capsys,
                                                            damage):
     data, tables = synth(workspace)
@@ -474,6 +494,30 @@ def test_serving_strategy_defaults_to_checkpoint(workspace, capsys, monkeypatch)
     assert run("repl", "--tables", str(tables), "--table-id", table_id,
                "--ckpt", str(ckpt)) == 0
     assert served[-1] == ("rel", 3)
+
+
+def test_augment_non_utf8_replacement_line_names_file_and_line(workspace, capsys):
+    data, tables = synth(workspace)
+    replacements = workspace / "replacements.tsv"
+    replacements.write_bytes(b"more than\tGT\t>\nat least\tGE\t\xff\n")
+    assert run("augment", "--data", str(data), "--tables", str(tables),
+               "--replacements", str(replacements)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {replacements}:2: 'utf-8' codec can't decode")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("dropout", ["1.0", "1.5", "-0.1"])
+def test_train_rejects_dropout_outside_zero_to_one(workspace, capsys, dropout):
+    data, tables = synth(workspace)
+    ckpt = workspace / "model.ckpt"
+    capsys.readouterr()
+    assert run("train", "--data", str(data), "--tables", str(tables),
+               "--out", str(ckpt), "--epochs", "1", "--d-model", "16",
+               "--layers", "1", "--heads", "2", "--dropout", dropout) == 1
+    assert capsys.readouterr().err \
+        == f"error: dropout must be in [0, 1), got {float(dropout)}\n"
+    assert not ckpt.exists()
 
 
 def test_augment_unknown_operator_names_file_and_line(workspace, capsys):

@@ -117,8 +117,22 @@ def test_segment_and_column_labels(tennis_table):
 
 # Round-trip property ---------------------------------------------------------
 
-HEADER_WORDS = ["Result", "Court", "Player Name", "No.(s)", "Laps"]
-CELL_WORDS = ["winner", "Rafael Nadal", "200", "runner-up", "x 1", "KTM"]
+HEADER_WORDS = ["Result", "Court", "Player Name", "No.(s)", "Laps", "No.|Pos"]
+CELL_WORDS = ["winner", "Rafael Nadal", "200", "runner-up", "x 1", "KTM",
+              "AC|DC", "x || y"]
+
+
+def test_delimiter_text_in_headers_and_cells_round_trips():
+    # Inside a column block a delimiter is known by its segment label, so a
+    # '|' token of a header or a cell is an ordinary header or sample token.
+    def recovered(header, cells):
+        schema = TableSchema("t", (header,), ("text",))
+        samples = SampleSet("t", "random", 3, (cells,))
+        return serialize_input(tokenize("q"), schema, samples,
+                               budget=64).recover_columns()
+
+    assert recovered("A|B", ("x",)) == [(["a", "|", "b"], [["x"]])]
+    assert recovered("Band", ("AC|DC",)) == [(["band"], [["ac", "|", "dc"]])]
 
 
 @given(st.integers(0, 2**32))
