@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import logging
 import os
 import sys
 import time
@@ -425,6 +426,9 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--config", help="flat key = value config file")
         sub.add_argument("--out-dir", help=f"output directory (default ${ENV_OUT_DIR} or ./out)")
         sub.add_argument("--seed", type=int, default=0)
+        sub.add_argument("--log-level", default="warning",
+                         help="debug, info, warning or error (default "
+                              "warning); info shows each training epoch")
         return sub
 
     sub = add("validate", cmd_validate, help="check a corpus against its tables")
@@ -605,6 +609,17 @@ def cli_dispatch(argv) -> int:
     if not getattr(args, "subcommand", None):
         parser.print_usage(sys.stderr)
         return 2
+    level = logging.getLevelName(args.log_level.upper())
+    if not isinstance(level, int):
+        print(f"error: unknown --log-level {args.log_level!r}", file=sys.stderr)
+        return 1
+    # The package's records go to stderr for this command only.
+    package = logging.getLogger(__package__)
+    handler = logging.StreamHandler()
+    handler.setFormatter(logging.Formatter("%(levelname)s: %(message)s"))
+    previous = package.level
+    package.addHandler(handler)
+    package.setLevel(level)
     try:
         return args.func(args)
     except OSError as exc:  # a missing or unreadable file, or a directory
@@ -614,6 +629,9 @@ def cli_dispatch(argv) -> int:
     except ValueError as exc:  # CorpusFormatError among them
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        package.removeHandler(handler)
+        package.setLevel(previous)
 
 
 def main() -> None:

@@ -275,6 +275,48 @@ def encode(feats: Features, params: dict, cfg: ModelConfig,
     return enc, cache
 
 
+class Gradients(dict):
+    """Gradient sums by parameter name, in first-use order, each block shaped
+    like its parameter.
+
+    Training keeps one for the whole run and zeroes it before each batch, so
+    each block is allocated once. An embedding block is row-sparse: ``live``
+    flags each row ever added to, and its other rows are zero; the batch
+    mean, the clip scaling and the Adam step run over the live rows only.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.live: dict[str, np.ndarray] = {}  # embedding block -> flag per row
+
+    def add_rows(self, name: str, like: np.ndarray, rows, g: np.ndarray) -> None:
+        """Add ``g`` into rows ``rows`` (a slice or distinct ids) of the
+        embedding gradient ``name``, zeros shaped like ``like`` on first use,
+        and mark those rows live."""
+        if name not in self:
+            self[name] = np.zeros_like(like)
+            self.live[name] = np.zeros(len(like), dtype=bool)
+        self[name][rows] += g
+        self.live[name][rows] = True
+
+    def rows(self, name: str):
+        """Index of the rows of block ``name`` that can be nonzero: the live
+        rows of an embedding block, every row of any other."""
+        live = self.live.get(name)
+        return slice(None) if live is None else np.flatnonzero(live)
+
+    def zero(self) -> None:
+        """Zero every block where it can be nonzero, for the next batch.
+
+        A dense block then sums from 0.0 instead of starting as its first
+        example's array. That can only turn a -0.0 entry into 0.0, and Adam
+        adds such an entry to a first moment that is not -0.0 (for beta1 >=
+        0.5), so the update comes out the same.
+        """
+        for name, g in self.items():
+            g[self.rows(name)] = 0.0
+
+
 def _acc(grads, name, g):
     if name in grads:
         grads[name] += g
@@ -282,28 +324,21 @@ def _acc(grads, name, g):
         grads[name] = g
 
 
-def _acc_rows(grads, name, params, rows, g):
-    """Add ``g`` into rows ``rows`` of grads[name], a dense block shaped like
-    params[name] that is zeroed on first use."""
-    if name not in grads:
-        grads[name] = np.zeros_like(params[name])
-    grads[name][rows] += g
-
-
 def _acc_embedding(grads, name, params, ids, dx):
     """Scatter-add ``dx`` into the rows ``ids`` of an embedding gradient.
 
     Repeated ids are summed first, in position order, into a block with one
-    row per distinct id, so only the rows the example uses are touched.
+    row per distinct id, so only the rows the example uses are touched and
+    made live.
     """
     uniq, inverse = np.unique(ids, return_inverse=True)
     block = np.zeros((len(uniq), dx.shape[1]))
     np.add.at(block, inverse, dx)
-    _acc_rows(grads, name, params, uniq, block)
+    grads.add_rows(name, params[name], uniq, block)
 
 
 def encode_bwd(dhidden: np.ndarray, params: dict, cfg: ModelConfig, cache,
-               grads: dict) -> None:
+               grads: Gradients) -> None:
     """Backprop from d(hidden states) into parameter grads (accumulated).
 
     The embedding gradients are row-sparse: only the rows of the tokens,
@@ -347,7 +382,7 @@ def encode_bwd(dhidden: np.ndarray, params: dict, cfg: ModelConfig, cache,
     dx = undrop(dx)
 
     _acc_embedding(grads, "tok_emb", params, feats.ids, dx)
-    _acc_rows(grads, "pos_emb", params, slice(0, len(feats.ids)), dx)
+    grads.add_rows("pos_emb", params["pos_emb"], slice(0, len(feats.ids)), dx)
     _acc_embedding(grads, "seg_emb", params, feats.segments, dx)
 
 
@@ -619,20 +654,21 @@ def example_loss(params: dict, cfg: ModelConfig, feats: Features,
 def example_loss_and_grads(params: dict, cfg: ModelConfig, feats: Features,
                            target: Target,
                            dropout_rng: np.random.Generator | None = None,
-                           grads: dict | None = None):
+                           grads: Gradients | None = None):
     """Loss, per-task breakdown, and gradients for one example.
 
-    The gradients are added into ``grads`` (a fresh dict when None), which is
-    returned with one dense block per parameter; training passes one dict
-    per batch, so the batch sum builds up in place. The embedding blocks are
-    touched only at the rows the example uses.
+    The gradients are added into ``grads`` (fresh when None), which is
+    returned with one block per parameter; training passes one ``Gradients``
+    for the whole run, zeroed before each batch, so the batch sum builds up
+    in place. The embedding blocks are touched only at the rows the example
+    uses.
     """
     enc, enc_cache = encode(feats, params, cfg, dropout_rng=dropout_rng)
     heads, head_cache = predict_heads(enc, params, cfg, sel_override=target.sel)
     loss, breakdown, dlogits = loss_from_heads(heads, target)
 
     if grads is None:
-        grads = {}
+        grads = Gradients()
     dhc, dq = heads_bwd(dlogits, params, head_cache, grads)
 
     dhidden = np.zeros_like(enc.hidden)

@@ -18,8 +18,9 @@ header has at least one token, since a schema rejects blank headers and each
 non-space character makes a token.
 
 Over-budget inputs shed samples — the last sample of whichever column
-currently has the most sample tokens goes first — and never question or
-header tokens; if those alone exceed the budget, serialization fails.
+currently has the most sample tokens goes first, ties going to the first
+column that has samples — and never question or header tokens; if those
+alone exceed the budget, serialization fails.
 """
 
 from __future__ import annotations
@@ -128,7 +129,10 @@ def serialize_input(
     total = base + sum(block_width(c) + len(sample_tokens[c])
                        for c in range(schema.n_columns))
     while total > budget:
-        widest = max(range(schema.n_columns), key=block_width)
+        # A blank cell has no tokens but still a delimiter, so every width
+        # can be 0: the tie goes to the first column with samples left.
+        widest = max(range(schema.n_columns),
+                     key=lambda c: (block_width(c), bool(sample_tokens[c])))
         dropped = sample_tokens[widest].pop()
         total -= len(dropped) + 1  # the sample and one delimiter
 

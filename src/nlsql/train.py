@@ -26,6 +26,7 @@ from .keyword_index import build_index
 from .model import (
     Checkpoint,
     Features,
+    Gradients,
     ModelConfig,
     decode_sketch,
     encode,
@@ -156,7 +157,14 @@ def _is_encoder_param(name: str) -> bool:
 
 
 class AdamState:
-    """Dense Adam (Kingma & Ba, arXiv 1412.6980) over every parameter block."""
+    """Dense Adam (Kingma & Ba, arXiv 1412.6980) over every parameter block.
+
+    A step runs over the rows of each block that ``Gradients.rows`` names:
+    an embedding block's live rows, every row of any other block. A row that
+    has never had a gradient has zero moments, and dense Adam leaves it as it
+    is, so skipping it changes no bit; once live, a row stays in every step,
+    because its moments decay but do not return to zero.
+    """
 
     def __init__(self, params):
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
@@ -167,12 +175,14 @@ class AdamState:
         # of full-size temporaries.
         self.scratch = np.empty(max(v.size for v in params.values()))
 
-    def step(self, params, grads, cfg: TrainConfig):
+    def step(self, params, grads: Gradients, cfg: TrainConfig):
         """One update of every block in ``grads``, in place.
 
-        The operations are those of the textbook expression, in its order,
-        so the result is bit-identical to it. The gradient blocks are used
-        as scratch and hold no gradient afterwards.
+        ``grads`` must be the one ``Gradients`` of the whole run, so that its
+        live rows cover every row with nonzero moments. The operations are
+        those of the textbook expression, in its order, so the result is
+        bit-identical to it. The gradient blocks are used as scratch and hold
+        no gradient afterwards.
         """
         self.t += 1
         bias1 = 1.0 - cfg.beta1 ** self.t
@@ -181,7 +191,11 @@ class AdamState:
             lr = cfg.lr
             if cfg.encoder_lr is not None and _is_encoder_param(name):
                 lr = cfg.encoder_lr
-            m, v = self.m[name], self.v[name]
+            # Indexed by every row, each read is a view and each write-back
+            # below assigns a view to itself, which numpy skips.
+            rows = grads.rows(name)
+            p, m, v = params[name][rows], self.m[name][rows], self.v[name][rows]
+            g = g[rows]
             s = self.scratch[:g.size].reshape(g.shape)
             np.multiply(g, 1 - cfg.beta2, out=s)  # v = b2*v + ((1-b2)*g)*g
             s *= g
@@ -196,13 +210,16 @@ class AdamState:
             np.divide(m, bias1, out=g)  # p -= (lr*m_hat) / s
             g *= lr
             g /= s
-            params[name] -= g
+            p -= g
+            params[name][rows], self.m[name][rows], self.v[name][rows] = p, m, v
 
 
-def clip_gradients(grads, max_norm: float, scratch: np.ndarray) -> float:
+def clip_gradients(grads: Gradients, max_norm: float, scratch: np.ndarray) -> float:
     """Scale ``grads`` in place to a global norm of at most ``max_norm`` (0
     turns clipping off) and return the norm before clipping. Each block is
-    squared into a view of ``scratch``, at least as large as the largest."""
+    squared whole into a view of ``scratch``, at least as large as the
+    largest: summing only the live rows would change numpy's pairwise
+    summation and with it the last bit of the norm."""
     total = 0.0
     for g in grads.values():
         square = scratch[:g.size].reshape(g.shape)
@@ -211,8 +228,8 @@ def clip_gradients(grads, max_norm: float, scratch: np.ndarray) -> float:
     total = float(np.sqrt(total))
     if max_norm > 0 and total > max_norm:
         scale = max_norm / total
-        for g in grads.values():
-            g *= scale
+        for name, g in grads.items():
+            g[grads.rows(name)] *= scale
     return total
 
 
@@ -263,6 +280,7 @@ def train(corpus: Corpus, tables: dict[str, Table], config: TrainConfig,
 
     params = init_params(model_config)
     adam = AdamState(params)
+    grads = Gradients()
     history: list[dict] = []
     dropout_rng = (
         np.random.default_rng(model_config.seed + 1)
@@ -278,17 +296,17 @@ def train(corpus: Corpus, tables: dict[str, Table], config: TrainConfig,
         clipped_steps = 0
         for start in range(0, len(order), config.batch_size):
             batch = order[start:start + config.batch_size]
-            grads: dict[str, np.ndarray] = {}
+            grads.zero()
             for idx in batch:
                 feats, target = prepared[idx]
-                loss, breakdown, grads = example_loss_and_grads(
+                loss, breakdown, _ = example_loss_and_grads(
                     params, model_config, feats, target,
                     dropout_rng=dropout_rng, grads=grads,
                 )
                 epoch_loss += loss
                 epoch_breakdown.update(breakdown)
-            for g in grads.values():
-                g /= len(batch)
+            for name, g in grads.items():
+                g[grads.rows(name)] /= len(batch)
             grad_norm = clip_gradients(grads, config.clip_norm, adam.scratch)
             grad_norm_max = max(grad_norm_max, grad_norm)
             clipped_steps += 0 < config.clip_norm < grad_norm

@@ -229,6 +229,28 @@ def test_train_reports_the_epochs_it_ran(workspace, capsys):
     assert capsys.readouterr().out.startswith("trained 1 epochs,")
 
 
+@pytest.mark.parametrize("level, shown", [("warning", False), ("info", True)])
+def test_log_level_info_shows_each_training_epoch(workspace, capsys, level,
+                                                  shown):
+    data, tables = synth(workspace)
+    capsys.readouterr()
+    assert run("train", "--data", str(data), "--tables", str(tables),
+               "--out", str(workspace / "m.ckpt"), "--epochs", "2",
+               "--batch-size", "8", "--d-model", "16", "--layers", "1",
+               "--heads", "2", "--budget", "128", "--log-level", level) == 0
+    epochs = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("INFO: epoch ")]
+    assert len(epochs) == (2 if shown else 0)
+
+
+def test_unknown_log_level_is_an_error(workspace, capsys):
+    data, tables = synth(workspace)
+    capsys.readouterr()
+    assert run("validate", "--data", str(data), "--tables", str(tables),
+               "--log-level", "loud") == 1
+    assert capsys.readouterr().err == "error: unknown --log-level 'loud'\n"
+
+
 def test_train_out_makes_no_default_output_dir(workspace, monkeypatch):
     data, tables = synth(workspace)
     monkeypatch.delenv("NLSQL_OUT_DIR")

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from nlsql.corpus import Corpus
 from nlsql.model import (
     Checkpoint,
+    Gradients,
     HeadOutputs,
     ModelConfig,
     Target,
@@ -268,7 +269,7 @@ def test_batch_accumulation_equals_sum_of_example_gradients(motogp_table,
                 expected[name] = g
 
     batch_rng = rng()
-    batch: dict = {}
+    batch = Gradients()
     for feats, target in prepared:
         _, _, returned = example_loss_and_grads(params, cfg, feats, target,
                                                 dropout_rng=batch_rng,

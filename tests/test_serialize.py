@@ -159,6 +159,23 @@ def test_round_trip_recovers_headers_and_samples(seed):
         assert sample_lists == [token_texts(c) for c in columns[col]]
 
 
+def test_shedding_blank_samples_takes_them_from_columns_that_have_them(motogp_table):
+    # A blank cell has no tokens but costs a delimiter, so every column can
+    # have width 0 while the input is still over budget.
+    samples = SampleSet(motogp_table.table_id, "random", 1,
+                        ((), ("",), (" ",), ()))
+    question = "grid of bmw"
+    bare = serialize_input(tokenize(question), motogp_table.schema, None,
+                           question=question)
+    trimmed = serialize_input(tokenize(question), motogp_table.schema, samples,
+                              budget=len(bare) + 1, question=question)
+    assert trimmed.render() == (
+        "[CLS] grid of bmw [SEP] rider [SEP] manufacturer [SEP] laps || [SEP] "
+        "grid [SEP]"
+    )
+    assert trimmed.recover_columns()[2] == (["laps"], [[]])
+
+
 # Layout contract ---------------------------------------------------------------
 
 @given(st.data())

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -6,10 +7,10 @@ import pytest
 
 import nlsql.train as train_module
 from nlsql.corpus import Corpus
-from nlsql.model import ModelConfig
+from nlsql.model import Gradients, ModelConfig
 from nlsql.serialize import token_texts
 from nlsql.sketch import AggOp, Example, SqlSketch, Table, TableSchema
-from nlsql.synth import SynthConfig, generate_synthetic_corpus
+from nlsql.synth import SynthConfig, generate_bench_table, generate_synthetic_corpus
 from nlsql.train import (
     AdamState,
     Sampler,
@@ -188,30 +189,77 @@ def test_in_place_adam_step_is_bitwise_textbook(encoder_lr):
     v = {name: np.zeros(shape) for name, shape in shapes.items()}
     cfg = TrainConfig(lr=1e-3, encoder_lr=encoder_lr)
     adam = AdamState(params)
+    grads = Gradients()  # one for the run, as train() keeps it
+    flicker = 7  # a tok_emb row with a gradient at step 2 only
     for t in range(1, 4):
-        grads = {name: rng.normal(size=shape) * 10.0 ** rng.integers(-6, 3, shape)
+        dense = {name: rng.normal(size=shape) * 10.0 ** rng.integers(-6, 3, shape)
                  for name, shape in shapes.items()}
-        grads["tok_emb"][::3] = 0.0  # rows no example touched
-        _textbook_adam_step(expected, m, v, t, grads, cfg)
-        adam.step(params, {name: g.copy() for name, g in grads.items()}, cfg)
+        dense["tok_emb"][::3] = 0.0  # rows no example touched
+        if t != 2:
+            dense["tok_emb"][flicker] = 0.0
+        _textbook_adam_step(expected, m, v, t, dense, cfg)
+        grads.zero()
+        for name, g in dense.items():
+            if name == "tok_emb":
+                touched = np.flatnonzero(np.any(g, axis=1))
+                grads.add_rows(name, params[name], touched, g[touched])
+            elif name in grads:
+                grads[name] += g
+            else:
+                grads[name] = g.copy()
+        adam.step(params, grads, cfg)
         for name in shapes:
             assert np.array_equal(adam.m[name], m[name]), (t, name)
             assert np.array_equal(adam.v[name], v[name]), (t, name)
             assert np.array_equal(params[name], expected[name]), (t, name)
+    # At step 3 the row has no gradient but its moments still move it.
+    assert m["tok_emb"][flicker].all()
 
 
 @pytest.mark.parametrize("max_norm", [0.0, 1.0])
 def test_clip_through_scratch_is_bitwise_textbook(max_norm):
     rng = np.random.default_rng(5)
     shapes = {"tok_emb": (300, 8), "enc0.ffn.w1": (8, 12), "sel.w": (8,)}
-    grads = {name: rng.normal(size=shape) for name, shape in shapes.items()}
-    norm = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads.values())))
+    dense = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+    touched = np.arange(0, 300, 4)
+    dense["tok_emb"][np.setdiff1d(np.arange(300), touched)] = 0.0
+    grads = Gradients()
+    grads.add_rows("tok_emb", dense["tok_emb"], touched, dense["tok_emb"][touched])
+    for name in shapes:
+        grads.setdefault(name, dense[name].copy())
+    norm = float(np.sqrt(sum(float(np.sum(g * g)) for g in dense.values())))
     expected = {name: g * (max_norm / norm) if max_norm else g.copy()
-                for name, g in grads.items()}
+                for name, g in dense.items()}
     scratch = np.full(300 * 8, np.nan)  # stale contents must not leak in
     assert train_module.clip_gradients(grads, max_norm, scratch) == norm
     for name in shapes:
         assert np.array_equal(grads[name], expected[name]), name
+
+
+def test_an_optimizer_step_allocates_less_than_one_embedding_block(monkeypatch):
+    corpus, tables = generate_synthetic_corpus(SynthConfig(
+        n_tables=2, rows_per_table=5, questions_per_table=4, seed=2))
+    codes = generate_bench_table(5000)
+    tables[codes.table_id] = codes  # no question uses its cells' tokens
+    step = train_module.AdamState.step
+    peaks = []  # per step, the most bytes it allocated and held at once
+
+    def traced_step(self, *args):
+        step(self, *args)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.clear_traces()  # forget blocks allocated before
+
+    monkeypatch.setattr(train_module.AdamState, "step", traced_step)
+    config = TrainConfig(epochs=1, batch_size=4, strategy="none", k=0, seed=1)
+    tracemalloc.start()
+    try:
+        ckpt, _ = train(corpus, tables, config, model_config=MODEL)
+    finally:
+        tracemalloc.stop()
+    block = ckpt.params["tok_emb"].nbytes
+    assert ckpt.config.vocab_size > 5000 and len(peaks) >= 2
+    # The second step: accumulate a batch, clip and update.
+    assert peaks[1] < block, (peaks, block)
 
 
 def _row_scan_counts(corpus, tables):
