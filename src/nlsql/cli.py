@@ -17,6 +17,7 @@ import hashlib
 import json
 import logging
 import os
+import resource
 import sys
 import time
 from pathlib import Path
@@ -75,7 +76,8 @@ def _digest(path) -> str:
 
 def write_manifest(args, directory: Path, started: float,
                    outputs: list[str]) -> None:
-    """One manifest per run: resolved config, seeds, input digests, version."""
+    """One manifest per run: resolved config, seeds, input digests, version,
+    and the process's peak resident set so far."""
     snapshot = {}
     inputs = {}
     for key, value in sorted(vars(args).items()):
@@ -94,6 +96,8 @@ def write_manifest(args, directory: Path, started: float,
         "version": __version__,
         "started": started,
         "finished": time.time(),
+        # ru_maxrss is in KiB on Linux
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     }
     path = directory / f"{args.subcommand}.manifest.json"
     with open(path, "w", encoding="utf-8") as handle:
@@ -609,6 +613,10 @@ def cli_dispatch(argv) -> int:
     if not getattr(args, "subcommand", None):
         parser.print_usage(sys.stderr)
         return 2
+    if getattr(args, "budget", None) is not None and args.budget < 1:
+        print(f"error: --budget: must be at least 1, got {args.budget}",
+              file=sys.stderr)
+        return 1
     level = logging.getLevelName(args.log_level.upper())
     if not isinstance(level, int):
         print(f"error: unknown --log-level {args.log_level!r}", file=sys.stderr)

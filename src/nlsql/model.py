@@ -223,13 +223,20 @@ class EncoderOutput:
 
 def encode(feats: Features, params: dict, cfg: ModelConfig,
            dropout_rng: np.random.Generator | None = None):
-    """Run the encoder; returns (EncoderOutput, cache for backward)."""
+    """Run the encoder; returns (EncoderOutput, cache for backward).
+
+    The output's arrays are fresh. The cache points into ``netops.WORKSPACE``,
+    so it is valid only until the next call.
+    """
     n = len(feats.ids)
     if n > cfg.max_positions:
         raise ValueError(f"input length {n} exceeds max positions {cfg.max_positions}")
-    x = (params["tok_emb"][feats.ids]
-         + params["pos_emb"][:n]
-         + params["seg_emb"][feats.segments])
+    generation = nn.WORKSPACE.advance()
+    (x,) = nn.WORKSPACE.take("residual", (n, cfg.d_model))
+    (seg,) = nn.WORKSPACE.take(nn.SCRATCH, (n, cfg.d_model))
+    np.take(params["tok_emb"], feats.ids, axis=0, out=x)
+    x += params["pos_emb"][:n]
+    x += np.take(params["seg_emb"], feats.segments, axis=0, out=seg)
     drop_p = cfg.dropout if dropout_rng is not None else 0.0
     masks = []
 
@@ -245,33 +252,36 @@ def encode(feats: Features, params: dict, cfg: ModelConfig,
     layer_caches = []
     for i in range(cfg.n_layers):
         pre = f"enc{i}."
-        a_in, ln1_cache = nn.layernorm_fwd(x, params[pre + "ln1.g"], params[pre + "ln1.b"])
+        a_in, ln1_cache = nn.layernorm_fwd(x, params[pre + "ln1.g"], params[pre + "ln1.b"],
+                                           slot=pre + "ln1")
         a_out, attn_cache = nn.attention_fwd(
             a_in,
             params[pre + "attn.wq"], params[pre + "attn.bq"],
             params[pre + "attn.wk"], params[pre + "attn.bk"],
             params[pre + "attn.wv"], params[pre + "attn.bv"],
             params[pre + "attn.wo"], params[pre + "attn.bo"],
-            cfg.n_heads,
+            cfg.n_heads, slot=pre + "attn",
         )
-        a_out = dropout(a_out)
-        x = x + a_out
-        f_in, ln2_cache = nn.layernorm_fwd(x, params[pre + "ln2.g"], params[pre + "ln2.b"])
-        h1, lin1_cache = nn.linear_fwd(f_in, params[pre + "ffn.w1"], params[pre + "ffn.b1"])
-        h2, gelu_cache = nn.gelu_fwd(h1)
-        f_out, lin2_cache = nn.linear_fwd(h2, params[pre + "ffn.w2"], params[pre + "ffn.b2"])
-        f_out = dropout(f_out)
-        x = x + f_out
+        x += dropout(a_out)
+        f_in, ln2_cache = nn.layernorm_fwd(x, params[pre + "ln2.g"], params[pre + "ln2.b"],
+                                           slot=pre + "ln2")
+        h1, lin1_cache = nn.linear_fwd(f_in, params[pre + "ffn.w1"], params[pre + "ffn.b1"],
+                                       slot=pre + "ffn1")
+        h2, gelu_cache = nn.gelu_fwd(h1, slot=pre + "gelu")
+        f_out, lin2_cache = nn.linear_fwd(h2, params[pre + "ffn.w2"], params[pre + "ffn.b2"],
+                                          slot=pre + "ffn2")
+        x += dropout(f_out)
         layer_caches.append((ln1_cache, attn_cache, ln2_cache,
                              lin1_cache, gelu_cache, lin2_cache))
-    hidden, lnf_cache = nn.layernorm_fwd(x, params["ln_f.g"], params["ln_f.b"])
+    hidden, lnf_cache = nn.layernorm_fwd(x, params["ln_f.g"], params["ln_f.b"], slot="ln_f")
+    hidden = hidden.copy()  # a caller may keep the output across calls
 
     header_vecs = np.stack([hidden[start:end].mean(axis=0)
                             for start, end in feats.header_spans])
     question_vecs = hidden[1:1 + len(feats.question_spans)]
 
     enc = EncoderOutput(hidden, header_vecs, question_vecs)
-    cache = (feats, layer_caches, lnf_cache, masks)
+    cache = (feats, layer_caches, lnf_cache, masks, generation)
     return enc, cache
 
 
@@ -318,6 +328,8 @@ class Gradients(dict):
 
 
 def _acc(grads, name, g):
+    """Add ``g`` into block ``name``. A block's first gradient is stored as it
+    is, so ``g`` must be a fresh array, never a workspace view."""
     if name in grads:
         grads[name] += g
     else:
@@ -342,9 +354,12 @@ def encode_bwd(dhidden: np.ndarray, params: dict, cfg: ModelConfig, cache,
     """Backprop from d(hidden states) into parameter grads (accumulated).
 
     The embedding gradients are row-sparse: only the rows of the tokens,
-    positions and segments the example uses are added to.
+    positions and segments the example uses are added to. Raises ValueError
+    when ``encode`` has run again since ``cache`` was made.
     """
-    feats, layer_caches, lnf_cache, masks = cache
+    feats, layer_caches, lnf_cache, masks, generation = cache
+    if generation != nn.WORKSPACE.generation:
+        raise ValueError("stale encoder cache: encode has run since it was made")
 
     mask_iter = iter(reversed(masks))
 
@@ -352,7 +367,7 @@ def encode_bwd(dhidden: np.ndarray, params: dict, cfg: ModelConfig, cache,
         mask = next(mask_iter)
         return dt if mask is None else dt * mask
 
-    dx, dg, db = nn.layernorm_bwd(dhidden, lnf_cache)
+    dx, dg, db = nn.layernorm_bwd(dhidden, lnf_cache, slot="ln_f")
     _acc(grads, "ln_f.g", dg)
     _acc(grads, "ln_f.b", db)
     for i in reversed(range(cfg.n_layers)):
@@ -360,25 +375,25 @@ def encode_bwd(dhidden: np.ndarray, params: dict, cfg: ModelConfig, cache,
         ln1_cache, attn_cache, ln2_cache, lin1_cache, gelu_cache, lin2_cache = \
             layer_caches[i]
         df_out = undrop(dx)
-        dh2, dw2, db2 = nn.linear_bwd(df_out, lin2_cache)
+        dh2, dw2, db2 = nn.linear_bwd(df_out, lin2_cache, slot=pre + "ffn2")
         _acc(grads, pre + "ffn.w2", dw2)
         _acc(grads, pre + "ffn.b2", db2)
-        dh1 = nn.gelu_bwd(dh2, gelu_cache)
-        df_in, dw1, db1 = nn.linear_bwd(dh1, lin1_cache)
+        dh1 = nn.gelu_bwd(dh2, gelu_cache, slot=pre + "gelu")
+        df_in, dw1, db1 = nn.linear_bwd(dh1, lin1_cache, slot=pre + "ffn1")
         _acc(grads, pre + "ffn.w1", dw1)
         _acc(grads, pre + "ffn.b1", db1)
-        dres, dg2, db2n = nn.layernorm_bwd(df_in, ln2_cache)
+        dres, dg2, db2n = nn.layernorm_bwd(df_in, ln2_cache, slot=pre + "ln2")
         _acc(grads, pre + "ln2.g", dg2)
         _acc(grads, pre + "ln2.b", db2n)
-        dx = dx + dres
+        dx += dres
         da_out = undrop(dx)
-        da_in, attn_grads = nn.attention_bwd(da_out, attn_cache)
+        da_in, attn_grads = nn.attention_bwd(da_out, attn_cache, slot=pre + "attn")
         for name, g in attn_grads.items():
             _acc(grads, pre + "attn." + name, g)
-        dres, dg1, db1n = nn.layernorm_bwd(da_in, ln1_cache)
+        dres, dg1, db1n = nn.layernorm_bwd(da_in, ln1_cache, slot=pre + "ln1")
         _acc(grads, pre + "ln1.g", dg1)
         _acc(grads, pre + "ln1.b", db1n)
-        dx = dx + dres
+        dx += dres
     dx = undrop(dx)
 
     _acc_embedding(grads, "tok_emb", params, feats.ids, dx)

@@ -5,9 +5,19 @@ Every forward returns (output, cache); the matching backward consumes the
 upstream gradient and the cache and returns gradients for inputs and
 parameters. Gradient correctness is enforced end-to-end by the central
 finite-difference suite, so any change here must keep that suite green.
+
+The encoder kernels (layer norm, linear, GELU, attention) compute in place,
+in the operation order of the plain expressions, so their results are bit
+for bit the same. Their outputs and caches are views of ``WORKSPACE``, flat
+per-process buffers named by the caller's ``slot`` and reused from call to
+call: an output or a cache is valid only until the next call with the same
+slot, which for the encoder means until the next ``model.encode``. Parameter
+gradients are always fresh arrays.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -16,15 +26,55 @@ _GELU_C = np.sqrt(2.0 / np.pi)
 _GELU_A = 0.044715
 
 
-def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    shifted = x - np.max(x, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=axis, keepdims=True)
+class Workspace:
+    """Flat float64 buffers by name, each grown on demand and then reused.
+
+    A kernel takes its outputs and caches from ``slot + ".fwd"`` or
+    ``slot + ".bwd"``, and the temporaries that die with the call from the
+    one ``SCRATCH`` buffer that all kernels share. ``generation`` counts the
+    encoder passes, so a backward pass can tell that its cache was
+    overwritten.
+    """
+
+    def __init__(self):
+        self.buffers: dict[str, np.ndarray] = {}
+        self.generation = 0
+
+    def take(self, name: str, *shapes) -> list[np.ndarray]:
+        """Views of buffer ``name`` with the given shapes, laid end to end."""
+        sizes = [math.prod(shape) for shape in shapes]
+        buf = self.buffers.get(name)
+        if buf is None or buf.size < sum(sizes):
+            buf = self.buffers[name] = np.empty(sum(sizes))
+        views, start = [], 0
+        for shape, size in zip(shapes, sizes):
+            views.append(buf[start:start + size].reshape(shape))
+            start += size
+        return views
+
+    def advance(self) -> int:
+        """Start a pass that overwrites the buffers; returns its number."""
+        self.generation += 1
+        return self.generation
 
 
-def softmax_bwd(dout: np.ndarray, probs: np.ndarray, axis: int = -1) -> np.ndarray:
-    inner = np.sum(dout * probs, axis=axis, keepdims=True)
-    return probs * (dout - inner)
+WORKSPACE = Workspace()
+SCRATCH = "scratch"
+
+
+def softmax(x: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:
+    out = np.subtract(x, np.max(x, axis=axis, keepdims=True), out=out)
+    np.exp(out, out=out)
+    out /= np.sum(out, axis=axis, keepdims=True)
+    return out
+
+
+def softmax_bwd(dout: np.ndarray, probs: np.ndarray, axis: int = -1,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """``probs * (dout - sum(dout * probs))``; ``out`` must not be ``dout``."""
+    prod = np.multiply(dout, probs, out=out)
+    inner = np.sum(prod, axis=axis, keepdims=True)
+    return np.multiply(probs, np.subtract(dout, inner, out=prod), out=prod)
 
 
 def log_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -32,91 +82,149 @@ def log_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return shifted - np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
 
 
-def linear_fwd(x: np.ndarray, w: np.ndarray, b: np.ndarray):
-    return x @ w + b, (x, w)
+def linear_fwd(x: np.ndarray, w: np.ndarray, b: np.ndarray, *, slot: str):
+    (out,) = WORKSPACE.take(slot + ".fwd", (*x.shape[:-1], w.shape[1]))
+    np.matmul(x, w, out=out)
+    out += b
+    return out, (x, w)
 
 
-def linear_bwd(dout: np.ndarray, cache):
+def linear_bwd(dout: np.ndarray, cache, *, slot: str):
     x, w = cache
-    dx = dout @ w.T
+    (dx,) = WORKSPACE.take(slot + ".bwd", x.shape)
+    np.matmul(dout, w.T, out=dx)
     dw = x.T @ dout
     db = dout.sum(axis=0)
     return dx, dw, db
 
 
-def layernorm_fwd(x: np.ndarray, g: np.ndarray, b: np.ndarray):
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = xc * inv
-    return xhat * g + b, (xhat, inv, g)
+def _row_mean(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``a.mean(axis=-1, keepdims=True)`` into ``out``, computed as np.mean
+    computes it (the sum, then a division by the count) without its Python
+    wrapper."""
+    np.add.reduce(a, axis=-1, keepdims=True, out=out)
+    out /= a.shape[-1]
+    return out
 
 
-def layernorm_bwd(dout: np.ndarray, cache):
+def layernorm_fwd(x: np.ndarray, g: np.ndarray, b: np.ndarray, *, slot: str):
+    xhat, inv, out = WORKSPACE.take(slot + ".fwd", x.shape, (*x.shape[:-1], 1), x.shape)
+    # inv holds the mean, then the variance, then 1 / sqrt(var + LN_EPS);
+    # out holds xc * xc until the output overwrites it
+    xc = np.subtract(x, _row_mean(x, out=inv), out=xhat)
+    var = _row_mean(np.multiply(xc, xc, out=out), out=inv)
+    np.divide(1.0, np.sqrt(np.add(var, LN_EPS, out=inv), out=inv), out=inv)
+    np.multiply(xc, inv, out=xhat)
+    np.multiply(xhat, g, out=out)
+    out += b
+    return out, (xhat, inv, g)
+
+
+def layernorm_bwd(dout: np.ndarray, cache, *, slot: str):
     xhat, inv, g = cache
-    dxhat = dout * g
-    dx = inv * (
-        dxhat
-        - dxhat.mean(axis=-1, keepdims=True)
-        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-    )
-    dg = (dout * xhat).sum(axis=0)
+    (dx,) = WORKSPACE.take(slot + ".bwd", xhat.shape)
+    prod, dxhat_mean, proj_mean = WORKSPACE.take(SCRATCH, xhat.shape, inv.shape, inv.shape)
+    dxhat = np.multiply(dout, g, out=dx)
+    _row_mean(dxhat, out=dxhat_mean)
+    _row_mean(np.multiply(dxhat, xhat, out=prod), out=proj_mean)
+    # inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))
+    np.subtract(dxhat, dxhat_mean, out=dx)
+    dx -= np.multiply(xhat, proj_mean, out=prod)
+    dx *= inv
+    dg = np.multiply(dout, xhat, out=prod).sum(axis=0)
     db = dout.sum(axis=0)
     return dx, dg, db
 
 
-def gelu_fwd(x: np.ndarray):
-    u = _GELU_C * (x + _GELU_A * (x * x * x))
-    t = np.tanh(u)
-    return 0.5 * x * (1.0 + t), (x, t)
+def gelu_fwd(x: np.ndarray, *, slot: str):
+    t, out = WORKSPACE.take(slot + ".fwd", x.shape, x.shape)
+    (one_plus_t,) = WORKSPACE.take(SCRATCH, x.shape)
+    # t = tanh(_GELU_C * (x + _GELU_A * (x * x * x)))
+    np.multiply(x, x, out=t)
+    t *= x
+    t *= _GELU_A
+    np.add(x, t, out=t)
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    # out = 0.5 * x * (1.0 + t)
+    np.multiply(x, 0.5, out=out)
+    out *= np.add(t, 1.0, out=one_plus_t)
+    return out, (x, t)
 
 
-def gelu_bwd(dout: np.ndarray, cache):
+def gelu_bwd(dout: np.ndarray, cache, *, slot: str):
+    """dout * (0.5 * (1 + t) + 0.5 * x * (1 - t * t) * du_dx) with
+    du_dx = _GELU_C * (1 + 3 * _GELU_A * x * x)."""
     x, t = cache
-    du_dx = _GELU_C * (1.0 + 3.0 * _GELU_A * x * x)
-    return dout * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du_dx)
+    (dx,) = WORKSPACE.take(slot + ".bwd", x.shape)
+    du_dx, part = WORKSPACE.take(SCRATCH, x.shape, x.shape)
+    np.multiply(x, 3.0 * _GELU_A, out=du_dx)
+    du_dx *= x
+    du_dx += 1.0
+    du_dx *= _GELU_C
+    np.multiply(x, 0.5, out=dx)
+    dx *= np.subtract(1.0, np.multiply(t, t, out=part), out=part)
+    dx *= du_dx
+    np.add(t, 1.0, out=part)
+    part *= 0.5
+    dx += part
+    dx *= dout
+    return dx
 
 
-def attention_fwd(x: np.ndarray, wq, bq, wk, bk, wv, bv, wo, bo, n_heads: int):
+def _split_heads(a: np.ndarray, n_heads: int) -> np.ndarray:
+    """The (h, n, dh) view of an (n, d) array, one slice per head."""
+    n, d = a.shape
+    return a.reshape(n, n_heads, d // n_heads).transpose(1, 0, 2)
+
+
+def attention_fwd(x: np.ndarray, wq, bq, wk, bk, wv, bv, wo, bo, n_heads: int,
+                  *, slot: str):
     """Full (unmasked) multi-head self-attention over one sequence (n, d)."""
     n, d = x.shape
     dh = d // n_heads
     scale = 1.0 / np.sqrt(dh)
 
-    q = (x @ wq + bq).reshape(n, n_heads, dh).transpose(1, 0, 2)
-    k = (x @ wk + bk).reshape(n, n_heads, dh).transpose(1, 0, 2)
-    v = (x @ wv + bv).reshape(n, n_heads, dh).transpose(1, 0, 2)
-    scores = (q @ k.transpose(0, 2, 1)) * scale  # (h, n, n)
-    probs = softmax(scores, axis=-1)
-    heads = probs @ v  # (h, n, dh)
-    merged = heads.transpose(1, 0, 2).reshape(n, d)
-    out = merged @ wo + bo
+    *qkv, merged, out, probs = WORKSPACE.take(
+        slot + ".fwd", *[(n, d)] * 5, (n_heads, n, n))
+    for w, b, buf in zip((wq, wk, wv), (bq, bk, bv), qkv):
+        np.matmul(x, w, out=buf)
+        buf += b
+    q, k, v = (_split_heads(buf, n_heads) for buf in qkv)
+    np.matmul(q, k.transpose(0, 2, 1), out=probs)  # scores (h, n, n)
+    probs *= scale
+    softmax(probs, axis=-1, out=probs)
+    np.matmul(probs, v, out=_split_heads(merged, n_heads))  # heads (h, n, dh)
+    np.matmul(merged, wo, out=out)
+    out += bo
     cache = (x, q, k, v, probs, merged, wq, wk, wv, wo, scale)
     return out, cache
 
 
-def attention_bwd(dout: np.ndarray, cache):
+def attention_bwd(dout: np.ndarray, cache, *, slot: str):
     x, q, k, v, probs, merged, wq, wk, wv, wo, scale = cache
     n, d = x.shape
-    n_heads, _, dh = q.shape
+    n_heads = q.shape[0]
+    (dx,) = WORKSPACE.take(slot + ".bwd", (n, d))
+    dmerged, dq, dk, dv, part, dprobs, dscores = WORKSPACE.take(
+        SCRATCH, *[(n, d)] * 5, *[(n_heads, n, n)] * 2)
 
     dwo = merged.T @ dout
     dbo = dout.sum(axis=0)
-    dmerged = dout @ wo.T
-    dheads = dmerged.reshape(n, n_heads, dh).transpose(1, 0, 2)
+    np.matmul(dout, wo.T, out=dmerged)
+    dheads = _split_heads(dmerged, n_heads)
 
-    dprobs = dheads @ v.transpose(0, 2, 1)  # (h, n, n)
-    dv = probs.transpose(0, 2, 1) @ dheads
-    dscores = softmax_bwd(dprobs, probs, axis=-1) * scale
-    dq = dscores @ k
-    dk = dscores.transpose(0, 2, 1) @ q
+    np.matmul(dheads, v.transpose(0, 2, 1), out=dprobs)  # (h, n, n)
+    np.matmul(probs.transpose(0, 2, 1), dheads, out=_split_heads(dv, n_heads))
+    softmax_bwd(dprobs, probs, axis=-1, out=dscores)
+    dscores *= scale
+    np.matmul(dscores, k, out=_split_heads(dq, n_heads))
+    np.matmul(dscores.transpose(0, 2, 1), q, out=_split_heads(dk, n_heads))
 
-    def unmerge(a):
-        return a.transpose(1, 0, 2).reshape(n, d)
-
-    dq, dk, dv = unmerge(dq), unmerge(dk), unmerge(dv)
-    dx = dq @ wq.T + dk @ wk.T + dv @ wv.T
+    # dx = dq @ wq.T + dk @ wk.T + dv @ wv.T
+    np.matmul(dq, wq.T, out=dx)
+    dx += np.matmul(dk, wk.T, out=part)
+    dx += np.matmul(dv, wv.T, out=part)
     grads = {
         "wq": x.T @ dq, "bq": dq.sum(axis=0),
         "wk": x.T @ dk, "bk": dk.sum(axis=0),

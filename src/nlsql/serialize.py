@@ -65,7 +65,8 @@ def tokenize(text: str) -> list[Token]:
 
 
 def token_texts(text: str) -> list[str]:
-    return [t.text for t in tokenize(text)]
+    """The texts of ``tokenize(text)``, without building the tokens."""
+    return [s.lower() for s in _TOKEN_RE.findall(text)]
 
 
 class BudgetError(ValueError):

@@ -404,6 +404,27 @@ def test_repl_prints_the_sql_eval_predicts(workspace, capsys, monkeypatch):
     assert printed == [p["pred_sql"] for p in mine]
 
 
+@pytest.mark.parametrize("argv", [
+    ["serialize", "--tables", "t.jsonl", "--table-id", "t", "--question", "q"],
+    ["train", "--data", "d.jsonl", "--tables", "t.jsonl"],
+    ["eval", "--data", "d.jsonl", "--tables", "t.jsonl", "--ckpt", "m.ckpt"],
+    ["compare", "--data", "d.jsonl", "--tables", "t.jsonl", "--ckpt", "m.ckpt"],
+    ["bench"],
+    ["repl", "--tables", "t.jsonl", "--table-id", "t", "--ckpt", "m.ckpt"],
+])
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_budget_below_one_is_rejected(workspace, capsys, argv, budget):
+    assert run(*argv, "--budget", budget) == 1
+    assert capsys.readouterr().err.startswith(f"error: --budget: must be at least 1, got {budget}")
+
+
+def test_train_manifest_records_peak_rss(workspace):
+    data, tables = synth(workspace)
+    train_small(workspace, data, tables)
+    manifest = json.loads((workspace / "train.manifest.json").read_text())
+    assert isinstance(manifest["peak_rss_mb"], float) and manifest["peak_rss_mb"] > 1.0
+
+
 def test_serving_budget_defaults_to_checkpoint(workspace, capsys):
     data, tables = synth(workspace)
     ckpt = train_small(workspace, data, tables, budget=128)

@@ -95,7 +95,7 @@ def test_residual_stream_starts_at_unit_scale(setup):
     # gradient that flows back through it.
     cfg, _, feats, *_ = setup
     default = ModelConfig(vocab_size=cfg.vocab_size)
-    _, (_, layer_caches, _, _) = encode(feats, init_params(default), default)
+    _, (_, layer_caches, _, _, _) = encode(feats, init_params(default), default)
     _, inv, _ = layer_caches[0][0]  # enc0.ln1: inv = 1 / per-token std
     token_std = 1.0 / inv.ravel()
     assert np.all((token_std >= 0.5) & (token_std <= 3.0)), token_std

@@ -29,6 +29,16 @@ def test_tokenize_keeps_decimals_whole():
     assert token_texts("pace 3.5 laps") == ["pace", "3.5", "laps"]
 
 
+_TRICKY = st.sampled_from(["İ", "ǅ", "1.5", "٣.٤", "²", "½", "…", "?!", "a_b",
+                           " ", "\t", "x", "Σ", "ß"])
+
+
+@given(st.lists(st.one_of(_TRICKY, st.text(max_size=6)), max_size=8).map("".join))
+@settings(max_examples=200, deadline=None)
+def test_token_texts_are_the_texts_of_tokenize(text):
+    assert token_texts(text) == [t.text for t in tokenize(text)]
+
+
 def test_serialize_motogp_layout(motogp_table):
     samples = SampleSet(
         table_id=motogp_table.table_id, strategy="random", k=3,
