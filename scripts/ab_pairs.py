@@ -1,16 +1,21 @@
 """Alternating parent/change benchmark pairs, summarised per end-to-end metric.
 
     python3 scripts/ab_pairs.py PARENT CHANGE --workload serve-bigtable --pairs 10 --seed 1
+    python3 scripts/ab_pairs.py PARENT CHANGE --workload all --pairs 6
 
 PARENT and CHANGE are two checkouts of this repository. Each pair runs
 ``perfbench/run.py`` once in each checkout, the parent first on odd pairs
 and the change first on even ones, for the run length that the parent's
-``BENCHMARK.json`` sets. Every run is printed as it finishes. Then, for each
-end-to-end metric in ``BENCHMARK.json``, the summary gives each side's median
-[Q1, Q3], the change/parent ratio of the medians, the pairs the change won
-under the metric's ``better`` (ties count for neither side) and whether the
-medians differ by more than the parent's quartile spread. The script exits 1
-when any run is not ``correct``, has failed operations or gives no result.
+``BENCHMARK.json`` sets. ``--workload all`` runs every workload that file
+lists, one after the other within each pair. Every run is printed as it
+finishes. Then, per workload and for each end-to-end metric in
+``BENCHMARK.json``, the summary gives each side's median [Q1, Q3], the
+change/parent ratio of the medians, the pairs the change won under the
+metric's ``better`` (ties count for neither side), whether the change's
+median is worse than the parent's by more than the metric's ``bound`` (a
+fraction of the parent's median) and whether the medians differ by more
+than the parent's quartile spread. The script exits 1 when any run is not
+``correct``, has failed operations or gives no result.
 """
 
 from __future__ import annotations
@@ -47,6 +52,7 @@ def summarize(specs: list[dict], pairs: list[tuple[dict, dict]]) -> list[dict]:
             "parent": (p_med, p_q1, p_q3), "change": (c_med, c_q1, c_q3),
             "ratio": c_med / p_med if p_med else float("nan"),
             "wins": wins, "pairs": len(pairs),
+            "beyond_bound": sign * (c_med - p_med) < -spec["bound"] * abs(p_med),
             "beyond_spread": sign * (c_med - p_med) > p_q3 - p_q1,
         })
     return rows
@@ -54,12 +60,13 @@ def summarize(specs: list[dict], pairs: list[tuple[dict, dict]]) -> list[dict]:
 
 def render(rows: list[dict]) -> str:
     lines = [f"{'metric':<26}{'parent median [Q1, Q3]':>34}{'change median [Q1, Q3]':>34}"
-             f"{'change/parent':>15}{'change wins':>13}  gap > parent IQR"]
+             f"{'change/parent':>15}{'change wins':>13}  worse > bound  gap > parent IQR"]
     for row in rows:
         sides = ["{:.4g} [{:.4g}, {:.4g}]".format(*row[side]) for side in ("parent", "change")]
         lines.append(f"{row['name'] + ' (' + row['unit'] + ')':<26}{sides[0]:>34}"
                      f"{sides[1]:>34}{row['ratio']:>15.3f}"
                      f"{str(row['wins']) + '/' + str(row['pairs']):>13}  "
+                     f"{'yes' if row['beyond_bound'] else 'no':<15}"
                      f"{'yes' if row['beyond_spread'] else 'no'}")
     return "\n".join(lines)
 
@@ -95,28 +102,36 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True,
+                        help="a workload of BENCHMARK.json, or all of them")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
     benchmark = json.loads((args.parent / "BENCHMARK.json").read_text())
     specs = benchmark["end_to_end"]
-    pairs, problems = [], []
+    workloads = ([w["name"] for w in benchmark["workloads"]]
+                 if args.workload == "all" else [args.workload])
+    pairs = {workload: [] for workload in workloads}
+    problems = []
     for pair in range(1, args.pairs + 1):
         order = ["parent", "change"] if pair % 2 else ["change", "parent"]
-        values, found = {}, []
-        for side in order:
-            result = run_once(getattr(args, side), args.workload, args.seed,
-                              benchmark["run_seconds"])
-            values[side] = {k: v["value"] for k, v in result.get("metrics", {}).items()}
-            print(f"pair {pair} {side}: " + json.dumps(values[side]), flush=True)
-            found += problems_of(side, pair, result)
-        problems += found
-        if not found:
-            pairs.append((values["parent"], values["change"]))
-    print(f"{args.workload}, seed {args.seed}, {len(pairs)} pairs")
-    if pairs:
-        print(render(summarize(specs, pairs)))
+        for workload in workloads:
+            values, found = {}, []
+            for side in order:
+                result = run_once(getattr(args, side), workload, args.seed,
+                                  benchmark["run_seconds"])
+                values[side] = {k: v["value"] for k, v in result.get("metrics", {}).items()}
+                print(f"pair {pair} {workload} {side}: " + json.dumps(values[side]),
+                      flush=True)
+                found += [f"{workload} {problem}"
+                          for problem in problems_of(side, pair, result)]
+            problems += found
+            if not found:
+                pairs[workload].append((values["parent"], values["change"]))
+    for workload, done in pairs.items():
+        print(f"{workload}, seed {args.seed}, {len(done)} pairs")
+        if done:
+            print(render(summarize(specs, done)))
     for problem in problems:
         print(problem, file=sys.stderr)
     return 1 if problems else 0

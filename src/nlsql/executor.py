@@ -24,7 +24,13 @@ condition:
 
 So dirty tables never crash scoring. Results are plain Python values: the
 raw cells in row order for NONE, an ``int`` for COUNT, and a ``float`` for
-MAX/MIN/SUM/AVG, reduced with the builtins over the survivors in row order.
+MAX/MIN/SUM/AVG over the parsed numbers of the surviving rows. MAX and MIN
+are reduced in numpy (``argmax``/``argmin``) to the first extreme value in
+row order, which is exactly what the builtin ``max``/``min`` return, the sign
+of a zero included: of the rows "0" and "-0", MAX is whichever comes first.
+SUM and AVG add the numbers with the builtin ``sum`` in row order. From
+Python 3.12 that ``sum`` adds floats with compensation, so the last bit of a
+SUM or AVG can differ between interpreters (the project supports 3.10 on).
 """
 
 from __future__ import annotations
@@ -139,27 +145,28 @@ def execute(sketch: SqlSketch, table: Table) -> QueryResult:
         alive &= (cells > bound) if cond.op is CondOp.GT else (cells < bound)
 
     column = columns[sketch.select_column]
+    rows = alive if sketch.conds else slice(None)
     if sketch.agg is AggOp.NONE:
-        codes = column.codes[alive].tolist()
+        codes = column.codes[rows].tolist()
         return QueryResult(tuple(map(column.codebook.__getitem__, codes)),
                            warnings)
     if sketch.agg is AggOp.COUNT:
         return QueryResult((int(np.count_nonzero(alive)),), warnings)
 
-    cells = column.row_numbers(alive)
+    cells = column.row_numbers(rows)
     parsed = ~np.isnan(cells)
     _warn(warnings, WARN_AGGREGATION, len(cells) - np.count_nonzero(parsed))
-    numbers = cells[parsed].tolist()
-    if not numbers:
+    numbers = cells[parsed]
+    if not len(numbers):
         return QueryResult((), warnings)
     if sketch.agg is AggOp.MAX:
-        value = max(numbers)
+        value = float(numbers[np.argmax(numbers)])
     elif sketch.agg is AggOp.MIN:
-        value = min(numbers)
+        value = float(numbers[np.argmin(numbers)])
     elif sketch.agg is AggOp.SUM:
-        value = sum(numbers)
+        value = sum(numbers.tolist())
     else:  # AVG
-        value = sum(numbers) / len(numbers)
+        value = sum(numbers.tolist()) / len(numbers)
     return QueryResult((value,), warnings)
 
 

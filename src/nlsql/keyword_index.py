@@ -3,7 +3,9 @@
 The index holds only the lookup. Each column's distinct cell values come
 from the table's column store (``executor.Column.distinct``) and are
 normalized (lowercase, whitespace collapsed) into a dict from pattern to the
-columns holding it. Matches are anchored at word boundaries, so a match can
+columns holding it, each with the position of the column's first-seen
+spelling among its distinct values, so a match names that cell by position
+as well as by text. Matches are anchored at word boundaries, so a match can
 only start at 0 or after a non-alphanumeric character and end at the end or
 before one: a question is matched by looking up each such boundary-anchored
 substring no longer than the longest pattern.
@@ -59,6 +61,7 @@ class Match(NamedTuple):
     column_index: int
     cell: str  # original cell string
     span: tuple[int, int]  # char offsets into the original question
+    position: int  # of ``cell`` in its column's ``Column.distinct``
 
 
 @dataclass
@@ -66,8 +69,11 @@ class ContentIndex:
     """The pattern lookup for one table."""
 
     table_id: str
-    # normalized pattern -> {column -> first-seen original cell}
-    _patterns: dict[str, dict[int, str]] = field(repr=False)
+    # per column, its distinct non-empty cells (``Column.distinct``)
+    _cells: tuple[tuple[str, ...], ...] = field(repr=False)
+    # normalized pattern -> (column, position of its first-seen cell in
+    # _cells[column]) pairs laid flat, in ascending column order
+    _patterns: dict[str, tuple[int, ...]] = field(repr=False)
     _longest: int  # length of the longest pattern
 
     @property
@@ -81,11 +87,18 @@ def build_index(table: Table) -> ContentIndex:
     Cells that normalize identically share one pattern; each column keeps its
     first-seen original spelling for reporting.
     """
-    patterns: dict[str, dict[int, str]] = {}
-    for col, column in enumerate(table.columns):
-        for cell in column.distinct:
-            patterns.setdefault(normalize_pattern(cell), {}).setdefault(col, cell)
-    return ContentIndex(table.table_id, patterns, max(map(len, patterns), default=0))
+    cells = tuple(column.distinct for column in table.columns)
+    patterns: dict[str, tuple[int, ...]] = {}
+    for col, distinct in enumerate(cells):
+        for position, cell in enumerate(distinct):
+            pattern = normalize_pattern(cell)
+            places = patterns.get(pattern)
+            if places is None:
+                patterns[pattern] = (col, position)
+            elif places[-2] != col:  # columns come in ascending order
+                patterns[pattern] = places + (col, position)
+    return ContentIndex(table.table_id, cells, patterns,
+                        max(map(len, patterns), default=0))
 
 
 def find_phrases(phrases: dict, longest: int, text: str) -> list[tuple]:
@@ -116,7 +129,8 @@ def find_phrases(phrases: dict, longest: int, text: str) -> list[tuple]:
 def extract_matches(index: ContentIndex, question: str) -> list[Match]:
     """Find cells mentioned in a question. A pattern present in several
     columns yields one Match per column (ascending column order)."""
-    return [Match(col, columns[col], (start, end))
-            for start, end, columns in find_phrases(index._patterns, index._longest,
-                                                    question)
-            for col in sorted(columns)]
+    cells = index._cells
+    return [Match(col, cells[col][position], (start, end), position)
+            for start, end, places in find_phrases(index._patterns, index._longest,
+                                                   question)
+            for col, position in zip(places[::2], places[1::2])]

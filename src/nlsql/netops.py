@@ -18,6 +18,7 @@ gradients are always fresh arrays.
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 
 import numpy as np
 
@@ -34,22 +35,32 @@ class Workspace:
     one ``SCRATCH`` buffer that all kernels share. ``generation`` counts the
     encoder passes, so a backward pass can tell that its cache was
     overwritten.
+
+    The views are made once per buffer name and shapes and then handed out
+    again, so a call with shapes seen before costs one lookup. A buffer that
+    grows drops its name's views; the rest stay, one set per sequence length
+    the process has seen.
     """
 
     def __init__(self):
         self.buffers: dict[str, np.ndarray] = {}
         self.generation = 0
+        self._views: dict[str, dict[tuple, tuple[np.ndarray, ...]]] = {}
 
-    def take(self, name: str, *shapes) -> list[np.ndarray]:
+    def take(self, name: str, *shapes) -> tuple[np.ndarray, ...]:
         """Views of buffer ``name`` with the given shapes, laid end to end."""
+        cached = self._views.setdefault(name, {})
+        views = cached.get(shapes)
+        if views is not None:
+            return views
         sizes = [math.prod(shape) for shape in shapes]
         buf = self.buffers.get(name)
         if buf is None or buf.size < sum(sizes):
             buf = self.buffers[name] = np.empty(sum(sizes))
-        views, start = [], 0
-        for shape, size in zip(shapes, sizes):
-            views.append(buf[start:start + size].reshape(shape))
-            start += size
+            cached.clear()
+        views = cached[shapes] = tuple(
+            buf[start:start + size].reshape(shape)
+            for shape, size, start in zip(shapes, sizes, accumulate(sizes, initial=0)))
         return views
 
     def advance(self) -> int:

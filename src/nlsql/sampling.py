@@ -2,7 +2,11 @@
 
 Random sampling is question-agnostic and can be generated offline once per
 table. Relevance sampling puts question-matched cells first and pads the
-remainder with seeded random fill. Exact-match-1 keeps at most one matched
+remainder with seeded random fill. The fill draws from the column's distinct
+values without the hits: the keyword index gives each hit's position among
+those values, and ``random.sample`` reads a view that skips those positions,
+so it draws exactly what it would from the filtered list, without building
+that list or searching the values. Exact-match-1 keeps at most one matched
 cell per column and never pads — the strictest baseline.
 
 Sample sets persist to a line-delimited sidecar file, one record per
@@ -64,9 +68,10 @@ class _Without(Sequence):
         return self._values[i]
 
 
-def _remaining(values: tuple[str, ...], hits: list[str]) -> Sequence:
-    """``values`` without ``hits``: the tuple itself when there are none."""
-    return _Without(values, sorted(map(values.index, hits))) if hits else values
+def _remaining(values: tuple[str, ...], skip: list[int]) -> Sequence:
+    """``values`` without the entries at the sorted positions ``skip``: the
+    tuple itself when there are none."""
+    return _Without(values, skip) if skip else values
 
 
 def sample_random(table: Table, k: int, seed: int = 0) -> SampleSet:
@@ -91,18 +96,20 @@ def sample_relevance(table: Table, index: ContentIndex, question: str,
         raise ValueError(
             f"index built for {index.table_id!r}, not {table.table_id!r}"
         )
-    matched: list[list[str]] = [[] for _ in range(table.schema.n_columns)]
+    # per column, each hit's cell -> its position in the column's distinct values
+    matched: list[dict[str, int]] = [{} for _ in range(table.schema.n_columns)]
     for match in extract_matches(index, question):
         bucket = matched[match.column_index]
         if match.cell not in bucket and len(bucket) < k:
-            bucket.append(match.cell)
+            bucket[match.cell] = match.position
     columns = []
-    for col, hits in enumerate(matched):
+    for col, bucket in enumerate(matched):
+        hits = list(bucket)
         fill_needed = k - len(hits)
         if fill_needed > 0:
             rng = child_rng("sample", seed, table.table_id, col)
-            pool = _remaining(table.columns[col].distinct, hits)
-            hits = hits + rng.sample(pool, min(fill_needed, len(pool)))
+            pool = _remaining(table.columns[col].distinct, sorted(bucket.values()))
+            hits += rng.sample(pool, min(fill_needed, len(pool)))
         columns.append(tuple(hits))
     return SampleSet(table.table_id, STRATEGY_RELEVANCE, k, tuple(columns), seed)
 

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -48,3 +49,56 @@ def test_runs_that_are_not_correct_or_fail_operations_are_problems():
         "pair 2 parent: not correct"]
     assert ab_pairs.problems_of("change", 1, {"correct": True, "failed": 2}) == [
         "pair 1 change: 2 failed operations"]
+
+
+def test_a_median_worse_than_its_bound_is_flagged():
+    # setup_s: 1.30 s against 1.00 s is 30% worse, past its 0.25 bound;
+    # throughput: 80 /s against 100 /s is 20% worse, inside its bound.
+    pairs = [({"setup_s": 1.00, "throughput_per_s": 100.0},
+              {"setup_s": 1.30, "throughput_per_s": 80.0})] * 3
+    setup, rate = ab_pairs.summarize(SPECS, pairs)
+    assert setup["beyond_bound"] and not rate["beyond_bound"]
+    assert setup["beyond_spread"] is False and rate["beyond_spread"] is False
+    better = ab_pairs.summarize(SPECS, [(c, p) for p, c in pairs])
+    assert [row["beyond_bound"] for row in better] == [False, False]
+    text = ab_pairs.render([setup, rate])
+    assert [line.split()[-2:] for line in text.splitlines()[1:]] == [
+        ["yes", "no"], ["no", "no"]]
+
+
+def test_all_runs_every_workload_in_each_pair(tmp_path, monkeypatch, capsys):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir()
+    change.mkdir()
+    (parent / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 10, "end_to_end": SPECS,
+        "workloads": [{"name": "serve-a"}, {"name": "train-b"}]}))
+    canned = {  # (side, workload) -> (setup_s, throughput_per_s)
+        ("parent", "serve-a"): (1.0, 100.0), ("change", "serve-a"): (0.5, 150.0),
+        ("parent", "train-b"): (2.0, 10.0), ("change", "train-b"): (3.0, 10.0),
+    }
+    calls = []
+
+    def run_once(checkout, workload, seed, seconds):
+        calls.append((checkout.name, workload))
+        setup, rate = canned[checkout.name, workload]
+        return {"correct": True, "failed": 0,
+                "metrics": {"setup_s": {"value": setup},
+                            "throughput_per_s": {"value": rate}}}
+
+    monkeypatch.setattr(ab_pairs, "run_once", run_once)
+    assert ab_pairs.main([str(parent), str(change), "--workload", "all",
+                          "--pairs", "2", "--seed", "3"]) == 0
+    assert calls == [("parent", "serve-a"), ("change", "serve-a"),
+                     ("parent", "train-b"), ("change", "train-b"),
+                     ("change", "serve-a"), ("parent", "serve-a"),
+                     ("change", "train-b"), ("parent", "train-b")]
+    out = capsys.readouterr().out
+    summaries = out.split("pairs\n")
+    assert "serve-a, seed 3, 2" in summaries[0] and "train-b, seed 3, 2" in summaries[1]
+    # serve-a's change is better on both metrics; train-b's set-up is 50%
+    # slower, past its bound
+    serve_rows = summaries[1].splitlines()[1:3]
+    train_rows = summaries[2].splitlines()[1:3]
+    assert [row.split()[-2:] for row in serve_rows] == [["no", "yes"], ["no", "yes"]]
+    assert [row.split()[-2:] for row in train_rows] == [["yes", "no"], ["no", "no"]]

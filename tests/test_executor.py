@@ -99,7 +99,7 @@ def test_results_equal_numeric_tolerance():
 # Randomized comparison against the naive interpreter ------------------------
 
 CELL_POOL = ["winner", "clay", "Rafael Nadal", "200", "0", "24", "n/a", "",
-             "1,000", "  spaced  out ", "42", "-3.5", "Grass"]
+             "1,000", "  spaced  out ", "42", "-3.5", "Grass", "-0", "-0.0"]
 
 
 def random_table(rng: random.Random, max_rows: int = 12) -> Table:
@@ -126,6 +126,9 @@ def assert_matches_naive(sketch: SqlSketch, table: Table):
     result = execute(sketch, table)
     want, want_warnings = naive_execute_with_warnings(sketch, table)
     assert list(result.values) == want, (sketch, table.rows[:12])
+    # == takes -0.0 for 0.0; repr tells the sign of a zero apart
+    assert list(map(repr, result.values)) == list(map(repr, want)), \
+        (sketch, table.rows[:12])
     assert dict(result.warnings) == dict(want_warnings), (sketch, table.rows[:12])
     return result
 
@@ -159,6 +162,26 @@ def test_matches_naive_interpreter_on_bench_table():
                 and result.values not in ((), (0,)):
             hits += 1
     assert hits >= 15
+
+
+@pytest.mark.parametrize("conds", [(), (Condition(0, CondOp.LT, "100"),),
+                                   (Condition(1, CondOp.EQ, "x"),)])
+@pytest.mark.parametrize("cells, agg, want", [
+    (("0", "-0"), AggOp.MAX, "0.0"),
+    (("-0", "0"), AggOp.MAX, "-0.0"),
+    (("0", "-0"), AggOp.MIN, "0.0"),
+    (("-0", "0"), AggOp.MIN, "-0.0"),
+    (("7", "-0.0", "n/a", "0", "-3"), AggOp.MAX, "7.0"),
+    (("7", "-0.0", "n/a", "0", "-3"), AggOp.MIN, "-3.0"),
+    (("n/a", "-0.0", "0", "-0"), AggOp.MAX, "-0.0"),
+])
+def test_min_max_ties_keep_the_first_extreme_in_row_order(cells, agg, want, conds):
+    # Zeros of either sign compare equal, so the first one in row order is
+    # the result, as builtin max/min give it.
+    table = Table(TableSchema("t", ("N", "Tag"), ("real", "text")),
+                  tuple((cell, "x") for cell in cells))
+    (value,) = execute(SqlSketch(0, agg, conds), table).values
+    assert repr(value) == want
 
 
 def test_result_values_are_plain_python(motogp_table):

@@ -13,7 +13,9 @@ from nlsql.sampling import (
     save_sample_sets,
 )
 from nlsql.sketch import Table, TableSchema
+from nlsql.synth import generate_bench_table
 from nlsql.train import Sampler
+from nlsql.util import child_rng
 
 
 def test_random_k_zero_gives_empty_lists(tennis_table):
@@ -184,9 +186,56 @@ def test_relevance_fill_draws_match_the_filtered_list(n_values):
     values = tuple(f"value {i}" for i in range(n_values))
     for hits in ([], [values[7]], [values[-1], values[2]]):
         pool = [v for v in values if v not in hits]
-        remaining = _remaining(values, hits)
+        remaining = _remaining(values, sorted(map(values.index, hits)))
         assert len(remaining) == len(pool) and list(remaining) == pool
         for seed in range(200):
             for n in (1, 3, 8, len(pool)):
                 assert random.Random(seed).sample(remaining, n) \
                     == random.Random(seed).sample(pool, n), (hits, seed, n)
+
+
+@pytest.fixture(scope="module", params=[0, 1])
+def shared_code_table(request):
+    # A 20k-row bench table plus one row whose Name cell is a Code cell, so
+    # "c-10000" is a distinct value of both columns.
+    table = generate_bench_table(20_000, seed=request.param)
+    extra = ("c-10000",) + table.rows[0][1:]
+    return Table(table.schema, table.rows + (extra,)), request.param
+
+
+def reference_relevance(table: Table, question: str, k: int, seed: int):
+    """Hits in question order, capped at k, then a fill drawn from the
+    filtered list of the column's distinct non-empty cells."""
+    index = build_index(table)
+    hits = [[] for _ in table.schema.headers]
+    for m in extract_matches(index, question):
+        if m.cell not in hits[m.column_index] and len(hits[m.column_index]) < k:
+            hits[m.column_index].append(m.cell)
+    columns = []
+    for col, cells in enumerate(hits):
+        distinct = dict.fromkeys(row[col] for row in table.rows if row[col].strip())
+        pool = [v for v in distinct if v not in cells]
+        n = min(k - len(cells), len(pool))
+        rng = child_rng("sample", seed, table.table_id, col)
+        columns.append(tuple(cells + (rng.sample(pool, n) if n > 0 else [])))
+    return tuple(columns), hits
+
+
+@pytest.mark.parametrize("question, code_hits", [
+    ("code c-19999 or c-00000", ["c-19999", "c-00000"]),
+    ("code c-10000 please", ["c-10000"]),  # also the extra row's Name
+    ("c-00000 c-19999 c-10000 c-05000 c-00001", ["c-00000", "c-19999", "c-10000"]),
+    ("no code at all", []),
+])
+def test_relevance_fill_equals_a_draw_from_the_filtered_list(shared_code_table,
+                                                            question, code_hits):
+    table, seed = shared_code_table
+    codes = table.columns[3].distinct
+    assert (codes.index("c-00000"), codes.index("c-10000"), codes.index("c-19999")) \
+        == (0, 10_000, 19_999) == (0, len(codes) // 2, len(codes) - 1)
+    assert table.columns[0].distinct[-1] == "c-10000"
+    want, hits = reference_relevance(table, question, 3, seed)
+    assert hits[3] == code_hits
+    assert hits[0] == (["c-10000"] if "c-10000" in code_hits else [])
+    got = sample_relevance(table, build_index(table), question, 3, seed=seed)
+    assert got.columns == want
