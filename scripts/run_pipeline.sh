@@ -35,9 +35,12 @@ $PY -m nlsql bench --strategy rel --k 3 --rows 500,2000 --queries 20 \
 echo "pipeline complete: $OUT"
 
 # Fixed-seed outputs: equal hashes before and after a refactor mean it kept
-# augmentation, training, evaluation and comparison byte-identical.
+# augmentation, training, evaluation and comparison byte-identical. They are
+# printed in sha256sum's format; scripts/pipeline.sha256 pins them, so
+#   (cd OUT && sha256sum -c /path/to/scripts/pipeline.sha256)
+# verifies a run.
 (cd "$OUT" && $PY -c 'import hashlib, sys
 for p in sys.argv[1:]:
-    print(hashlib.sha256(open(p, "rb").read()).hexdigest(), p)' \
+    print(hashlib.sha256(open(p, "rb").read()).hexdigest(), p, sep="  ")' \
     augmented.jsonl model.ckpt model.history.json eval.json \
     eval.predictions.jsonl comparison.json)

@@ -28,6 +28,9 @@ MAX/MIN/SUM/AVG over the parsed numbers of the surviving rows. MAX and MIN
 are reduced in numpy (``argmax``/``argmin``) to the first extreme value in
 row order, which is exactly what the builtin ``max``/``min`` return, the sign
 of a zero included: of the rows "0" and "-0", MAX is whichever comes first.
+With no condition they reduce the codebook's numbers instead of the rows':
+the codebook is in first-seen order, so its first extreme is the row
+order's, and each entry's row count (``Column.counts``) gives the warnings.
 SUM and AVG add the numbers with the builtin ``sum`` in row order. From
 Python 3.12 that ``sum`` adds floats with compensation, so the last bit of a
 SUM or AVG can differ between interpreters (the project supports 3.10 on).
@@ -81,6 +84,11 @@ class Column:
         parsed = map(parse_number, self.codebook)
         return np.fromiter((math.nan if x is None else x for x in parsed),
                            np.float64, len(self.codebook))
+
+    @cached_property
+    def counts(self) -> np.ndarray:
+        """The number of rows of each codebook entry."""
+        return np.bincount(self.codes, minlength=len(self.codebook))
 
     @cached_property
     def _normalized(self) -> tuple[np.ndarray, dict[str, int]]:
@@ -153,10 +161,17 @@ def execute(sketch: SqlSketch, table: Table) -> QueryResult:
     if sketch.agg is AggOp.COUNT:
         return QueryResult((int(np.count_nonzero(alive)),), warnings)
 
-    cells = column.row_numbers(rows)
-    parsed = ~np.isnan(cells)
-    _warn(warnings, WARN_AGGREGATION, len(cells) - np.count_nonzero(parsed))
-    numbers = cells[parsed]
+    if sketch.conds or sketch.agg in (AggOp.SUM, AggOp.AVG):
+        cells = column.row_numbers(rows)
+        unparsed = np.isnan(cells)
+        _warn(warnings, WARN_AGGREGATION, np.count_nonzero(unparsed))
+    else:
+        # Every row: the codebook is in first-seen order, so its first
+        # extreme is the first in row order. Reduce one number per entry.
+        cells = column.numbers
+        unparsed = np.isnan(cells)
+        _warn(warnings, WARN_AGGREGATION, column.counts[unparsed].sum())
+    numbers = cells[~unparsed]
     if not len(numbers):
         return QueryResult((), warnings)
     if sketch.agg is AggOp.MAX:

@@ -2,9 +2,12 @@
 
 The encoder is a small pre-norm transformer over token + position + segment
 embeddings, trained from scratch in float64. Six heads read the encoded
-sequence: select column, aggregation, where-count, where-column (sigmoid per
-column), where-operator, and where-value start/end span pointers over the
-question positions. Header/column interaction uses column attention: a
+question and header tokens, and only those, so the last layer runs its
+queries, FFN and final LayerNorm at those rows alone (``encode``); the
+sample and separator tokens serve it as keys and values. The heads are:
+select column, aggregation, where-count, where-column (sigmoid per column),
+where-operator, and where-value start/end span pointers over the question
+positions. Header/column interaction uses column attention: a
 pooled header vector attends over question tokens through a learned bilinear
 map, one map per head type.
 
@@ -136,6 +139,21 @@ class Features:
     question: str
     question_spans: tuple[tuple[int, int], ...]  # positions 1..m hold the question
     question_tokens: tuple[str, ...]
+    # The positions the heads read: the question's 1..m, then each header run
+    read_rows: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        rows = list(range(1, 1 + len(self.question_spans)))
+        for start, end in self.header_spans:
+            rows.extend(range(start, end))
+        self.read_rows = np.array(rows, dtype=np.intp)
+
+    def read_header_spans(self):
+        """Each column's header run as [start, end) rows of ``read_rows``."""
+        start = len(self.question_spans)
+        for first, last in self.header_spans:
+            yield start, start + last - first
+            start += last - first
 
 
 def prepare_features(serialized: SerializedInput, vocab: Vocab) -> Features:
@@ -216,7 +234,7 @@ def make_target(gold: SqlSketch, feats: Features,
 
 @dataclass
 class EncoderOutput:
-    hidden: np.ndarray  # (n, d)
+    hidden: np.ndarray  # (r, d) the read rows: the question's, then each header run
     header_vecs: np.ndarray  # (C, d) mean over each column's header tokens
     question_vecs: np.ndarray  # (m, d)
 
@@ -224,6 +242,14 @@ class EncoderOutput:
 def encode(feats: Features, params: dict, cfg: ModelConfig,
            dropout_rng: np.random.Generator | None = None):
     """Run the encoder; returns (EncoderOutput, cache for backward).
+
+    Every layer but the last runs over all n tokens. The heads read only
+    the question rows and the header runs (``Features.read_rows``), so the
+    last layer computes keys and values over all n rows but its queries,
+    attention output, residual, FFN and ``ln_f`` at those r rows alone; the
+    other tokens reach the heads only as context. Dropout masks are drawn
+    at full (n, d) and then indexed, so the random stream does not depend
+    on r.
 
     The output's arrays are fresh. The cache points into ``netops.WORKSPACE``,
     so it is valid only until the next call.
@@ -240,11 +266,13 @@ def encode(feats: Features, params: dict, cfg: ModelConfig,
     drop_p = cfg.dropout if dropout_rng is not None else 0.0
     masks = []
 
-    def dropout(t):
+    def dropout(t, rows=None):
         if drop_p <= 0.0:
             masks.append(None)
             return t
-        mask = (dropout_rng.random(t.shape) >= drop_p) / (1.0 - drop_p)
+        mask = (dropout_rng.random((n, t.shape[1])) >= drop_p) / (1.0 - drop_p)
+        if rows is not None:
+            mask = mask[rows]
         masks.append(mask)
         return t * mask
 
@@ -252,6 +280,7 @@ def encode(feats: Features, params: dict, cfg: ModelConfig,
     layer_caches = []
     for i in range(cfg.n_layers):
         pre = f"enc{i}."
+        rows = feats.read_rows if i == cfg.n_layers - 1 else None
         a_in, ln1_cache = nn.layernorm_fwd(x, params[pre + "ln1.g"], params[pre + "ln1.b"],
                                            slot=pre + "ln1")
         a_out, attn_cache = nn.attention_fwd(
@@ -260,9 +289,12 @@ def encode(feats: Features, params: dict, cfg: ModelConfig,
             params[pre + "attn.wk"], params[pre + "attn.bk"],
             params[pre + "attn.wv"], params[pre + "attn.bv"],
             params[pre + "attn.wo"], params[pre + "attn.bo"],
-            cfg.n_heads, slot=pre + "attn",
+            cfg.n_heads, slot=pre + "attn", rows=rows,
         )
-        x += dropout(a_out)
+        if rows is not None:
+            (read,) = nn.WORKSPACE.take("residual.read", a_out.shape)
+            x = np.take(x, rows, axis=0, out=read)
+        x += dropout(a_out, rows)
         f_in, ln2_cache = nn.layernorm_fwd(x, params[pre + "ln2.g"], params[pre + "ln2.b"],
                                            slot=pre + "ln2")
         h1, lin1_cache = nn.linear_fwd(f_in, params[pre + "ffn.w1"], params[pre + "ffn.b1"],
@@ -270,15 +302,15 @@ def encode(feats: Features, params: dict, cfg: ModelConfig,
         h2, gelu_cache = nn.gelu_fwd(h1, slot=pre + "gelu")
         f_out, lin2_cache = nn.linear_fwd(h2, params[pre + "ffn.w2"], params[pre + "ffn.b2"],
                                           slot=pre + "ffn2")
-        x += dropout(f_out)
+        x += dropout(f_out, rows)
         layer_caches.append((ln1_cache, attn_cache, ln2_cache,
                              lin1_cache, gelu_cache, lin2_cache))
     hidden, lnf_cache = nn.layernorm_fwd(x, params["ln_f.g"], params["ln_f.b"], slot="ln_f")
     hidden = hidden.copy()  # a caller may keep the output across calls
 
     header_vecs = np.stack([hidden[start:end].mean(axis=0)
-                            for start, end in feats.header_spans])
-    question_vecs = hidden[1:1 + len(feats.question_spans)]
+                            for start, end in feats.read_header_spans()])
+    question_vecs = hidden[:len(feats.question_spans)]
 
     enc = EncoderOutput(hidden, header_vecs, question_vecs)
     cache = (feats, layer_caches, lnf_cache, masks, generation)
@@ -351,7 +383,8 @@ def _acc_embedding(grads, name, params, ids, dx):
 
 def encode_bwd(dhidden: np.ndarray, params: dict, cfg: ModelConfig, cache,
                grads: Gradients) -> None:
-    """Backprop from d(hidden states) into parameter grads (accumulated).
+    """Backprop from d(hidden states), shaped like ``EncoderOutput.hidden``,
+    into parameter grads (accumulated).
 
     The embedding gradients are row-sparse: only the rows of the tokens,
     positions and segments the example uses are added to. Raises ValueError
@@ -393,7 +426,11 @@ def encode_bwd(dhidden: np.ndarray, params: dict, cfg: ModelConfig, cache,
         dres, dg1, db1n = nn.layernorm_bwd(da_in, ln1_cache, slot=pre + "ln1")
         _acc(grads, pre + "ln1.g", dg1)
         _acc(grads, pre + "ln1.b", db1n)
-        dx += dres
+        if i < cfg.n_layers - 1:
+            dx += dres
+        else:  # the last layer's residual carried the read rows only
+            dres[feats.read_rows] += dx
+            dx = dres
     dx = undrop(dx)
 
     _acc_embedding(grads, "tok_emb", params, feats.ids, dx)
@@ -687,8 +724,8 @@ def example_loss_and_grads(params: dict, cfg: ModelConfig, feats: Features,
     dhc, dq = heads_bwd(dlogits, params, head_cache, grads)
 
     dhidden = np.zeros_like(enc.hidden)
-    dhidden[1:1 + len(dq)] += dq
-    for (start, end), dh in zip(feats.header_spans, dhc):
+    dhidden[:len(dq)] += dq
+    for (start, end), dh in zip(feats.read_header_spans(), dhc):
         dhidden[start:end] += dh / (end - start)
     encode_bwd(dhidden, params, cfg, enc_cache, grads)
     for name, value in params.items():
@@ -709,7 +746,8 @@ def decode_sketch(heads: HeadOutputs, schema: TableSchema, question: str,
     where-column logits (not their sigmoids, which round to 1.0 for large
     logits) with ties going to the lower column index; per chosen column the
     operator is argmax and the value is the (start, end) span maximizing
-    start+end logits subject to start <= end < start + max_span_len, read
+    start+end logits subject to start <= end < start + max_span_len (ties
+    going to the first end within a start, then to the first start), read
     back from the original question characters.
     """
     n_columns = len(heads.sel_logits)
@@ -727,22 +765,24 @@ def decode_sketch(heads: HeadOutputs, schema: TableSchema, question: str,
 
     order = sorted(range(n_columns),
                    key=lambda c: (-float(heads.wcol_logits[c]), c))
-    conds = []
-    for col in sorted(order[:n_conds]):
-        op = CondOp(int(np.argmax(heads.wop_logits[col])))
-        starts = heads.wval_start_logits[col]
-        ends = heads.wval_end_logits[col]
-        best, best_span = -np.inf, (0, 0)
-        for s in range(m):
-            e_hi = min(m, s + max_span_len)
-            e_rel = int(np.argmax(ends[s:e_hi]))
-            score = starts[s] + ends[s + e_rel]
-            if score > best:
-                best, best_span = score, (s, s + e_rel)
-        start, end = best_span
-        value = question[question_spans[start][0]:question_spans[end][1]]
-        conds.append(Condition(col, op, value))
-    return SqlSketch(select_column=sel, agg=agg, conds=tuple(conds))
+    chosen = sorted(order[:n_conds])
+    if not chosen:
+        return SqlSketch(select_column=sel, agg=agg)
+    width = min(m, max_span_len)
+    # windows[i, s, j] is the end logit of span (s, s + j) of column
+    # chosen[i], -inf past m
+    padded = np.concatenate([heads.wval_end_logits[chosen],
+                             np.full((len(chosen), width - 1), -np.inf)], axis=1)
+    windows = padded[:, np.arange(m)[:, None] + np.arange(width)]
+    end_rel = windows.argmax(axis=2)  # the first best end of each start
+    scores = heads.wval_start_logits[chosen] + windows.max(axis=2)
+    starts = scores.argmax(axis=1)  # the first best start
+    ends = starts + end_rel[np.arange(len(chosen)), starts]
+    ops = heads.wop_logits[chosen].argmax(axis=1)
+    conds = tuple(
+        Condition(col, CondOp(op), question[question_spans[start][0]:question_spans[end][1]])
+        for col, op, start, end in zip(chosen, ops.tolist(), starts.tolist(), ends.tolist()))
+    return SqlSketch(select_column=sel, agg=agg, conds=conds)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,10 @@ per-process buffers named by the caller's ``slot`` and reused from call to
 call: an output or a cache is valid only until the next call with the same
 slot, which for the encoder means until the next ``model.encode``. Parameter
 gradients are always fresh arrays.
+
+Attention can take query rows: every row gives keys and values, only those
+rows query, and the backward pass scatters their query gradients back to
+their places. The encoder's last layer runs so, at the rows its heads read.
 """
 
 from __future__ import annotations
@@ -190,54 +194,70 @@ def _split_heads(a: np.ndarray, n_heads: int) -> np.ndarray:
 
 
 def attention_fwd(x: np.ndarray, wq, bq, wk, bk, wv, bv, wo, bo, n_heads: int,
-                  *, slot: str):
-    """Full (unmasked) multi-head self-attention over one sequence (n, d)."""
+                  *, slot: str, rows: np.ndarray | None = None):
+    """Full (unmasked) multi-head self-attention over one sequence (n, d).
+
+    With ``rows``, distinct row indices, only those rows query: keys and
+    values cover all n rows, and the output is (len(rows), d), row i being
+    row ``rows[i]`` of the full output.
+    """
     n, d = x.shape
     dh = d // n_heads
     scale = 1.0 / np.sqrt(dh)
+    r = n if rows is None else len(rows)
 
     *qkv, merged, out, probs = WORKSPACE.take(
-        slot + ".fwd", *[(n, d)] * 5, (n_heads, n, n))
-    for w, b, buf in zip((wq, wk, wv), (bq, bk, bv), qkv):
-        np.matmul(x, w, out=buf)
+        slot + ".fwd", (r, d), (n, d), (n, d), (r, d), (r, d), (n_heads, r, n))
+    xq = x
+    if rows is not None:
+        (xq,) = WORKSPACE.take(slot + ".rows", (r, d))
+        np.take(x, rows, axis=0, out=xq)
+    for x_in, w, b, buf in zip((xq, x, x), (wq, wk, wv), (bq, bk, bv), qkv):
+        np.matmul(x_in, w, out=buf)
         buf += b
     q, k, v = (_split_heads(buf, n_heads) for buf in qkv)
-    np.matmul(q, k.transpose(0, 2, 1), out=probs)  # scores (h, n, n)
+    np.matmul(q, k.transpose(0, 2, 1), out=probs)  # scores (h, r, n)
     probs *= scale
     softmax(probs, axis=-1, out=probs)
-    np.matmul(probs, v, out=_split_heads(merged, n_heads))  # heads (h, n, dh)
+    np.matmul(probs, v, out=_split_heads(merged, n_heads))  # heads (h, r, dh)
     np.matmul(merged, wo, out=out)
     out += bo
-    cache = (x, q, k, v, probs, merged, wq, wk, wv, wo, scale)
+    cache = (x, xq, rows, q, k, v, probs, merged, wq, wk, wv, wo, scale)
     return out, cache
 
 
 def attention_bwd(dout: np.ndarray, cache, *, slot: str):
-    x, q, k, v, probs, merged, wq, wk, wv, wo, scale = cache
+    """Gradients of ``attention_fwd``; ``dx`` covers all n rows, the query
+    rows' part scattered back to their places."""
+    x, xq, rows, q, k, v, probs, merged, wq, wk, wv, wo, scale = cache
     n, d = x.shape
-    n_heads = q.shape[0]
+    n_heads, r, _ = probs.shape
     (dx,) = WORKSPACE.take(slot + ".bwd", (n, d))
     dmerged, dq, dk, dv, part, dprobs, dscores = WORKSPACE.take(
-        SCRATCH, *[(n, d)] * 5, *[(n_heads, n, n)] * 2)
+        SCRATCH, (r, d), (r, d), *[(n, d)] * 3, *[(n_heads, r, n)] * 2)
 
     dwo = merged.T @ dout
     dbo = dout.sum(axis=0)
     np.matmul(dout, wo.T, out=dmerged)
     dheads = _split_heads(dmerged, n_heads)
 
-    np.matmul(dheads, v.transpose(0, 2, 1), out=dprobs)  # (h, n, n)
+    np.matmul(dheads, v.transpose(0, 2, 1), out=dprobs)  # (h, r, n)
     np.matmul(probs.transpose(0, 2, 1), dheads, out=_split_heads(dv, n_heads))
     softmax_bwd(dprobs, probs, axis=-1, out=dscores)
     dscores *= scale
     np.matmul(dscores, k, out=_split_heads(dq, n_heads))
     np.matmul(dscores.transpose(0, 2, 1), q, out=_split_heads(dk, n_heads))
 
-    # dx = dq @ wq.T + dk @ wk.T + dv @ wv.T
-    np.matmul(dq, wq.T, out=dx)
+    # dx = dq @ wq.T + dk @ wk.T + dv @ wv.T, dq being zero off the query rows
+    if rows is None:
+        np.matmul(dq, wq.T, out=dx)
+    else:
+        dx[:] = 0.0
+        dx[rows] = np.matmul(dq, wq.T, out=part[:r])
     dx += np.matmul(dk, wk.T, out=part)
     dx += np.matmul(dv, wv.T, out=part)
     grads = {
-        "wq": x.T @ dq, "bq": dq.sum(axis=0),
+        "wq": xq.T @ dq, "bq": dq.sum(axis=0),
         "wk": x.T @ dk, "bk": dk.sum(axis=0),
         "wv": x.T @ dv, "bv": dv.sum(axis=0),
         "wo": dwo, "bo": dbo,

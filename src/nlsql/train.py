@@ -216,14 +216,19 @@ class AdamState:
 
 def clip_gradients(grads: Gradients, max_norm: float, scratch: np.ndarray) -> float:
     """Scale ``grads`` in place to a global norm of at most ``max_norm`` (0
-    turns clipping off) and return the norm before clipping. Each block is
-    squared whole into a view of ``scratch``, at least as large as the
-    largest: summing only the live rows would change numpy's pairwise
-    summation and with it the last bit of the norm."""
+    turns clipping off) and return the norm before clipping. Each block's
+    rows that can be nonzero (``Gradients.rows``) are squared into a view of
+    ``scratch``, at least as large as the largest block, and summed."""
     total = 0.0
-    for g in grads.values():
-        square = scratch[:g.size].reshape(g.shape)
-        np.multiply(g, g, out=square)
+    for name, g in grads.items():
+        rows = grads.rows(name)
+        if isinstance(rows, slice):
+            square = scratch[:g.size].reshape(g.shape)
+            np.multiply(g, g, out=square)
+        else:
+            square = scratch[:len(rows) * g.shape[1]].reshape(len(rows), g.shape[1])
+            np.take(g, rows, axis=0, out=square)
+            square *= square
         total += float(np.sum(square))
     total = float(np.sqrt(total))
     if max_norm > 0 and total > max_norm:

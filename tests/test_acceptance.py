@@ -17,6 +17,7 @@ from nlsql.bench import bench_sampling
 from nlsql.corpus import Corpus
 from nlsql.executor import ex_equal, execute
 from nlsql.keyword_index import build_index, extract_matches
+from nlsql import netops as nn
 from nlsql.model import (
     ModelConfig,
     example_loss,
@@ -272,10 +273,42 @@ def test_criterion_5_gradient_check_every_block():
             rel = abs(an - fd) / max(abs(an), abs(fd), 1e-3)
             if rel > worst:
                 worst, worst_block = rel, name
+
+    # The attention kernel with a query-row subset, as the encoder's last
+    # layer runs it: every input and weight, against a random projection.
+    x = rng.normal(size=(7, 8))
+    weights = [rng.normal(size=shape) for shape in ((8, 8), 8) * 4]
+    rows = np.array([5, 0, 2])
+    probe = rng.normal(size=(len(rows), 8))
+
+    def attention_loss():
+        out, _ = nn.attention_fwd(x, *weights, 2, slot="fd.attn", rows=rows)
+        return float(np.sum(out * probe))
+
+    _, cache = nn.attention_fwd(x, *weights, 2, slot="fd.attn", rows=rows)
+    dx, attn_grads = nn.attention_bwd(probe, cache, slot="fd.attn")
+    analytic = {"x": dx.copy()}
+    analytic.update((name, attn_grads[name]) for name in (
+        "wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo"))
+    for (name, an_block), arr in zip(analytic.items(), [x, *weights]):
+        flat = arr.reshape(-1)
+        for i in range(flat.size):
+            keep = flat[i]
+            flat[i] = keep + h
+            up = attention_loss()
+            flat[i] = keep - h
+            down = attention_loss()
+            flat[i] = keep
+            fd = (up - down) / (2 * h)
+            an = an_block.reshape(-1)[i]
+            rel = abs(an - fd) / max(abs(an), abs(fd), 1e-3)
+            if rel > worst:
+                worst, worst_block = rel, f"query-row attention {name}"
     elapsed = time.perf_counter() - started
     criterion(5, worst < 1e-4 and elapsed < 300,
               f"max relative gradient error {worst:.2e} (worst block "
-              f"{worst_block}) over all {len(params)} blocks, {elapsed:.0f}s")
+              f"{worst_block}) over all {len(params)} blocks and query-row "
+              f"attention, {elapsed:.0f}s")
 
 
 def test_criterion_6_overfit_small_corpus():

@@ -184,6 +184,22 @@ def test_min_max_ties_keep_the_first_extreme_in_row_order(cells, agg, want, cond
     assert repr(value) == want
 
 
+def test_unconditioned_min_max_match_naive_on_tied_entries():
+    # With no condition MIN/MAX reduce one number per codebook entry. Entries
+    # that tie ("5" and "5.0", zeros of either sign) must give the value of
+    # the first such row, and unparseable rows must each warn once.
+    rng = random.Random(77)
+    pool = ["5", "5.0", "0", "-0", "-0.0", "0.0", "-5", "-5.00", "1,000",
+            "1000", "n/a", ""]
+    for _ in range(400):
+        cells = rng.sample(pool, rng.randint(1, 5))
+        table = Table(TableSchema("t", ("N", "Tag"), ("real", "text")),
+                      tuple((rng.choice(cells), "x")
+                            for _ in range(rng.randint(0, 25))))
+        for agg in (AggOp.MAX, AggOp.MIN):
+            assert_matches_naive(SqlSketch(0, agg), table)
+
+
 def test_result_values_are_plain_python(motogp_table):
     (count,) = execute(SqlSketch(2, AggOp.COUNT), motogp_table).values
     assert type(count) is int and count == 3

@@ -73,7 +73,10 @@ def test_encoder_and_head_shapes(setup):
     enc, _ = encode(feats, params, cfg)
     n = len(feats.ids)
     m = len(feats.question_spans)
-    assert enc.hidden.shape == (n, cfg.d_model)
+    # hidden holds the rows the heads read: the question's, then the headers'
+    r = m + sum(end - start for start, end in feats.header_spans)
+    assert r < n
+    assert enc.hidden.shape == (r, cfg.d_model)
     assert enc.header_vecs.shape == (table.schema.n_columns, cfg.d_model)
     assert enc.question_vecs.shape == (m, cfg.d_model)
 
@@ -393,6 +396,42 @@ def test_decode_respects_span_length_and_boundaries(setup):
     assert short.conds[0].value == "beta"
 
 
+def _loop_span(starts, ends, max_span_len):
+    """The best (start, end) as a loop over starts: the first best end within
+    a start, then the first start with the best score."""
+    best, best_span = -np.inf, (0, 0)
+    for s in range(len(starts)):
+        e_rel = int(np.argmax(ends[s:min(len(ends), s + max_span_len)]))
+        if starts[s] + ends[s + e_rel] > best:
+            best, best_span = starts[s] + ends[s + e_rel], (s, s + e_rel)
+    return best_span
+
+
+def test_decode_span_equals_the_loop_over_starts_with_ties(setup):
+    *_, table = setup
+    rng = np.random.default_rng(11)
+    wnum = np.zeros(5)
+    wnum[4] = 9.0
+    for trial in range(300):
+        m = int(rng.integers(1, 25))
+        max_span_len = int(rng.choice([1, 2, 3, 5, 16]))
+        # few distinct values force ties within and across starts
+        draw = (lambda shape: rng.integers(-2, 3, size=shape).astype(float)) \
+            if trial % 3 else (lambda shape: rng.normal(size=shape))
+        starts, ends = draw((4, m)), draw((4, m))
+        heads = HeadOutputs(
+            sel_logits=np.zeros(4), agg_logits=np.zeros(6), wnum_logits=wnum,
+            wop_logits=np.zeros((4, 3)), wval_start_logits=starts,
+            wval_end_logits=ends, wcol_logits=np.zeros(4))
+        question = " ".join(f"w{i}" for i in range(m))
+        spans = tuple((t.start, t.end) for t in tokenize(question))
+        sketch = decode_sketch(heads, table.schema, question, spans, max_span_len)
+        for cond in sketch.conds:
+            start, end = _loop_span(starts[cond.column_index],
+                                    ends[cond.column_index], max_span_len)
+            assert cond.value == question[spans[start][0]:spans[end][1]]
+
+
 def test_decoded_sketch_always_validates(setup):
     cfg, params, feats, target, example, table = setup
     enc, _ = encode(feats, params, cfg)
@@ -434,8 +473,9 @@ def test_make_target_drops_unalignable(setup):
 @given(st.integers(0, 2**32))
 @settings(max_examples=25, deadline=None)
 def test_encoder_reads_the_rows_the_labels_name(seed):
-    # The question and header vectors equal, bit for bit, a gather of the
-    # rows labelled as question and the mean of each column's header rows.
+    # The encoder reads the rows labelled as question, then each column's
+    # header rows; the question vectors are those rows of the output, bit for
+    # bit, and each header vector the mean of its column's rows.
     rng = random.Random(seed)
     words = ["alpha", "beta", "42", "3.5", "gamma-delta", "x"]
     n_cols = rng.randint(1, 5)
@@ -451,14 +491,20 @@ def test_encoder_reads_the_rows_the_labels_name(seed):
     serialized = serialize_input(tokenize(question), schema,
                                  sample_random(table, 2, seed), 128,
                                  question=question)
-    enc, _ = encode(prepare_features(serialized, vocab), init_params(cfg), cfg)
+    feats = prepare_features(serialized, vocab)
+    enc, _ = encode(feats, init_params(cfg), cfg)
     labels = list(zip(serialized.segments, serialized.columns))
     question_rows = [i for i, (seg, _) in enumerate(labels) if seg == SEG_QUESTION]
-    assert enc.question_vecs.tobytes() == enc.hidden[question_rows].tobytes()
-    for col in range(n_cols):
-        rows = [i for i, label in enumerate(labels) if label == (SEG_HEADER, col)]
+    header_rows = [[i for i, label in enumerate(labels) if label == (SEG_HEADER, col)]
+                   for col in range(n_cols)]
+    assert feats.read_rows.tolist() == question_rows + sum(header_rows, [])
+    m = len(question_rows)
+    assert enc.question_vecs.tobytes() == enc.hidden[:m].tobytes()
+    start = m
+    for col, rows in enumerate(header_rows):
         assert enc.header_vecs[col].tobytes() \
-            == enc.hidden[rows].mean(axis=0).tobytes()
+            == enc.hidden[start:start + len(rows)].mean(axis=0).tobytes()
+        start += len(rows)
 
 
 @given(st.data())

@@ -1,6 +1,7 @@
 """The encoder kernels compute in place into reused workspace buffers; these
 tests hold them to the plain expressions, bit for bit, and check the
-workspace's lifetime rules."""
+workspace's lifetime rules. The encoder, whose last layer runs at the rows
+the heads read, is held to a full-sequence reference within 1e-12."""
 
 import tracemalloc
 
@@ -10,6 +11,7 @@ import pytest
 from nlsql import netops as nn
 from nlsql import train as train_module
 from nlsql.model import (
+    Features,
     Gradients,
     ModelConfig,
     encode,
@@ -17,7 +19,14 @@ from nlsql.model import (
     init_params,
     prepare_features,
 )
-from nlsql.serialize import serialize_input, tokenize
+from nlsql.serialize import (
+    SEG_HEADER,
+    SEG_QUESTION,
+    SEG_SAMPLE,
+    SEG_SEPARATOR,
+    serialize_input,
+    tokenize,
+)
 from nlsql.synth import SynthConfig, generate_synthetic_corpus
 from nlsql.train import Sampler, TrainConfig, train
 from nlsql.vocab import Vocab
@@ -80,35 +89,72 @@ def gelu_bwd(dout, cache):
     return dout * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du_dx)
 
 
-def attention_fwd(x, wq, bq, wk, bk, wv, bv, wo, bo, n_heads):
+def attention_fwd(x, wq, bq, wk, bk, wv, bv, wo, bo, n_heads, rows=None):
     n, d = x.shape
     dh = d // n_heads
     scale = 1.0 / np.sqrt(dh)
-    q = (x @ wq + bq).reshape(n, n_heads, dh).transpose(1, 0, 2)
+    xq = x if rows is None else x[rows]
+    r = len(xq)
+    q = (xq @ wq + bq).reshape(r, n_heads, dh).transpose(1, 0, 2)
     k = (x @ wk + bk).reshape(n, n_heads, dh).transpose(1, 0, 2)
     v = (x @ wv + bv).reshape(n, n_heads, dh).transpose(1, 0, 2)
     probs = softmax((q @ k.transpose(0, 2, 1)) * scale)
-    merged = (probs @ v).transpose(1, 0, 2).reshape(n, d)
-    return merged @ wo + bo, (x, q, k, v, probs, merged, wq, wk, wv, wo, scale)
+    merged = (probs @ v).transpose(1, 0, 2).reshape(r, d)
+    return merged @ wo + bo, (x, xq, rows, q, k, v, probs, merged, wq, wk, wv, wo, scale)
 
 
 def attention_bwd(dout, cache):
-    x, q, k, v, probs, merged, wq, wk, wv, wo, scale = cache
+    x, xq, rows, q, k, v, probs, merged, wq, wk, wv, wo, scale = cache
     n, d = x.shape
-    n_heads, _, dh = q.shape
+    n_heads, r, dh = q.shape
     dwo = merged.T @ dout
     dbo = dout.sum(axis=0)
-    dheads = (dout @ wo.T).reshape(n, n_heads, dh).transpose(1, 0, 2)
+    dheads = (dout @ wo.T).reshape(r, n_heads, dh).transpose(1, 0, 2)
     dprobs = dheads @ v.transpose(0, 2, 1)
     dv = probs.transpose(0, 2, 1) @ dheads
     dscores = softmax_bwd(dprobs, probs) * scale
-    dq = dscores @ k
-    dk = dscores.transpose(0, 2, 1) @ q
-    dq, dk, dv = (a.transpose(1, 0, 2).reshape(n, d) for a in (dq, dk, dv))
-    dx = dq @ wq.T + dk @ wk.T + dv @ wv.T
-    return dx, {"wq": x.T @ dq, "bq": dq.sum(axis=0), "wk": x.T @ dk,
+    dq = (dscores @ k).transpose(1, 0, 2).reshape(r, d)
+    dk, dv = ((dscores.transpose(0, 2, 1) @ q).transpose(1, 0, 2).reshape(n, d),
+              dv.transpose(1, 0, 2).reshape(n, d))
+    dx_q = dq @ wq.T
+    if rows is not None:  # zero at the rows that did not query
+        dx_q = np.zeros((n, d))
+        dx_q[rows] = dq @ wq.T
+    dx = dx_q + dk @ wk.T + dv @ wv.T
+    return dx, {"wq": xq.T @ dq, "bq": dq.sum(axis=0), "wk": x.T @ dk,
                 "bk": dk.sum(axis=0), "wv": x.T @ dv, "bv": dv.sum(axis=0),
                 "wo": dwo, "bo": dbo}
+
+
+def reference_encode(feats, params, cfg, dropout_rng=None):
+    """(question_vecs, header_vecs) of the encoder run over every row of
+    every layer, in the plain expressions."""
+    n = len(feats.ids)
+    drop_p = cfg.dropout if dropout_rng is not None else 0.0
+
+    def dropout(t):
+        if drop_p <= 0.0:
+            return t
+        return t * ((dropout_rng.random(t.shape) >= drop_p) / (1.0 - drop_p))
+
+    x = dropout(params["tok_emb"][feats.ids] + params["pos_emb"][:n]
+                + params["seg_emb"][feats.segments])
+    for i in range(cfg.n_layers):
+        layer = {name[len(f"enc{i}."):]: value for name, value in params.items()
+                 if name.startswith(f"enc{i}.")}
+        a_in, _ = layernorm_fwd(x, layer["ln1.g"], layer["ln1.b"])
+        a_out, _ = attention_fwd(a_in, *(layer["attn." + w] for w in (
+            "wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")), cfg.n_heads)
+        x = x + dropout(a_out)
+        f_in, _ = layernorm_fwd(x, layer["ln2.g"], layer["ln2.b"])
+        h1, _ = linear_fwd(f_in, layer["ffn.w1"], layer["ffn.b1"])
+        h2, _ = gelu_fwd(h1)
+        f_out, _ = linear_fwd(h2, layer["ffn.w2"], layer["ffn.b2"])
+        x = x + dropout(f_out)
+    hidden, _ = layernorm_fwd(x, params["ln_f.g"], params["ln_f.b"])
+    m = len(feats.question_spans)
+    return hidden[1:1 + m], np.stack([hidden[start:end].mean(axis=0)
+                                      for start, end in feats.header_spans])
 
 
 # ---------------------------------------------------------------------------
@@ -119,6 +165,8 @@ def _assert_bitwise(got, want, where):
         assert list(got) == list(want), where
         for key in want:
             _assert_bitwise(got[key], want[key], f"{where}.{key}")
+    elif want is None:
+        assert got is None, where
     elif isinstance(want, tuple):
         assert len(got) == len(want), where
         for i, (g, w) in enumerate(zip(got, want)):
@@ -128,6 +176,7 @@ def _assert_bitwise(got, want, where):
 
 
 D, HEADS, FFN = 16, 4, 40
+VOCAB = 50
 
 
 def test_kernels_are_bitwise_the_plain_expressions():
@@ -158,11 +207,14 @@ def test_kernels_are_bitwise_the_plain_expressions():
         _assert_bitwise(nn.gelu_bwd(d_ffn, cache, slot="test.gelu"),
                         gelu_bwd(d_ffn, want_cache), f"gelu_bwd n={length}")
 
-        out, cache = nn.attention_fwd(x, *attn, HEADS, slot="test.attn")
-        want, want_cache = attention_fwd(x, *attn, HEADS)
-        _assert_bitwise((out, cache), (want, want_cache), f"attention_fwd n={length}")
-        _assert_bitwise(nn.attention_bwd(d_d, cache, slot="test.attn"),
-                        attention_bwd(d_d, want_cache), f"attention_bwd n={length}")
+        for rows in (None, rng.permutation(length)[:length // 2 + 1]):
+            where = f"n={length} rows={rows}"
+            out, cache = nn.attention_fwd(x, *attn, HEADS, slot="test.attn", rows=rows)
+            want, want_cache = attention_fwd(x, *attn, HEADS, rows)
+            _assert_bitwise((out, cache), (want, want_cache), f"attention_fwd {where}")
+            d_out = d_d if rows is None else d_d[:len(rows)]
+            _assert_bitwise(nn.attention_bwd(d_out, cache, slot="test.attn"),
+                            attention_bwd(d_out, want_cache), f"attention_bwd {where}")
 
         scores = rng.normal(size=(HEADS, length, length)) * 3.0
         probs = softmax(scores)
@@ -173,6 +225,50 @@ def test_kernels_are_bitwise_the_plain_expressions():
         assert np.array_equal(nn.softmax_bwd(dprobs, probs), want)
         assert np.array_equal(
             nn.softmax_bwd(dprobs, probs, out=np.empty_like(probs)), want)
+
+
+def _random_features(rng, n: int) -> Features:
+    """Features of n tokens in the serializer's layout: [CLS], m question
+    tokens, [SEP], then per column a header run, its samples and a [SEP]."""
+    m = int(rng.integers(1, n // 3))
+    rest = n - 2 - m
+    n_cols = int(rng.integers(1, min(12, rest // 2) + 1))
+    # beyond one header token and one [SEP] per column, split the rest
+    # between header runs and samples
+    extra = rest - 2 * n_cols
+    cuts = np.sort(rng.integers(0, extra + 1, size=2 * n_cols - 1))
+    lengths = np.diff(np.concatenate([[0], cuts, [extra]]))
+    segments = [SEG_SEPARATOR] + [SEG_QUESTION] * m + [SEG_SEPARATOR]
+    header_spans = []
+    for col in range(n_cols):
+        header_spans.append((len(segments), len(segments) + 1 + lengths[2 * col]))
+        segments += [SEG_HEADER] * (1 + lengths[2 * col])
+        segments += [SEG_SAMPLE] * lengths[2 * col + 1] + [SEG_SEPARATOR]
+    assert len(segments) == n
+    return Features(ids=rng.integers(0, VOCAB, n), segments=np.array(segments),
+                    header_spans=header_spans, question="",
+                    question_spans=((0, 0),) * m, question_tokens=("",) * m)
+
+
+@pytest.mark.parametrize("n_layers", [1, 2, 3])
+@pytest.mark.parametrize("dropout", [0.0, 0.3])
+def test_read_rows_match_a_full_sequence_encoder(n_layers, dropout):
+    # The last layer runs at the read rows only; OpenBLAS may give a row
+    # other last bits in a matmul over fewer rows, so the match is to 1e-12.
+    rng = np.random.default_rng(n_layers + 10 * int(dropout * 10))
+    cfg = ModelConfig(vocab_size=VOCAB, d_model=32, n_layers=n_layers,
+                      n_heads=4, dropout=dropout, init_scale=0.3, seed=n_layers)
+    params = init_params(cfg)
+    for n in (9, 10, 47, 128, 300):
+        feats = _random_features(rng, n)
+        drop_seed = int(rng.integers(2**32))
+        enc, _ = encode(feats, params, cfg,
+                        dropout_rng=np.random.default_rng(drop_seed) if dropout else None)
+        question_vecs, header_vecs = reference_encode(
+            feats, params, cfg, np.random.default_rng(drop_seed) if dropout else None)
+        assert enc.hidden.shape == (len(feats.read_rows), cfg.d_model)
+        np.testing.assert_allclose(enc.question_vecs, question_vecs, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(enc.header_vecs, header_vecs, rtol=0, atol=1e-12)
 
 
 @pytest.fixture(scope="module")
