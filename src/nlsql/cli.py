@@ -269,7 +269,7 @@ def cmd_train(args) -> int:
     )
     model_config = ModelConfig(
         vocab_size=1, d_model=args.d_model, n_layers=args.layers,
-        n_heads=args.heads, dropout=args.dropout, max_positions=args.budget,
+        n_heads=args.heads, max_positions=args.budget,
         seed=args.seed,
     )
     checkpoint, history = train(corpus, tables, train_config,
@@ -492,7 +492,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--d-model", type=int, default=128)
     sub.add_argument("--layers", type=int, default=2)
     sub.add_argument("--heads", type=int, default=4)
-    sub.add_argument("--dropout", type=float, default=0.0)
 
     sub = add("eval", cmd_eval, help="evaluate a checkpoint")
     _add_common_io(sub, data=True)

@@ -30,18 +30,19 @@ from .sketch import AggOp, CondOp, Condition, SqlSketch, TableSchema
 from .vocab import Vocab
 
 
+FFN_MULT = 4  # the FFN is FFN_MULT * d_model wide
+INIT_STD = 0.02  # weight std; embedding tables are N(0, 1)
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     vocab_size: int
     d_model: int = 128
     n_layers: int = 2
     n_heads: int = 4
-    ffn_dim: int = 0  # 0 -> 4 * d_model
     max_positions: int = 512
     max_conds: int = 4
     max_span_len: int = 16
-    dropout: float = 0.0
-    init_scale: float = 0.02  # weight std; embedding tables are N(0, 1)
     seed: int = 0
 
     def __post_init__(self):
@@ -50,12 +51,6 @@ class ModelConfig:
         if min(self.vocab_size, self.d_model, self.n_layers, self.n_heads,
                self.max_positions, self.max_conds, self.max_span_len) < 1:
             raise ValueError("all ModelConfig dimensions must be >= 1")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
-
-    @property
-    def ffn(self) -> int:
-        return self.ffn_dim or 4 * self.d_model
 
 
 N_AGG = len(AggOp)
@@ -64,18 +59,18 @@ N_OPS = len(CondOp)
 
 def init_params(cfg: ModelConfig) -> dict[str, np.ndarray]:
     rng = np.random.default_rng(cfg.seed)
-    d, f = cfg.d_model, cfg.ffn
+    d, f = cfg.d_model, FFN_MULT * cfg.d_model
     p: dict[str, np.ndarray] = {}
 
     def w(name, *shape):
-        p[name] = rng.normal(0.0, cfg.init_scale, size=shape)
+        p[name] = rng.normal(0.0, INIT_STD, size=shape)
 
     def zeros(name, *shape):
         p[name] = np.zeros(shape)
 
     # Embeddings are unit variance so the pre-norm residual stream starts at
     # unit scale: each LayerNorm scales its input gradient by about 1/sigma,
-    # and at init_scale the stream's sigma of ~0.035 would blow gradients up
+    # and at INIT_STD the stream's sigma of ~0.035 would blow gradients up
     # ~30x and leave each Adam step large against the 0.02-sized entries.
     p["tok_emb"] = rng.normal(0.0, 1.0, size=(cfg.vocab_size, d))
     p["pos_emb"] = rng.normal(0.0, 1.0, size=(cfg.max_positions, d))
@@ -239,17 +234,14 @@ class EncoderOutput:
     question_vecs: np.ndarray  # (m, d)
 
 
-def encode(feats: Features, params: dict, cfg: ModelConfig,
-           dropout_rng: np.random.Generator | None = None):
+def encode(feats: Features, params: dict, cfg: ModelConfig):
     """Run the encoder; returns (EncoderOutput, cache for backward).
 
     Every layer but the last runs over all n tokens. The heads read only
     the question rows and the header runs (``Features.read_rows``), so the
     last layer computes keys and values over all n rows but its queries,
     attention output, residual, FFN and ``ln_f`` at those r rows alone; the
-    other tokens reach the heads only as context. Dropout masks are drawn
-    at full (n, d) and then indexed, so the random stream does not depend
-    on r.
+    other tokens reach the heads only as context.
 
     The output's arrays are fresh. The cache points into ``netops.WORKSPACE``,
     so it is valid only until the next call.
@@ -263,20 +255,6 @@ def encode(feats: Features, params: dict, cfg: ModelConfig,
     np.take(params["tok_emb"], feats.ids, axis=0, out=x)
     x += params["pos_emb"][:n]
     x += np.take(params["seg_emb"], feats.segments, axis=0, out=seg)
-    drop_p = cfg.dropout if dropout_rng is not None else 0.0
-    masks = []
-
-    def dropout(t, rows=None):
-        if drop_p <= 0.0:
-            masks.append(None)
-            return t
-        mask = (dropout_rng.random((n, t.shape[1])) >= drop_p) / (1.0 - drop_p)
-        if rows is not None:
-            mask = mask[rows]
-        masks.append(mask)
-        return t * mask
-
-    x = dropout(x)
     layer_caches = []
     for i in range(cfg.n_layers):
         pre = f"enc{i}."
@@ -294,7 +272,7 @@ def encode(feats: Features, params: dict, cfg: ModelConfig,
         if rows is not None:
             (read,) = nn.WORKSPACE.take("residual.read", a_out.shape)
             x = np.take(x, rows, axis=0, out=read)
-        x += dropout(a_out, rows)
+        x += a_out
         f_in, ln2_cache = nn.layernorm_fwd(x, params[pre + "ln2.g"], params[pre + "ln2.b"],
                                            slot=pre + "ln2")
         h1, lin1_cache = nn.linear_fwd(f_in, params[pre + "ffn.w1"], params[pre + "ffn.b1"],
@@ -302,7 +280,7 @@ def encode(feats: Features, params: dict, cfg: ModelConfig,
         h2, gelu_cache = nn.gelu_fwd(h1, slot=pre + "gelu")
         f_out, lin2_cache = nn.linear_fwd(h2, params[pre + "ffn.w2"], params[pre + "ffn.b2"],
                                           slot=pre + "ffn2")
-        x += dropout(f_out, rows)
+        x += f_out
         layer_caches.append((ln1_cache, attn_cache, ln2_cache,
                              lin1_cache, gelu_cache, lin2_cache))
     hidden, lnf_cache = nn.layernorm_fwd(x, params["ln_f.g"], params["ln_f.b"], slot="ln_f")
@@ -313,7 +291,7 @@ def encode(feats: Features, params: dict, cfg: ModelConfig,
     question_vecs = hidden[:len(feats.question_spans)]
 
     enc = EncoderOutput(hidden, header_vecs, question_vecs)
-    cache = (feats, layer_caches, lnf_cache, masks, generation)
+    cache = (feats, layer_caches, lnf_cache, generation)
     return enc, cache
 
 
@@ -390,15 +368,9 @@ def encode_bwd(dhidden: np.ndarray, params: dict, cfg: ModelConfig, cache,
     positions and segments the example uses are added to. Raises ValueError
     when ``encode`` has run again since ``cache`` was made.
     """
-    feats, layer_caches, lnf_cache, masks, generation = cache
+    feats, layer_caches, lnf_cache, generation = cache
     if generation != nn.WORKSPACE.generation:
         raise ValueError("stale encoder cache: encode has run since it was made")
-
-    mask_iter = iter(reversed(masks))
-
-    def undrop(dt):
-        mask = next(mask_iter)
-        return dt if mask is None else dt * mask
 
     dx, dg, db = nn.layernorm_bwd(dhidden, lnf_cache, slot="ln_f")
     _acc(grads, "ln_f.g", dg)
@@ -407,8 +379,7 @@ def encode_bwd(dhidden: np.ndarray, params: dict, cfg: ModelConfig, cache,
         pre = f"enc{i}."
         ln1_cache, attn_cache, ln2_cache, lin1_cache, gelu_cache, lin2_cache = \
             layer_caches[i]
-        df_out = undrop(dx)
-        dh2, dw2, db2 = nn.linear_bwd(df_out, lin2_cache, slot=pre + "ffn2")
+        dh2, dw2, db2 = nn.linear_bwd(dx, lin2_cache, slot=pre + "ffn2")
         _acc(grads, pre + "ffn.w2", dw2)
         _acc(grads, pre + "ffn.b2", db2)
         dh1 = nn.gelu_bwd(dh2, gelu_cache, slot=pre + "gelu")
@@ -419,8 +390,7 @@ def encode_bwd(dhidden: np.ndarray, params: dict, cfg: ModelConfig, cache,
         _acc(grads, pre + "ln2.g", dg2)
         _acc(grads, pre + "ln2.b", db2n)
         dx += dres
-        da_out = undrop(dx)
-        da_in, attn_grads = nn.attention_bwd(da_out, attn_cache, slot=pre + "attn")
+        da_in, attn_grads = nn.attention_bwd(dx, attn_cache, slot=pre + "attn")
         for name, g in attn_grads.items():
             _acc(grads, pre + "attn." + name, g)
         dres, dg1, db1n = nn.layernorm_bwd(da_in, ln1_cache, slot=pre + "ln1")
@@ -431,7 +401,6 @@ def encode_bwd(dhidden: np.ndarray, params: dict, cfg: ModelConfig, cache,
         else:  # the last layer's residual carried the read rows only
             dres[feats.read_rows] += dx
             dx = dres
-    dx = undrop(dx)
 
     _acc_embedding(grads, "tok_emb", params, feats.ids, dx)
     grads.add_rows("pos_emb", params["pos_emb"], slice(0, len(feats.ids)), dx)
@@ -627,9 +596,9 @@ def heads_bwd(dlogits: dict, params: dict, cache: dict, grads: dict):
                          dhc, dq, grads)
 
     # where-value span heads
-    for prefix, key in (("wvs", "wvs"), ("wve", "wve")):
-        dspan = dlogits[key]  # (C, m)
-        t = cache[key]  # (C, m, d)
+    for prefix in ("wvs", "wve"):
+        dspan = dlogits[prefix]  # (C, m)
+        t = cache[prefix]  # (C, m, d)
         _acc(grads, prefix + ".w", (t * dspan[:, :, None]).sum(axis=(0, 1)))
         dt = dspan[:, :, None] * params[prefix + ".w"] * (1.0 - t * t)
         _acc(grads, prefix + ".b", dt.sum(axis=(0, 1)))
@@ -704,9 +673,7 @@ def example_loss(params: dict, cfg: ModelConfig, feats: Features,
 
 
 def example_loss_and_grads(params: dict, cfg: ModelConfig, feats: Features,
-                           target: Target,
-                           dropout_rng: np.random.Generator | None = None,
-                           grads: Gradients | None = None):
+                           target: Target, grads: Gradients | None = None):
     """Loss, per-task breakdown, and gradients for one example.
 
     The gradients are added into ``grads`` (fresh when None), which is
@@ -715,7 +682,7 @@ def example_loss_and_grads(params: dict, cfg: ModelConfig, feats: Features,
     in place. The embedding blocks are touched only at the rows the example
     uses.
     """
-    enc, enc_cache = encode(feats, params, cfg, dropout_rng=dropout_rng)
+    enc, enc_cache = encode(feats, params, cfg)
     heads, head_cache = predict_heads(enc, params, cfg, sel_override=target.sel)
     loss, breakdown, dlogits = loss_from_heads(heads, target)
 
@@ -728,9 +695,6 @@ def example_loss_and_grads(params: dict, cfg: ModelConfig, feats: Features,
     for (start, end), dh in zip(feats.read_header_spans(), dhc):
         dhidden[start:end] += dh / (end - start)
     encode_bwd(dhidden, params, cfg, enc_cache, grads)
-    for name, value in params.items():
-        if name not in grads:
-            grads[name] = np.zeros_like(value)
     return float(loss), breakdown, grads
 
 
@@ -790,6 +754,9 @@ def decode_sketch(heads: HeadOutputs, schema: TableSchema, question: str,
 
 _MAGIC = b"NLSQLCK1"
 CHECKPOINT_VERSION = 1
+# Config keys that older checkpoints carry and inference never read: the
+# FFN width and weight std are constants now, and dropout is gone.
+_RETIRED_CONFIG_KEYS = ("ffn_dim", "dropout", "init_scale")
 
 
 @dataclass
@@ -864,7 +831,11 @@ def _read_checkpoint(handle) -> Checkpoint:
         raise ValueError("header is not a JSON object")
     if header.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {header.get('version')!r}")
-    config = ModelConfig(**header["config"])
+    fields = header["config"]
+    if not isinstance(fields, dict):
+        raise ValueError("config is not a JSON object")
+    config = ModelConfig(**{key: value for key, value in fields.items()
+                            if key not in _RETIRED_CONFIG_KEYS})
     vocab = Vocab(header["vocab"])
     payload_start = handle.tell()
     params = {}

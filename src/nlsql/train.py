@@ -130,9 +130,6 @@ class TrainConfig:
     lr: float = 1e-3
     encoder_lr: float | None = None  # optional separate encoder group rate
     clip_norm: float = 1.0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     strategy: str = "rand"
     k: int = 3
     budget: int = 512
@@ -150,6 +147,12 @@ class TrainConfig:
             raise ValueError("epochs and batch_size must be >= 1")
         if self.lr < 0 or (self.encoder_lr is not None and self.encoder_lr < 0):
             raise ValueError("learning rates must be >= 0")
+
+
+# Adam's moment decays and epsilon, Kingma & Ba's defaults
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 def _is_encoder_param(name: str) -> bool:
@@ -185,8 +188,8 @@ class AdamState:
         no gradient afterwards.
         """
         self.t += 1
-        bias1 = 1.0 - cfg.beta1 ** self.t
-        bias2 = 1.0 - cfg.beta2 ** self.t
+        bias1 = 1.0 - ADAM_BETA1 ** self.t
+        bias2 = 1.0 - ADAM_BETA2 ** self.t
         for name, g in grads.items():
             lr = cfg.lr
             if cfg.encoder_lr is not None and _is_encoder_param(name):
@@ -197,16 +200,16 @@ class AdamState:
             p, m, v = params[name][rows], self.m[name][rows], self.v[name][rows]
             g = g[rows]
             s = self.scratch[:g.size].reshape(g.shape)
-            np.multiply(g, 1 - cfg.beta2, out=s)  # v = b2*v + ((1-b2)*g)*g
+            np.multiply(g, 1 - ADAM_BETA2, out=s)  # v = b2*v + ((1-b2)*g)*g
             s *= g
-            v *= cfg.beta2
+            v *= ADAM_BETA2
             v += s
-            g *= 1 - cfg.beta1  # m = b1*m + (1-b1)*g
-            m *= cfg.beta1
+            g *= 1 - ADAM_BETA1  # m = b1*m + (1-b1)*g
+            m *= ADAM_BETA1
             m += g
             np.divide(v, bias2, out=s)  # s = sqrt(v_hat) + eps
             np.sqrt(s, out=s)
-            s += cfg.adam_eps
+            s += ADAM_EPS
             np.divide(m, bias1, out=g)  # p -= (lr*m_hat) / s
             g *= lr
             g /= s
@@ -287,10 +290,6 @@ def train(corpus: Corpus, tables: dict[str, Table], config: TrainConfig,
     adam = AdamState(params)
     grads = Gradients()
     history: list[dict] = []
-    dropout_rng = (
-        np.random.default_rng(model_config.seed + 1)
-        if model_config.dropout > 0 else None
-    )
 
     for epoch in range(config.epochs):
         order = list(range(len(prepared)))
@@ -305,9 +304,7 @@ def train(corpus: Corpus, tables: dict[str, Table], config: TrainConfig,
             for idx in batch:
                 feats, target = prepared[idx]
                 loss, breakdown, _ = example_loss_and_grads(
-                    params, model_config, feats, target,
-                    dropout_rng=dropout_rng, grads=grads,
-                )
+                    params, model_config, feats, target, grads=grads)
                 epoch_loss += loss
                 epoch_breakdown.update(breakdown)
             for name, g in grads.items():

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from collections import Counter
 
-import numpy as np
-
 from .serialize import CLS, HEADER_DELIM, SAMPLE_DELIM, SEP, token_texts
 
 PAD = "[PAD]"
@@ -44,8 +42,7 @@ class Vocab:
             for header in table.schema.headers:
                 counts.update(token_texts(header))
             for column in table.columns:
-                rows = np.bincount(column.codes, minlength=len(column.codebook))
-                for cell, n in zip(column.codebook, rows.tolist()):
+                for cell, n in zip(column.codebook, column.counts.tolist()):
                     for token in token_texts(cell):
                         counts[token] += n
         for special in SPECIALS:

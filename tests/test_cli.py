@@ -482,10 +482,10 @@ def _pad_vocab(header, config_too=False):
     lambda path: _edit_header(path, lambda header: _pad_vocab(header, True)),
     lambda path: _edit_header(
         path, lambda header: header["config"].update(max_positions=129)),
-    lambda path: _edit_header(path, lambda header: header["config"].update(dropout=1)),
+    lambda path: _edit_header(path, lambda header: header.update(config=[1])),
 ], ids=["no-tensors", "unknown-config-key", "header-not-utf8",
         "vocab-vs-config", "vocab-vs-tok-emb", "max-positions-vs-pos-emb",
-        "dropout-out-of-range"])
+        "config-not-an-object"])
 def test_eval_on_a_malformed_checkpoint_header_is_an_error(workspace, capsys,
                                                            damage):
     data, tables = synth(workspace)
@@ -496,6 +496,22 @@ def test_eval_on_a_malformed_checkpoint_header_is_an_error(workspace, capsys,
                "--ckpt", str(ckpt)) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {ckpt}: ") and "Traceback" not in err
+
+
+def test_eval_loads_a_checkpoint_with_retired_config_keys(workspace):
+    # Checkpoints written before the FFN width, the weight std and dropout
+    # became constants carry them in their config.
+    data, tables = synth(workspace)
+    ckpt = train_small(workspace, data, tables)
+    report = workspace / "eval.json"
+    argv = ("eval", "--data", str(data), "--tables", str(tables),
+            "--ckpt", str(ckpt), "--out", str(report))
+    assert run(*argv) == 0
+    before = report.with_suffix(".predictions.jsonl").read_bytes()
+    _edit_header(ckpt, lambda header: header["config"].update(
+        ffn_dim=0, dropout=0.0, init_scale=0.02))
+    assert run(*argv) == 0
+    assert report.with_suffix(".predictions.jsonl").read_bytes() == before
 
 
 def test_serving_strategy_defaults_to_checkpoint(workspace, capsys, monkeypatch):
@@ -548,19 +564,6 @@ def test_augment_non_utf8_replacement_line_names_file_and_line(workspace, capsys
     err = capsys.readouterr().err
     assert err.startswith(f"error: {replacements}:2: 'utf-8' codec can't decode")
     assert "Traceback" not in err
-
-
-@pytest.mark.parametrize("dropout", ["1.0", "1.5", "-0.1"])
-def test_train_rejects_dropout_outside_zero_to_one(workspace, capsys, dropout):
-    data, tables = synth(workspace)
-    ckpt = workspace / "model.ckpt"
-    capsys.readouterr()
-    assert run("train", "--data", str(data), "--tables", str(tables),
-               "--out", str(ckpt), "--epochs", "1", "--d-model", "16",
-               "--layers", "1", "--heads", "2", "--dropout", dropout) == 1
-    assert capsys.readouterr().err \
-        == f"error: dropout must be in [0, 1), got {float(dropout)}\n"
-    assert not ckpt.exists()
 
 
 def test_augment_unknown_operator_names_file_and_line(workspace, capsys):

@@ -98,7 +98,7 @@ def test_residual_stream_starts_at_unit_scale(setup):
     # gradient that flows back through it.
     cfg, _, feats, *_ = setup
     default = ModelConfig(vocab_size=cfg.vocab_size)
-    _, (_, layer_caches, _, _, _) = encode(feats, init_params(default), default)
+    _, (_, layer_caches, _, _) = encode(feats, init_params(default), default)
     _, inv, _ = layer_caches[0][0]  # enc0.ln1: inv = 1 / per-token std
     token_std = 1.0 / inv.ravel()
     assert np.all((token_std >= 0.5) & (token_std <= 3.0)), token_std
@@ -226,9 +226,7 @@ def test_gradients_match_finite_differences_spot(setup):
             assert abs(an - fd) <= 1e-4 * max(abs(an), abs(fd), 1e-3), name
 
 
-@pytest.mark.parametrize("dropout", [0.0, 0.3])
-def test_batch_accumulation_equals_sum_of_example_gradients(motogp_table,
-                                                            dropout):
+def test_batch_accumulation_equals_sum_of_example_gradients(motogp_table):
     questions = [
         ("laps of derbi rider with grid 20 and laps over 1",
          SqlSketch(2, AggOp.NONE, (Condition(1, CondOp.EQ, "derbi"),))),
@@ -241,7 +239,7 @@ def test_batch_accumulation_equals_sum_of_example_gradients(motogp_table,
     tables = {motogp_table.table_id: motogp_table}
     vocab = Vocab.build(Corpus(examples), tables)
     cfg = ModelConfig(vocab_size=len(vocab), d_model=16, n_layers=2,
-                      n_heads=2, dropout=dropout, seed=3)
+                      n_heads=2, seed=3)
     params = init_params(cfg)
     samples = sample_random(motogp_table, 2, seed=0)
     prepared = []
@@ -257,25 +255,18 @@ def test_batch_accumulation_equals_sum_of_example_gradients(motogp_table,
     shared = set(ids[0]) & set(ids[1]) & set(ids[2])
     assert vocab.index["rider"] in shared and vocab.index["grid"] in shared
 
-    def rng():
-        return np.random.default_rng(11) if dropout else None
-
-    fresh_rng = rng()
     expected: dict = {}
     for feats, target in prepared:
-        _, _, grads = example_loss_and_grads(params, cfg, feats, target,
-                                             dropout_rng=fresh_rng)
+        _, _, grads = example_loss_and_grads(params, cfg, feats, target)
         for name, g in grads.items():
             if name in expected:
                 expected[name] += g
             else:
                 expected[name] = g
 
-    batch_rng = rng()
     batch = Gradients()
     for feats, target in prepared:
         _, _, returned = example_loss_and_grads(params, cfg, feats, target,
-                                                dropout_rng=batch_rng,
                                                 grads=batch)
         assert returned is batch
     assert list(batch) == list(expected)  # clipping sums the norm in this order

@@ -1,5 +1,6 @@
 """Every top-level function, class and method in ``src/nlsql`` has a caller,
-and every dataclass field a reader.
+every dataclass field a reader, and every model and training setting a
+caller that sets it.
 
 A name counts as used when it appears, other than in its own ``def`` or
 ``class`` statement, as a name, a read attribute, an imported name or a
@@ -7,6 +8,11 @@ string (``setattr``-style patching) in ``src/``, ``perfbench/`` or
 ``scripts/``. A field counts as read only as a read attribute or a string:
 one that is only set, by keyword or by assignment, is dead. Tests do not
 count: code that only a test calls is dead.
+
+A setting, a field of ``ModelConfig`` or ``TrainConfig``, counts as set
+when it is passed by keyword to one of those classes or to
+``dataclasses.replace`` in the same trees. A setting that no command,
+script or benchmark sets is a constant, and belongs in its module as one.
 """
 
 import ast
@@ -25,6 +31,17 @@ ALLOWED = {
 ALLOWED_FIELDS = {
     # Written to bench.json through BenchRow.to_dict's ``__dict__``.
     "BenchRow.n_queries",
+}
+
+SETTINGS = ("ModelConfig", "TrainConfig")
+
+ALLOWED_SETTINGS = {
+    # perfbench reads it as an attribute (make_target's limit) and sets none.
+    "ModelConfig.max_conds",
+    # perfbench reads it as an attribute (decode_sketch's limit) and sets none.
+    "ModelConfig.max_span_len",
+    # perfbench reads it as an attribute (Vocab.build's cap) and sets none.
+    "TrainConfig.vocab_max_size",
 }
 
 
@@ -62,24 +79,42 @@ def _fields():
                         yield path.name, f"{node.name}.{name}", name
 
 
+def _searched_nodes():
+    """Every AST node of every Python file in the searched trees."""
+    for directory in SEARCHED:
+        for path in (ROOT / directory).rglob("*.py"):
+            yield from ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+
+
 def _references(fields: bool = False) -> set[str]:
     """Every name read in the searched trees; with ``fields``, only read
     attributes and strings, the two ways a dataclass field is read."""
     names = set()
-    for directory in SEARCHED:
-        for path in (ROOT / directory).rglob("*.py"):
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-                if isinstance(node, ast.Attribute) \
-                        and not isinstance(node.ctx, ast.Store):
-                    names.add(node.attr)
-                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                    names.add(node.value)
-                elif fields:
-                    continue
-                elif isinstance(node, ast.Name):
-                    names.add(node.id)
-                elif isinstance(node, ast.alias):
-                    names.add(node.name.rpartition(".")[2])
+    for node in _searched_nodes():
+        if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+            names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+        elif fields:
+            continue
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rpartition(".")[2])
+    return names
+
+
+def _set_settings() -> set[str]:
+    """Every keyword passed to a settings class or to ``replace`` in the
+    searched trees."""
+    names = set()
+    for node in _searched_nodes():
+        if isinstance(node, ast.Call):
+            func = node.func
+            callee = func.id if isinstance(func, ast.Name) \
+                else func.attr if isinstance(func, ast.Attribute) else None
+            if callee in (*SETTINGS, "replace"):
+                names.update(keyword.arg for keyword in node.keywords)
     return names
 
 
@@ -98,7 +133,17 @@ def test_every_dataclass_field_is_read():
     assert unread == []
 
 
+def test_every_setting_is_set_by_a_caller():
+    set_somewhere = _set_settings()
+    unset = [f"{file}: {qualified}" for file, qualified, name in _fields()
+             if qualified.partition(".")[0] in SETTINGS
+             and name not in set_somewhere and qualified not in ALLOWED_SETTINGS]
+    assert unset == []
+
+
 def test_allowlist_names_only_live_definitions():
     defined = {name for _, _, name in _definitions()}
     assert ALLOWED <= defined
     assert ALLOWED_FIELDS <= {qualified for _, qualified, _ in _fields()}
+    assert ALLOWED_SETTINGS <= {qualified for _, qualified, _ in _fields()
+                                if qualified.partition(".")[0] in SETTINGS}

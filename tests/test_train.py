@@ -163,17 +163,18 @@ def test_training_drops_unalignable_examples(tiny_setup):
 
 
 def _textbook_adam_step(params, m, v, t, grads, cfg):
-    bias1 = 1.0 - cfg.beta1 ** t
-    bias2 = 1.0 - cfg.beta2 ** t
+    beta1, beta2, eps = 0.9, 0.999, 1e-8  # Kingma & Ba's defaults
+    bias1 = 1.0 - beta1 ** t
+    bias2 = 1.0 - beta2 ** t
     for name, g in grads.items():
-        m[name] = cfg.beta1 * m[name] + (1 - cfg.beta1) * g
-        v[name] = cfg.beta2 * v[name] + (1 - cfg.beta2) * g * g
+        m[name] = beta1 * m[name] + (1 - beta1) * g
+        v[name] = beta2 * v[name] + (1 - beta2) * g * g
         m_hat = m[name] / bias1
         v_hat = v[name] / bias2
         lr = cfg.lr
         if cfg.encoder_lr is not None and name.startswith(("tok_emb", "enc")):
             lr = cfg.encoder_lr
-        params[name] = params[name] - lr * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+        params[name] = params[name] - lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
 @pytest.mark.parametrize("encoder_lr", [None, 3e-4])
