@@ -114,8 +114,8 @@ class AugmentConfig:
     def __post_init__(self):
         if not 0.0 <= self.symbol_substitution_probability <= 1.0:
             raise ValueError("symbol_substitution_probability must be in [0, 1]")
-        if not 0.0 <= self.mix_ratio:
-            raise ValueError("mix_ratio must be >= 0")
+        if not 0.0 <= self.mix_ratio < float("inf"):
+            raise ValueError("mix_ratio must be finite and >= 0")
         if self.variants_per_example < 0:
             raise ValueError("variants_per_example must be >= 0")
 

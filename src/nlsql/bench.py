@@ -15,7 +15,7 @@ import time
 import tracemalloc
 from dataclasses import dataclass, field
 
-from .serialize import serialize_input, tokenize
+from .serialize import DEFAULT_BUDGET, serialize_input, tokenize
 from .sketch import Table
 from .train import Sampler
 from .util import child_rng
@@ -86,7 +86,7 @@ def _make_queries(table: Table, n_queries: int, seed: int) -> list[str]:
 
 def bench_sampling(tables: list[Table], strategy: str, k: int,
                    n_queries: int = 100, seed: int = 0,
-                   budget: int = 512) -> BenchReport:
+                   budget: int = DEFAULT_BUDGET) -> BenchReport:
     """Measure setup cost and median per-query latency over a table ladder."""
     report = BenchReport(strategy=strategy, k=k)
     for table in tables:

@@ -84,7 +84,7 @@ def write_manifest(args, directory: Path, started: float,
         if key == "func":
             continue
         snapshot[key] = str(value) if isinstance(value, Path) else value
-        if key in ("data", "tables", "ckpt", "dev", "replacements", "config") \
+        if key in ("data", "tables", "ckpt", "replacements", "config") \
                 and value and Path(str(value)).is_file():
             inputs[str(value)] = _digest(value)
     manifest = {
@@ -252,7 +252,6 @@ def cmd_serialize(args) -> int:
 def cmd_train(args) -> int:
     started = time.time()
     corpus, tables = _load_pair(args)
-    dev_corpus = load_examples(args.dev) if args.dev else None
     strategy, k = _strategy(args)
     augment_config = None
     if args.augment:
@@ -261,11 +260,8 @@ def cmd_train(args) -> int:
                                        seed=args.seed)
     train_config = TrainConfig(
         epochs=args.epochs, batch_size=args.batch_size, lr=args.lr,
-        encoder_lr=args.encoder_lr, clip_norm=args.clip_norm,
-        strategy=strategy, k=k, budget=args.budget,
-        augment=augment_config, seed=args.seed,
-        checkpoint_every=args.checkpoint_every,
-        stop_loss=args.stop_loss,
+        clip_norm=args.clip_norm, strategy=strategy, k=k, budget=args.budget,
+        augment=augment_config, seed=args.seed, stop_loss=args.stop_loss,
     )
     model_config = ModelConfig(
         vocab_size=1, d_model=args.d_model, n_layers=args.layers,
@@ -273,7 +269,7 @@ def cmd_train(args) -> int:
         seed=args.seed,
     )
     checkpoint, history = train(corpus, tables, train_config,
-                                model_config=model_config, dev_corpus=dev_corpus)
+                                model_config=model_config)
     ckpt_path = _out_path(args, "model.ckpt")
     save_checkpoint(ckpt_path, checkpoint)
     history_path = ckpt_path.with_suffix(".history.json")
@@ -448,9 +444,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = add("augment", cmd_augment, help="blend synthesized question variants")
     _add_common_io(sub, data=True)
     sub.add_argument("--out", help="output examples jsonl")
-    sub.add_argument("--variants", type=int, default=8)
-    sub.add_argument("--mix-ratio", type=float, default=0.5)
-    sub.add_argument("--symbol-prob", type=float, default=0.5)
+    sub.add_argument("--variants", type=int,
+                     default=AugmentConfig.variants_per_example)
+    sub.add_argument("--mix-ratio", type=float, default=AugmentConfig.mix_ratio)
+    sub.add_argument("--symbol-prob", type=float,
+                     default=AugmentConfig.symbol_substitution_probability)
     sub.add_argument("--replacements", help="pattern<TAB>op<TAB>symbol file")
 
     sub = add("index", cmd_index, help="build and report a content index")
@@ -473,25 +471,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = add("train", cmd_train, help="train a model")
     _add_common_io(sub, data=True)
-    sub.add_argument("--dev", help="dev examples jsonl")
     sub.add_argument("--out", help="checkpoint path")
-    sub.add_argument("--epochs", type=int, default=50)
-    sub.add_argument("--batch-size", type=int, default=16)
-    sub.add_argument("--lr", type=float, default=1e-3)
-    sub.add_argument("--encoder-lr", type=float, default=None)
-    sub.add_argument("--clip-norm", type=float, default=1.0)
+    sub.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    sub.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    sub.add_argument("--lr", type=float, default=TrainConfig.lr)
+    sub.add_argument("--clip-norm", type=float, default=TrainConfig.clip_norm,
+                     help="0 turns clipping off")
     _add_strategy(sub, "rand")
     sub.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     sub.add_argument("--augment", action="store_true",
                      help="blend synthesized variants into training data")
-    sub.add_argument("--mix-ratio", type=float, default=0.5)
-    sub.add_argument("--symbol-prob", type=float, default=0.5)
-    sub.add_argument("--checkpoint-every", type=int, default=0)
+    sub.add_argument("--mix-ratio", type=float, default=AugmentConfig.mix_ratio)
+    sub.add_argument("--symbol-prob", type=float,
+                     default=AugmentConfig.symbol_substitution_probability)
     sub.add_argument("--stop-loss", type=float, default=None,
                      help="stop once epoch-mean loss reaches this value")
-    sub.add_argument("--d-model", type=int, default=128)
-    sub.add_argument("--layers", type=int, default=2)
-    sub.add_argument("--heads", type=int, default=4)
+    sub.add_argument("--d-model", type=int, default=ModelConfig.d_model)
+    sub.add_argument("--layers", type=int, default=ModelConfig.n_layers)
+    sub.add_argument("--heads", type=int, default=ModelConfig.n_heads)
 
     sub = add("eval", cmd_eval, help="evaluate a checkpoint")
     _add_common_io(sub, data=True)

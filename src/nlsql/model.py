@@ -25,13 +25,14 @@ from itertools import groupby
 import numpy as np
 
 from . import netops as nn
-from .serialize import N_SEGMENTS, SEG_HEADER, SerializedInput, token_texts
-from .sketch import AggOp, CondOp, Condition, SqlSketch, TableSchema
+from .serialize import DEFAULT_BUDGET, N_SEGMENTS, SEG_HEADER, SerializedInput, token_texts
+from .sketch import MAX_CONDS, AggOp, CondOp, Condition, SqlSketch, TableSchema
 from .vocab import Vocab
 
 
 FFN_MULT = 4  # the FFN is FFN_MULT * d_model wide
 INIT_STD = 0.02  # weight std; embedding tables are N(0, 1)
+MAX_SPAN_LEN = 16  # the longest where-value span, in question tokens
 
 
 @dataclass(frozen=True)
@@ -40,17 +41,18 @@ class ModelConfig:
     d_model: int = 128
     n_layers: int = 2
     n_heads: int = 4
-    max_positions: int = 512
-    max_conds: int = 4
-    max_span_len: int = 16
+    max_positions: int = DEFAULT_BUDGET
     seed: int = 0
+    # Fixed limits; unannotated, so no constructor or checkpoint takes them.
+    max_conds = MAX_CONDS
+    max_span_len = MAX_SPAN_LEN
 
     def __post_init__(self):
+        if min(self.vocab_size, self.d_model, self.n_layers, self.n_heads,
+               self.max_positions) < 1:
+            raise ValueError("all ModelConfig dimensions must be >= 1")
         if self.d_model % self.n_heads:
             raise ValueError("d_model must be divisible by n_heads")
-        if min(self.vocab_size, self.d_model, self.n_layers, self.n_heads,
-               self.max_positions, self.max_conds, self.max_span_len) < 1:
-            raise ValueError("all ModelConfig dimensions must be >= 1")
 
 
 N_AGG = len(AggOp)
@@ -106,8 +108,8 @@ def init_params(cfg: ModelConfig) -> dict[str, np.ndarray]:
     w("wnum.u", d)
     w("wnum.w1", d, d)
     zeros("wnum.b1", d)
-    w("wnum.w2", d, cfg.max_conds + 1)
-    zeros("wnum.b2", cfg.max_conds + 1)
+    w("wnum.w2", d, MAX_CONDS + 1)
+    zeros("wnum.b2", MAX_CONDS + 1)
     w("wop.att_w", d, d)
     w("wop.u", d, d)
     w("wop.v", d, d)
@@ -703,7 +705,7 @@ def example_loss_and_grads(params: dict, cfg: ModelConfig, feats: Features,
 
 
 def decode_sketch(heads: HeadOutputs, schema: TableSchema, question: str,
-                  question_spans, max_span_len: int = 16) -> SqlSketch:
+                  question_spans, max_span_len: int = MAX_SPAN_LEN) -> SqlSketch:
     """Turn head scores into a sketch.
 
     select/agg/where-count by argmax; where columns are the top-n
@@ -754,9 +756,10 @@ def decode_sketch(heads: HeadOutputs, schema: TableSchema, question: str,
 
 _MAGIC = b"NLSQLCK1"
 CHECKPOINT_VERSION = 1
-# Config keys that older checkpoints carry and inference never read: the
-# FFN width and weight std are constants now, and dropout is gone.
-_RETIRED_CONFIG_KEYS = ("ffn_dim", "dropout", "init_scale")
+# Config keys that older checkpoints carry and inference never read: each is
+# a constant now, at the value every checkpoint written held, or is gone.
+_RETIRED_CONFIG_KEYS = ("ffn_dim", "dropout", "init_scale", "max_conds",
+                        "max_span_len")
 
 
 @dataclass

@@ -1,9 +1,9 @@
 """Training loop, metric computation, and strategy comparison.
 
-Training runs mini-batch Adam over the summed head losses with optional
-gradient clipping and an optional separate learning rate for the encoder
-block. Examples whose gold where-value has no span in the question are
-dropped from training (and counted); evaluation keeps every example.
+Training runs mini-batch Adam, at one learning rate for every block, over
+the summed head losses with optional gradient clipping. Examples whose gold
+where-value has no span in the question are dropped from training (and
+counted); evaluation keeps every example.
 
 Sampling strategies are named none / rand / rel / em1 here and on the CLI;
 "rand:k" samples are drawn once per table and shared across questions.
@@ -42,10 +42,10 @@ from .sampling import (
     sample_random,
     sample_relevance,
 )
-from .serialize import BudgetError, serialize_input, tokenize
-from .sketch import SqlSketch, Table, lf_equal, render_sql
+from .serialize import DEFAULT_BUDGET, BudgetError, serialize_input, tokenize
+from .sketch import MAX_CONDS, SqlSketch, Table, lf_equal, render_sql
 from .util import child_rng, normalize_value
-from .vocab import Vocab
+from .vocab import VOCAB_MAX_SIZE, Vocab
 
 logger = logging.getLogger(__name__)
 
@@ -120,7 +120,7 @@ def predict(checkpoint: Checkpoint, sampler: Sampler, table: Table,
     enc, _ = encode(feats, checkpoint.params, cfg)
     heads, _ = predict_heads(enc, checkpoint.params, cfg)
     return decode_sketch(heads, table.schema, feats.question,
-                         feats.question_spans, cfg.max_span_len)
+                         feats.question_spans)
 
 
 @dataclass(frozen=True)
@@ -128,35 +128,30 @@ class TrainConfig:
     epochs: int = 50
     batch_size: int = 16
     lr: float = 1e-3
-    encoder_lr: float | None = None  # optional separate encoder group rate
-    clip_norm: float = 1.0
+    clip_norm: float = 1.0  # 0 turns clipping off
     strategy: str = "rand"
     k: int = 3
-    budget: int = 512
+    budget: int = DEFAULT_BUDGET
     augment: AugmentConfig | None = None
     seed: int = 0
-    checkpoint_every: int = 0  # epochs between dev evals/checkpoints; 0 = end only
-    vocab_max_size: int = 30_000
     # stop once the epoch-mean loss reaches this value; None trains all epochs.
     # Comparisons between models should share one threshold so nobody trains
     # deep into memorization.
     stop_loss: float | None = None
+    vocab_max_size = VOCAB_MAX_SIZE  # unannotated, so not a field
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
-        if self.lr < 0 or (self.encoder_lr is not None and self.encoder_lr < 0):
-            raise ValueError("learning rates must be >= 0")
+        if not (self.lr >= 0 and self.clip_norm >= 0):
+            raise ValueError("lr and clip_norm must be >= 0 "
+                             "(a clip_norm of 0 turns clipping off)")
 
 
 # Adam's moment decays and epsilon, Kingma & Ba's defaults
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-
-
-def _is_encoder_param(name: str) -> bool:
-    return name.startswith(("tok_emb", "pos_emb", "seg_emb", "enc", "ln_f"))
 
 
 class AdamState:
@@ -191,9 +186,6 @@ class AdamState:
         bias1 = 1.0 - ADAM_BETA1 ** self.t
         bias2 = 1.0 - ADAM_BETA2 ** self.t
         for name, g in grads.items():
-            lr = cfg.lr
-            if cfg.encoder_lr is not None and _is_encoder_param(name):
-                lr = cfg.encoder_lr
             # Indexed by every row, each read is a view and each write-back
             # below assigns a view to itself, which numpy skips.
             rows = grads.rows(name)
@@ -211,7 +203,7 @@ class AdamState:
             np.sqrt(s, out=s)
             s += ADAM_EPS
             np.divide(m, bias1, out=g)  # p -= (lr*m_hat) / s
-            g *= lr
+            g *= cfg.lr
             g /= s
             p -= g
             params[name][rows], self.m[name][rows], self.v[name][rows] = p, m, v
@@ -242,22 +234,20 @@ def clip_gradients(grads: Gradients, max_norm: float, scratch: np.ndarray) -> fl
 
 
 def train(corpus: Corpus, tables: dict[str, Table], config: TrainConfig,
-          model_config: ModelConfig | None = None,
-          dev_corpus: Corpus | None = None):
+          model_config: ModelConfig | None = None):
     """Train a model; returns (Checkpoint, history).
 
     ``model_config.vocab_size`` is always replaced with the size of the vocab
     built from the (possibly augmented) corpus and tables. History rows carry
     per-epoch mean loss and task breakdown, the largest gradient norm before
-    clipping and the number of clipped steps, plus dev LF/EX at the
-    checkpoint cadence and on the final epoch when a dev corpus is given.
+    clipping and the number of clipped steps.
     """
     if not corpus.examples:
         raise ValueError("cannot train on an empty corpus")
     if config.augment is not None:
         corpus = augment_corpus(corpus, tables, config.augment)
 
-    vocab = Vocab.build(corpus, tables, max_size=config.vocab_max_size)
+    vocab = Vocab.build(corpus, tables)
     if model_config is None:
         model_config = ModelConfig(vocab_size=len(vocab), seed=config.seed)
     else:
@@ -275,7 +265,7 @@ def train(corpus: Corpus, tables: dict[str, Table], config: TrainConfig,
         except BudgetError:
             counters["over_budget"] += 1
             continue
-        target, ambiguous = make_target(example.gold, feats, model_config.max_conds)
+        target, ambiguous = make_target(example.gold, feats, MAX_CONDS)
         if target is None:
             counters["unalignable"] += 1
             continue
@@ -320,15 +310,6 @@ def train(corpus: Corpus, tables: dict[str, Table], config: TrainConfig,
         })
         row["grad_norm_max"] = grad_norm_max
         row["clipped_steps"] = clipped_steps
-        cadence = config.checkpoint_every
-        is_last = epoch == config.epochs - 1
-        if dev_corpus is not None and (is_last or (cadence and (epoch + 1) % cadence == 0)):
-            ckpt = Checkpoint(model_config, vocab, params,
-                              extra={"epoch": epoch})
-            report = evaluate(ckpt, dev_corpus, tables, config.strategy,
-                              config.k, budget=config.budget, seed=config.seed)
-            row["dev_lf"] = report.lf_accuracy
-            row["dev_ex"] = report.ex_accuracy
         history.append(row)
         logger.info("epoch %d: loss %.4f", epoch, row["loss"])
         if config.stop_loss is not None and row["loss"] <= config.stop_loss:
@@ -392,7 +373,7 @@ def _subtask_match(pred: SqlSketch, gold: SqlSketch) -> dict[str, bool]:
 
 
 def evaluate(checkpoint: Checkpoint, corpus: Corpus, tables: dict[str, Table],
-             strategy: str, k: int, budget: int = 512, seed: int = 0) -> EvalReport:
+             strategy: str, k: int, budget: int = DEFAULT_BUDGET, seed: int = 0) -> EvalReport:
     """Sample, serialize, encode, decode, and score every example.
 
     Per-example LF implies EX by the executor's contract; a violation would
@@ -481,7 +462,7 @@ class Comparison:
 
 
 def compare_strategies(checkpoint: Checkpoint, corpus: Corpus,
-                       tables: dict[str, Table], strategies, budget: int = 512,
+                       tables: dict[str, Table], strategies, budget: int = DEFAULT_BUDGET,
                        seed: int = 0) -> Comparison:
     """Evaluate one checkpoint under each strategy, a list of labels like
     "none", "rand:3", "rel:3"."""

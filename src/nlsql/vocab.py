@@ -9,6 +9,7 @@ from .serialize import CLS, HEADER_DELIM, SAMPLE_DELIM, SEP, token_texts
 PAD = "[PAD]"
 UNK = "[UNK]"
 SPECIALS = (PAD, UNK, CLS, SEP, HEADER_DELIM, SAMPLE_DELIM)
+VOCAB_MAX_SIZE = 30_000  # the cap on tokens, specials included
 
 
 class Vocab:
@@ -28,7 +29,7 @@ class Vocab:
         return [index.get(t, unk) for t in tokens]
 
     @classmethod
-    def build(cls, corpus, tables, max_size: int = 30_000) -> "Vocab":
+    def build(cls, corpus, tables, max_size: int = VOCAB_MAX_SIZE) -> "Vocab":
         """Count tokens over questions, headers, and cell values; keep the
         most frequent (ties break lexicographically for determinism).
 

@@ -308,6 +308,9 @@ def test_config_file_unknown_key(workspace):
     config = workspace / "bad.conf"
     config.write_text("not_a_real_option = 1\n", encoding="utf-8")
     assert run("synth", "--config", str(config)) == 2
+    config.write_text("encoder-lr = 0.5\n", encoding="utf-8")  # a retired setting
+    assert run("train", "--data", "d", "--tables", "t",
+               "--config", str(config)) == 2
 
 
 @pytest.mark.parametrize("text, message", [
@@ -328,14 +331,31 @@ def test_malformed_config_file_is_an_error(workspace, capsys, text, message):
 
 def test_config_values_parse_like_their_flags(workspace):
     config = workspace / "run.conf"
-    config.write_text("lenient = Yes\nencoder-lr = 0.5\nbudget = 64\n",
+    config.write_text("lenient = Yes\nclip-norm = 0.5\nbudget = 64\n",
                       encoding="utf-8")
     parser = cli.build_parser()
     subparsers = next(a for a in parser._actions
                       if isinstance(a, argparse._SubParsersAction)).choices
     cli._apply_config_defaults(parser, subparsers, ["train", "--config", str(config)])
     args = parser.parse_args(["train", "--data", "d", "--tables", "t"])
-    assert (args.lenient, args.encoder_lr, args.budget) == (True, 0.5, 64)
+    assert (args.lenient, args.clip_norm, args.budget) == (True, 0.5, 64)
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (("train", "--heads", "0"), "", "all ModelConfig dimensions must be >= 1"),
+    (("train",), "heads = 0\n", "all ModelConfig dimensions must be >= 1"),
+    (("train", "--clip-norm", "-1"), "", "lr and clip_norm must be >= 0"),
+    (("augment", "--mix-ratio", "inf"), "", "mix_ratio must be finite"),
+    (("train", "--augment", "--mix-ratio", "inf"), "", "mix_ratio must be finite"),
+], ids=["heads-flag", "heads-config", "clip-norm", "augment-mix", "train-mix"])
+def test_out_of_range_setting_is_an_error(workspace, capsys, argv, config, message):
+    data, tables = synth(workspace)
+    conf = workspace / "run.conf"
+    conf.write_text(config, encoding="utf-8")
+    assert run(*argv, "--data", str(data), "--tables", str(tables),
+               "--config", str(conf), "--out-dir", str(workspace / "out")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and "Traceback" not in err
 
 
 def test_repl_predicts_and_executes(workspace, capsys, monkeypatch):
@@ -499,8 +519,9 @@ def test_eval_on_a_malformed_checkpoint_header_is_an_error(workspace, capsys,
 
 
 def test_eval_loads_a_checkpoint_with_retired_config_keys(workspace):
-    # Checkpoints written before the FFN width, the weight std and dropout
-    # became constants carry them in their config.
+    # Checkpoints written before the FFN width, the weight std, the condition
+    # and span limits and dropout became constants carry them in their
+    # config, and their training record holds retired settings.
     data, tables = synth(workspace)
     ckpt = train_small(workspace, data, tables)
     report = workspace / "eval.json"
@@ -508,8 +529,14 @@ def test_eval_loads_a_checkpoint_with_retired_config_keys(workspace):
             "--ckpt", str(ckpt), "--out", str(report))
     assert run(*argv) == 0
     before = report.with_suffix(".predictions.jsonl").read_bytes()
-    _edit_header(ckpt, lambda header: header["config"].update(
-        ffn_dim=0, dropout=0.0, init_scale=0.02))
+
+    def retire(header):
+        header["config"].update(ffn_dim=0, dropout=0.0, init_scale=0.02,
+                                max_conds=4, max_span_len=16)
+        header["extra"]["train_config"].update(
+            encoder_lr=None, checkpoint_every=0, vocab_max_size=30_000)
+
+    _edit_header(ckpt, retire)
     assert run(*argv) == 0
     assert report.with_suffix(".predictions.jsonl").read_bytes() == before
 

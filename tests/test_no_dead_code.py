@@ -35,15 +35,6 @@ ALLOWED_FIELDS = {
 
 SETTINGS = ("ModelConfig", "TrainConfig")
 
-ALLOWED_SETTINGS = {
-    # perfbench reads it as an attribute (make_target's limit) and sets none.
-    "ModelConfig.max_conds",
-    # perfbench reads it as an attribute (decode_sketch's limit) and sets none.
-    "ModelConfig.max_span_len",
-    # perfbench reads it as an attribute (Vocab.build's cap) and sets none.
-    "TrainConfig.vocab_max_size",
-}
-
 
 def _definitions():
     """(file, qualified name, name) of every non-dunder top-level function,
@@ -137,7 +128,7 @@ def test_every_setting_is_set_by_a_caller():
     set_somewhere = _set_settings()
     unset = [f"{file}: {qualified}" for file, qualified, name in _fields()
              if qualified.partition(".")[0] in SETTINGS
-             and name not in set_somewhere and qualified not in ALLOWED_SETTINGS]
+             and name not in set_somewhere]
     assert unset == []
 
 
@@ -145,5 +136,3 @@ def test_allowlist_names_only_live_definitions():
     defined = {name for _, _, name in _definitions()}
     assert ALLOWED <= defined
     assert ALLOWED_FIELDS <= {qualified for _, qualified, _ in _fields()}
-    assert ALLOWED_SETTINGS <= {qualified for _, qualified, _ in _fields()
-                                if qualified.partition(".")[0] in SETTINGS}

@@ -171,14 +171,10 @@ def _textbook_adam_step(params, m, v, t, grads, cfg):
         v[name] = beta2 * v[name] + (1 - beta2) * g * g
         m_hat = m[name] / bias1
         v_hat = v[name] / bias2
-        lr = cfg.lr
-        if cfg.encoder_lr is not None and name.startswith(("tok_emb", "enc")):
-            lr = cfg.encoder_lr
-        params[name] = params[name] - lr * m_hat / (np.sqrt(v_hat) + eps)
+        params[name] = params[name] - cfg.lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
-@pytest.mark.parametrize("encoder_lr", [None, 3e-4])
-def test_in_place_adam_step_is_bitwise_textbook(encoder_lr):
+def test_in_place_adam_step_is_bitwise_textbook():
     rng = np.random.default_rng(4)
     shapes = {"tok_emb": (40, 8), "enc0.ffn.w1": (8, 12), "sel.w": (8,),
               "agg.b2": (6,)}
@@ -188,7 +184,7 @@ def test_in_place_adam_step_is_bitwise_textbook(encoder_lr):
     expected = {name: p.copy() for name, p in params.items()}
     m = {name: np.zeros(shape) for name, shape in shapes.items()}
     v = {name: np.zeros(shape) for name, shape in shapes.items()}
-    cfg = TrainConfig(lr=1e-3, encoder_lr=encoder_lr)
+    cfg = TrainConfig(lr=1e-3)
     adam = AdamState(params)
     grads = Gradients()  # one for the run, as train() keeps it
     flicker = 7  # a tok_emb row with a gradient at step 2 only
