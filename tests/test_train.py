@@ -174,7 +174,8 @@ def _textbook_adam_step(params, m, v, t, grads, cfg):
         params[name] = params[name] - cfg.lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
-def test_in_place_adam_step_is_bitwise_textbook():
+@pytest.mark.parametrize("lr", [None, 3e-4])  # None: TrainConfig's default
+def test_in_place_adam_step_is_bitwise_textbook(lr):
     rng = np.random.default_rng(4)
     shapes = {"tok_emb": (40, 8), "enc0.ffn.w1": (8, 12), "sel.w": (8,),
               "agg.b2": (6,)}
@@ -184,7 +185,7 @@ def test_in_place_adam_step_is_bitwise_textbook():
     expected = {name: p.copy() for name, p in params.items()}
     m = {name: np.zeros(shape) for name, shape in shapes.items()}
     v = {name: np.zeros(shape) for name, shape in shapes.items()}
-    cfg = TrainConfig(lr=1e-3)
+    cfg = TrainConfig() if lr is None else TrainConfig(lr=lr)
     adam = AdamState(params)
     grads = Gradients()  # one for the run, as train() keeps it
     flicker = 7  # a tok_emb row with a gradient at step 2 only
