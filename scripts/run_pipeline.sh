@@ -19,17 +19,17 @@ $PY -m nlsql index --tables "$OUT/tables.jsonl"
 
 $PY -m nlsql train --data "$OUT/augmented.jsonl" --tables "$OUT/tables.jsonl" \
     --out "$OUT/model.ckpt" --epochs 3 --batch-size 8 --d-model 32 --layers 1 \
-    --heads 2 --strategy rand --k 2 --budget 256 --seed 13 --out-dir "$OUT"
+    --heads 2 --strategy rand:2 --budget 256 --seed 13 --out-dir "$OUT"
 
 $PY -m nlsql eval --data "$OUT/corpus.jsonl" --tables "$OUT/tables.jsonl" \
-    --ckpt "$OUT/model.ckpt" --strategy rand --k 2 --budget 256 \
+    --ckpt "$OUT/model.ckpt" --strategy rand:2 --budget 256 \
     --out "$OUT/eval.json" --seed 13 --out-dir "$OUT"
 
 $PY -m nlsql compare --data "$OUT/corpus.jsonl" --tables "$OUT/tables.jsonl" \
     --ckpt "$OUT/model.ckpt" --strategies "none,rand:2,rel:2,em1:1" \
     --budget 256 --out "$OUT/comparison.json" --seed 13 --out-dir "$OUT"
 
-$PY -m nlsql bench --strategy rel --k 3 --rows 500,2000 --queries 20 \
+$PY -m nlsql bench --strategy rel:3 --rows 500,2000 --queries 20 \
     --out "$OUT/bench.json" --seed 13 --out-dir "$OUT"
 
 echo "pipeline complete: $OUT"

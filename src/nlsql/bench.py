@@ -1,7 +1,7 @@
 """Scaling benchmark for the sampling strategies.
 
 Per table size the harness measures setup time and peak memory for index
-construction (relevance/em1) and the median per-query latency of the full
+construction (rel/em1) and the median per-query latency of the full
 query-time content path: sampling plus input serialization. Random-strategy
 samples are drawn once offline, so its setup and memory are reported as
 negligible (zero) by convention and only the query path is timed.
@@ -26,12 +26,9 @@ class BenchRow:
     table_id: str
     rows: int
     cells: int
-    strategy: str
-    k: int
     setup_seconds: float
     peak_memory_bytes: int
     per_query_seconds: float | None
-    n_queries: int
 
     def to_dict(self) -> dict:
         return dict(self.__dict__)
@@ -41,12 +38,14 @@ class BenchRow:
 class BenchReport:
     strategy: str
     k: int
+    n_queries: int
     rows: list[BenchRow] = field(default_factory=list)
 
     def to_dict(self) -> dict:
         return {
             "strategy": self.strategy,
             "k": self.k,
+            "n_queries": self.n_queries,
             "rows": [r.to_dict() for r in self.rows],
         }
 
@@ -88,7 +87,7 @@ def bench_sampling(tables: list[Table], strategy: str, k: int,
                    n_queries: int = 100, seed: int = 0,
                    budget: int = DEFAULT_BUDGET) -> BenchReport:
     """Measure setup cost and median per-query latency over a table ladder."""
-    report = BenchReport(strategy=strategy, k=k)
+    report = BenchReport(strategy=strategy, k=k, n_queries=n_queries)
     for table in tables:
         n_cells = len(table.rows) * table.schema.n_columns
         sampler = Sampler({table.table_id: table}, strategy, k, seed)
@@ -120,11 +119,8 @@ def bench_sampling(tables: list[Table], strategy: str, k: int,
             table_id=table.table_id,
             rows=len(table.rows),
             cells=n_cells,
-            strategy=strategy,
-            k=k,
             setup_seconds=setup_seconds,
             peak_memory_bytes=int(peak_memory),
             per_query_seconds=per_query,
-            n_queries=n_queries,
         ))
     return report

@@ -31,15 +31,16 @@ from .corpus import (
     save_examples,
     save_tables,
     validate_corpus,
+    write_jsonl,
 )
 from .executor import execute
 from .keyword_index import build_index
 from .model import ModelConfig, load_checkpoint, save_checkpoint
-from .sampling import save_sample_sets
 from .serialize import DEFAULT_BUDGET, SEGMENT_LETTERS, serialize_input, tokenize
 from .sketch import AggOp, CondOp, Condition, SqlSketch, render_sql
 from .synth import SynthConfig, generate_bench_table, generate_synthetic_corpus
 from .train import (
+    FIXED_K,
     Sampler,
     TrainConfig,
     compare_strategies,
@@ -105,24 +106,21 @@ def write_manifest(args, directory: Path, started: float,
         handle.write("\n")
 
 
-def _strategy(args, fallback: dict | None = None) -> tuple[str, int]:
-    """``--strategy`` as ``strategy:k``, or a bare name that takes ``--k``.
-    A flag left unset (None) takes its value from ``fallback``."""
-    strategy = fallback["strategy"] if args.strategy is None else args.strategy
-    if ":" in strategy:
-        return parse_strategy(strategy)
-    k = fallback["k"] if args.k is None else args.k
-    return parse_strategy(f"{strategy}:{k}")
-
-
-def _serving_strategy(args, checkpoint, default: str) -> tuple[str, int]:
-    """``--strategy``/``--k``, defaulting to the strategy the checkpoint was
-    trained with; ``default`` with k=3 only for a checkpoint that records
-    none. The resolved values go back into ``args`` for the manifest."""
-    trained = checkpoint.extra.get("train_config") \
-        or {"strategy": default, "k": 3}
-    args.strategy, args.k = _strategy(args, trained)
-    return args.strategy, args.k
+def _strategy(args, checkpoint=None, default: str = "rand") -> tuple[str, int]:
+    """``--strategy``, a ``name[:k]`` label; unset, the strategy and k the
+    checkpoint was trained with, or ``default`` for a checkpoint that
+    records none. The resolved label goes back into ``args`` for the
+    manifest."""
+    label = args.strategy
+    if label is None:
+        trained = checkpoint.extra.get("train_config") or {"strategy": default}
+        label = str(trained["strategy"])
+        # none and em1 serve a fixed k; older checkpoints record k=3 beside them
+        if "k" in trained and label not in FIXED_K:
+            label = f"{label}:{trained['k']}"
+    strategy, k = parse_strategy(label)
+    args.strategy = f"{strategy}:{k}"
+    return strategy, k
 
 
 def _serving_budget(args, checkpoint) -> int:
@@ -234,7 +232,9 @@ def cmd_sample(args) -> int:
     for col, values in enumerate(samples.columns):
         print(f"{table.schema.headers[col]}: {list(values)}")
     if args.out:
-        save_sample_sets([samples], args.out)
+        write_jsonl([{"table_id": samples.table_id, "strategy": args.strategy,
+                      "seed": args.seed,
+                      "columns": [list(c) for c in samples.columns]}], args.out)
         write_manifest(args, Path(args.out).parent, started, [args.out])
     return 0
 
@@ -288,7 +288,7 @@ def cmd_eval(args) -> int:
     corpus, tables = _load_pair(args)
     checkpoint = load_checkpoint(args.ckpt)
     args.budget = _serving_budget(args, checkpoint)
-    strategy, k = _serving_strategy(args, checkpoint, "rand")
+    strategy, k = _strategy(args, checkpoint)
     report = evaluate(checkpoint, corpus, tables, strategy, k,
                       budget=args.budget, seed=args.seed)
     print(report.render_text())
@@ -363,7 +363,7 @@ def cmd_repl(args) -> int:
     table = _table(args, tables)
     checkpoint = load_checkpoint(args.ckpt)
     budget = _serving_budget(args, checkpoint)
-    strategy, k = _serving_strategy(args, checkpoint, "rel")
+    strategy, k = _strategy(args, checkpoint, "rel")
     sampler = Sampler(tables, strategy, k, args.seed)
     print(f"table {args.table_id}: {', '.join(table.schema.headers)}")
     print("enter a question (EOF to quit)")
@@ -397,17 +397,15 @@ def _add_common_io(sub, data=False):
 
 
 def _add_strategy(sub, default, help=None):
-    sub.add_argument("--strategy", default=default, help=help)
-    sub.add_argument("--k", type=int, default=3)
+    sub.add_argument("--strategy", default=default,
+                     help=help or "none, rand[:k], rel[:k] or em1; k defaults to 3")
 
 
 def _add_serving(sub, strategy=True):
     """Serving flags, each defaulting to what the checkpoint records."""
     if strategy:
-        sub.add_argument("--strategy", default=None,
-                         help="default: the checkpoint's training strategy")
-        sub.add_argument("--k", type=int, default=None,
-                         help="default: the checkpoint's training k")
+        _add_strategy(sub, None, help="default: the checkpoint's training "
+                                      "strategy and k, as name:k")
     sub.add_argument("--budget", type=int, default=None,
                      help="token budget (default: the checkpoint's max_positions)")
 
@@ -458,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = add("sample", cmd_sample, help="draw content samples for one table")
     _add_common_io(sub)
     sub.add_argument("--table-id", required=True)
-    _add_strategy(sub, "rand", help="none|rand|rel|em1, optionally strategy:k")
+    _add_strategy(sub, "rand")
     sub.add_argument("--question", help="question text (rel/em1)")
     sub.add_argument("--out", help="sample-set sidecar jsonl")
 

@@ -8,9 +8,6 @@ those values, and ``random.sample`` reads a view that skips those positions,
 so it draws exactly what it would from the filtered list, without building
 that list or searching the values. Exact-match-1 keeps at most one matched
 cell per column and never pads — the strictest baseline.
-
-Sample sets persist to a line-delimited sidecar file, one record per
-(table, strategy) pair.
 """
 
 from __future__ import annotations
@@ -18,24 +15,15 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .corpus import write_jsonl
 from .keyword_index import ContentIndex, extract_matches
 from .sketch import Table
 from .util import child_rng
-
-STRATEGY_NONE = "none"
-STRATEGY_RANDOM = "random"
-STRATEGY_RELEVANCE = "relevance"
-STRATEGY_EM1 = "em1"
 
 
 @dataclass(frozen=True)
 class SampleSet:
     table_id: str
-    strategy: str
-    k: int
     columns: tuple[tuple[str, ...], ...]  # per column, ordered samples
-    seed: int | None = None
 
     def __post_init__(self):
         object.__setattr__(
@@ -44,8 +32,7 @@ class SampleSet:
 
     @classmethod
     def empty(cls, table_id: str, n_columns: int) -> "SampleSet":
-        return cls(table_id=table_id, strategy=STRATEGY_NONE, k=0,
-                   columns=((),) * n_columns)
+        return cls(table_id, ((),) * n_columns)
 
 
 class _Without(Sequence):
@@ -83,7 +70,7 @@ def sample_random(table: Table, k: int, seed: int = 0) -> SampleSet:
     for col, values in enumerate(column.distinct for column in table.columns):
         rng = child_rng("sample", seed, table.table_id, col)
         columns.append(tuple(rng.sample(values, min(k, len(values)))))
-    return SampleSet(table.table_id, STRATEGY_RANDOM, k, tuple(columns), seed)
+    return SampleSet(table.table_id, tuple(columns))
 
 
 def sample_relevance(table: Table, index: ContentIndex, question: str,
@@ -111,7 +98,7 @@ def sample_relevance(table: Table, index: ContentIndex, question: str,
             pool = _remaining(table.columns[col].distinct, sorted(bucket.values()))
             hits += rng.sample(pool, min(fill_needed, len(pool)))
         columns.append(tuple(hits))
-    return SampleSet(table.table_id, STRATEGY_RELEVANCE, k, tuple(columns), seed)
+    return SampleSet(table.table_id, tuple(columns))
 
 
 def sample_exact_match_one(table: Table, index: ContentIndex,
@@ -126,10 +113,5 @@ def sample_exact_match_one(table: Table, index: ContentIndex,
     for match in extract_matches(index, question):
         if not columns[match.column_index]:
             columns[match.column_index] = (match.cell,)
-    return SampleSet(table.table_id, STRATEGY_EM1, 1, tuple(columns), None)
+    return SampleSet(table.table_id, tuple(columns))
 
-
-def save_sample_sets(sample_sets, path) -> None:
-    write_jsonl(({"table_id": s.table_id, "strategy": s.strategy, "k": s.k,
-                  "seed": s.seed, "columns": [list(c) for c in s.columns]}
-                 for s in sample_sets), path)

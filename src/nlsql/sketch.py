@@ -17,7 +17,7 @@ from functools import cached_property
 from .util import normalize_value
 
 # Upper bound on where-clause size; matches the maximum seen in single-table
-# corpora in the wild. Overridable wherever it matters.
+# corpora in the wild. A fixed constant: no command or config sets it.
 MAX_CONDS = 4
 
 

@@ -5,8 +5,9 @@ the summed head losses with optional gradient clipping. Examples whose gold
 where-value has no span in the question are dropped from training (and
 counted); evaluation keeps every example.
 
-Sampling strategies are named none / rand / rel / em1 here and on the CLI;
-"rand:k" samples are drawn once per table and shared across questions.
+A sampling strategy is named by one label, ``name[:k]`` with the names
+none / rand / rel / em1, here and on the CLI (``parse_strategy``); "rand:k"
+samples are drawn once per table and shared across questions.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -50,14 +52,22 @@ from .vocab import VOCAB_MAX_SIZE, Vocab
 logger = logging.getLogger(__name__)
 
 STRATEGIES = ("none", "rand", "rel", "em1")
+# none serves no samples and em1 at most one per column, whatever k says
+FIXED_K = {"none": 0, "em1": 1}
 
 
 def parse_strategy(label: str) -> tuple[str, int]:
-    """Parse "rel:3" / "rand:5" / "none" into (strategy, k)."""
-    name, _, k_text = label.partition(":")
+    """Parse a ``name[:k]`` label such as "rel:3", "rand" or "none" into
+    (strategy, k). A bare rand or rel takes k=3; none and em1 take the k
+    they serve, 0 and 1, and accept no other."""
+    name, colon, k_text = label.partition(":")
     if name not in STRATEGIES:
         raise ValueError(f"unknown strategy {name!r}, expected one of {STRATEGIES}")
-    k = int(k_text) if k_text else (0 if name == "none" else 3)
+    if colon and not k_text.isdecimal():
+        raise ValueError(f"strategy {label!r}: k must be a whole number >= 0")
+    k = int(k_text) if colon else FIXED_K.get(name, 3)
+    if k != FIXED_K.get(name, k):
+        raise ValueError(f"strategy {label!r}: {name} serves k={FIXED_K[name]} only")
     return name, k
 
 
@@ -143,8 +153,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
-        if not (self.lr >= 0 and self.clip_norm >= 0):
-            raise ValueError("lr and clip_norm must be >= 0 "
+        if not (0 <= self.lr < math.inf and self.clip_norm >= 0):
+            raise ValueError("lr and clip_norm must be >= 0, and lr finite "
                              "(a clip_norm of 0 turns clipping off)")
 
 
@@ -233,6 +243,9 @@ def clip_gradients(grads: Gradients, max_norm: float, scratch: np.ndarray) -> fl
     return total
 
 
+# A diverging run ends with the non-finite loss error below, not with numpy's
+# overflow warnings ahead of it.
+@np.errstate(over="ignore", invalid="ignore")
 def train(corpus: Corpus, tables: dict[str, Table], config: TrainConfig,
           model_config: ModelConfig | None = None):
     """Train a model; returns (Checkpoint, history).
@@ -240,7 +253,8 @@ def train(corpus: Corpus, tables: dict[str, Table], config: TrainConfig,
     ``model_config.vocab_size`` is always replaced with the size of the vocab
     built from the (possibly augmented) corpus and tables. History rows carry
     per-epoch mean loss and task breakdown, the largest gradient norm before
-    clipping and the number of clipped steps.
+    clipping and the number of clipped steps. An epoch whose mean loss is
+    not finite raises ``ValueError``.
     """
     if not corpus.examples:
         raise ValueError("cannot train on an empty corpus")
@@ -305,6 +319,9 @@ def train(corpus: Corpus, tables: dict[str, Table], config: TrainConfig,
             adam.step(params, grads, config)
 
         row = {"epoch": epoch, "loss": epoch_loss / len(prepared)}
+        if not math.isfinite(row["loss"]):
+            raise ValueError(f"epoch {epoch}: mean loss is {row['loss']}; "
+                             f"a smaller lr may train")
         row.update({
             f"loss_{k}": v / len(prepared) for k, v in sorted(epoch_breakdown.items())
         })

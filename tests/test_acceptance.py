@@ -199,7 +199,7 @@ def test_criterion_4_serializer_contracts():
             for _ in range(n_cols)
         )
         from nlsql.sampling import SampleSet
-        samples = SampleSet("t", "random", 4, columns)
+        samples = SampleSet("t", columns)
         question = " ".join(rng.choice(VALUE_POOL)
                             for _ in range(rng.randint(1, 8)))
         question_tokens = tokenize(question)

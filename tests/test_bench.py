@@ -17,7 +17,7 @@ def test_bench_random_reports_negligible_setup(tmp_path):
     path = tmp_path / "bench.json"
     report.save(path)
     payload = json.loads(path.read_text())
-    assert payload["strategy"] == "rand"
+    assert (payload["strategy"], payload["k"], payload["n_queries"]) == ("rand", 3, 10)
     assert [r["rows"] for r in payload["rows"]] == [100, 400]
 
 

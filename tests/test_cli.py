@@ -8,6 +8,7 @@ from nlsql import cli
 from nlsql.cli import cli_dispatch
 from nlsql.corpus import load_examples, save_examples, save_tables
 from nlsql.model import load_checkpoint, save_checkpoint
+from nlsql.sampling import sample_random
 from nlsql.sketch import Example, SqlSketch, Table, TableSchema
 
 
@@ -157,13 +158,54 @@ def test_index_and_sample_and_serialize(workspace, capsys):
 
     out_file = workspace / "samples.jsonl"
     assert run("sample", "--tables", str(tables), "--table-id", table_id,
-               "--strategy", "rand", "--k", "2", "--out", str(out_file)) == 0
+               "--strategy", "rand:2", "--out", str(out_file)) == 0
     assert out_file.exists()
 
     assert run("serialize", "--tables", str(tables), "--table-id", table_id,
-               "--question", "anything here", "--strategy", "rand",
-               "--k", "1") == 0
+               "--question", "anything here", "--strategy", "rand:1") == 0
     assert "[CLS]" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--tables", "t.jsonl", "--table-id", "t"],
+    ["serialize", "--tables", "t.jsonl", "--table-id", "t", "--question", "q"],
+    ["train", "--data", "d.jsonl", "--tables", "t.jsonl"],
+    ["bench"],
+    ["eval", "--data", "d.jsonl", "--tables", "t.jsonl", "--ckpt", "m.ckpt"],
+    ["repl", "--tables", "t.jsonl", "--table-id", "t", "--ckpt", "m.ckpt"],
+], ids=lambda argv: argv[0])
+def test_k_flag_is_a_usage_error(workspace, capsys, argv):
+    # The label carries k: --strategy rel:2, not --strategy rel --k 2.
+    assert run(*argv, "--strategy", "rel", "--k", "2") == 2
+    assert "unrecognized arguments: --k 2" in capsys.readouterr().err
+    assert run(argv[0], "--help") == 0
+    assert "--k" not in capsys.readouterr().out
+
+
+def test_sample_out_writes_one_sidecar_record(workspace, tennis_table):
+    tables = workspace / "tables.jsonl"
+    save_tables({tennis_table.table_id: tennis_table}, tables)
+    out_file = workspace / "samples.jsonl"
+
+    def sidecar(*flags):
+        assert run("sample", "--tables", str(tables), "--table-id",
+                   tennis_table.table_id, "--out", str(out_file), *flags) == 0
+        [record] = [json.loads(line)
+                    for line in out_file.read_text(encoding="utf-8").splitlines()]
+        config = json.loads((workspace / "sample.manifest.json").read_text())["config"]
+        assert config["strategy"] == record["strategy"] and "k" not in config
+        return record
+
+    drawn = sample_random(tennis_table, 2, seed=5)
+    assert sidecar("--strategy", "none") == {
+        "table_id": tennis_table.table_id, "strategy": "none:0", "seed": 0,
+        "columns": [[], [], []]}
+    assert sidecar("--strategy", "rand:2", "--seed", "5") == {
+        "table_id": tennis_table.table_id, "strategy": "rand:2", "seed": 5,
+        "columns": [list(c) for c in drawn.columns]}
+    record = sidecar("--strategy", "rel:2")
+    assert record["strategy"] == "rel:2"
+    assert all(len(column) == 2 for column in record["columns"])
 
 
 def test_index_prints_pattern_and_cell_counts(workspace, tennis_table, capsys):
@@ -197,13 +239,13 @@ def test_train_eval_compare_smoke(workspace, capsys):
     assert run("train", "--data", str(data), "--tables", str(tables),
                "--out", str(ckpt), "--epochs", "2", "--batch-size", "8",
                "--d-model", "16", "--layers", "1", "--heads", "2",
-               "--strategy", "rand", "--k", "2", "--budget", "128") == 0
+               "--strategy", "rand:2", "--budget", "128") == 0
     assert ckpt.exists()
     assert (workspace / "train.manifest.json").exists()
 
     report = workspace / "eval.json"
     assert run("eval", "--data", str(data), "--tables", str(tables),
-               "--ckpt", str(ckpt), "--strategy", "rand", "--k", "2",
+               "--ckpt", str(ckpt), "--strategy", "rand:2",
                "--out", str(report)) == 0
     payload = json.loads(report.read_text())
     assert set(payload) >= {"n", "lf", "ex", "subtasks"}
@@ -268,7 +310,7 @@ def test_train_out_makes_no_default_output_dir(workspace, monkeypatch):
 
 def test_bench_command(workspace):
     out = workspace / "bench.json"
-    assert run("bench", "--strategy", "rel", "--k", "2",
+    assert run("bench", "--strategy", "rel:2",
                "--rows", "50,200", "--queries", "5", "--out", str(out)) == 0
     payload = json.loads(out.read_text())
     assert [r["rows"] for r in payload["rows"]] == [50, 200]
@@ -345,9 +387,11 @@ def test_config_values_parse_like_their_flags(workspace):
     (("train", "--heads", "0"), "", "all ModelConfig dimensions must be >= 1"),
     (("train",), "heads = 0\n", "all ModelConfig dimensions must be >= 1"),
     (("train", "--clip-norm", "-1"), "", "lr and clip_norm must be >= 0"),
+    (("train", "--lr", "inf"), "", "lr and clip_norm must be >= 0, and lr finite"),
     (("augment", "--mix-ratio", "inf"), "", "mix_ratio must be finite"),
     (("train", "--augment", "--mix-ratio", "inf"), "", "mix_ratio must be finite"),
-], ids=["heads-flag", "heads-config", "clip-norm", "augment-mix", "train-mix"])
+], ids=["heads-flag", "heads-config", "clip-norm", "lr-inf", "augment-mix",
+        "train-mix"])
 def test_out_of_range_setting_is_an_error(workspace, capsys, argv, config, message):
     data, tables = synth(workspace)
     conf = workspace / "run.conf"
@@ -358,19 +402,33 @@ def test_out_of_range_setting_is_an_error(workspace, capsys, argv, config, messa
     assert err.startswith(f"error: {message}") and "Traceback" not in err
 
 
+def test_training_that_diverges_is_an_error(workspace, capsys):
+    # A finite rate so large that the loss overflows within a few epochs.
+    data, tables = synth(workspace)
+    ckpt = workspace / "model.ckpt"
+    assert run("train", "--data", str(data), "--tables", str(tables),
+               "--out", str(ckpt), "--epochs", "5", "--batch-size", "8",
+               "--d-model", "16", "--layers", "1", "--heads", "2",
+               "--lr", "1e300") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: epoch ") and "mean loss is nan" in err
+    assert "Traceback" not in err
+    assert not ckpt.exists() and not ckpt.with_suffix(".history.json").exists()
+
+
 def test_repl_predicts_and_executes(workspace, capsys, monkeypatch):
     data, tables = synth(workspace)
     ckpt = workspace / "model.ckpt"
     assert run("train", "--data", str(data), "--tables", str(tables),
                "--out", str(ckpt), "--epochs", "1", "--batch-size", "8",
                "--d-model", "16", "--layers", "1", "--heads", "2",
-               "--strategy", "none", "--k", "0", "--budget", "128") == 0
+               "--strategy", "none:0", "--budget", "128") == 0
     table_id = json.loads(tables.read_text().splitlines()[0])["id"]
     before = (data.read_bytes(), tables.read_bytes(), ckpt.read_bytes())
     import io
     monkeypatch.setattr("sys.stdin", io.StringIO("anything about the table\n"))
     assert run("repl", "--tables", str(tables), "--table-id", table_id,
-               "--ckpt", str(ckpt), "--strategy", "rel", "--k", "1") == 0
+               "--ckpt", str(ckpt), "--strategy", "rel:1") == 0
     out = capsys.readouterr().out
     assert "SELECT" in out and "->" in out
     # repl must not mutate corpora, tables, or checkpoints
@@ -382,7 +440,7 @@ def train_small(workspace, data, tables, budget=128):
     assert run("train", "--data", str(data), "--tables", str(tables),
                "--out", str(ckpt), "--epochs", "1", "--batch-size", "8",
                "--d-model", "16", "--layers", "1", "--heads", "2",
-               "--strategy", "rand", "--k", "2", "--budget", str(budget)) == 0
+               "--strategy", "rand:2", "--budget", str(budget)) == 0
     return ckpt
 
 
@@ -407,7 +465,7 @@ def test_repl_prints_the_sql_eval_predicts(workspace, capsys, monkeypatch):
     ckpt = train_small(workspace, data, tables)
     report = workspace / "eval.json"
     assert run("eval", "--data", str(data), "--tables", str(tables),
-               "--ckpt", str(ckpt), "--strategy", "rel", "--k", "2",
+               "--ckpt", str(ckpt), "--strategy", "rel:2",
                "--out", str(report)) == 0
     predictions = [json.loads(line) for line in
                    report.with_suffix(".predictions.jsonl").read_text().splitlines()]
@@ -418,7 +476,7 @@ def test_repl_prints_the_sql_eval_predicts(workspace, capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin",
                         io.StringIO("".join(p["question"] + "\n" for p in mine)))
     assert run("repl", "--tables", str(tables), "--table-id", table_id,
-               "--ckpt", str(ckpt), "--strategy", "rel", "--k", "2") == 0
+               "--ckpt", str(ckpt), "--strategy", "rel:2") == 0
     printed = [line for line in capsys.readouterr().out.splitlines()
                if line.startswith("SELECT")]
     assert printed == [p["pred_sql"] for p in mine]
@@ -550,11 +608,13 @@ def test_serving_strategy_defaults_to_checkpoint(workspace, capsys, monkeypatch)
         assert run("eval", "--data", str(data), "--tables", str(tables),
                    "--ckpt", str(ckpt), "--out", str(report), *flags) == 0
         config = json.loads((workspace / "eval.manifest.json").read_text())["config"]
-        return config["strategy"], config["k"]
+        return config["strategy"]
 
-    assert eval_strategy() == ("rand", 2)
-    assert eval_strategy("--k", "1") == ("rand", 1)
-    assert eval_strategy("--strategy", "rel:3") == ("rel", 3)
+    assert eval_strategy() == "rand:2"
+    assert eval_strategy("--strategy", "rand:1") == "rand:1"
+    assert eval_strategy("--strategy", "rel:3") == "rel:3"
+    # A bare name takes its own default k, not the checkpoint's.
+    assert eval_strategy("--strategy", "rand") == "rand:3"
 
     served = []
 
@@ -571,11 +631,16 @@ def test_serving_strategy_defaults_to_checkpoint(workspace, capsys, monkeypatch)
                "--ckpt", str(ckpt)) == 0
     assert served == [("rand", 2)]
 
-    # A checkpoint that records no training config keeps the old defaults.
+    # Older checkpoints record k=3 beside none and em1, which serve 0 and 1.
     checkpoint = load_checkpoint(ckpt)
+    checkpoint.extra["train_config"].update(strategy="none", k=3)
+    save_checkpoint(ckpt, checkpoint)
+    assert eval_strategy() == "none:0"
+
+    # A checkpoint that records no training config keeps the old defaults.
     checkpoint.extra.pop("train_config")
     save_checkpoint(ckpt, checkpoint)
-    assert eval_strategy() == ("rand", 3)
+    assert eval_strategy() == "rand:3"
     monkeypatch.setattr("sys.stdin", io.StringIO("anything\n"))
     assert run("repl", "--tables", str(tables), "--table-id", table_id,
                "--ckpt", str(ckpt)) == 0

@@ -28,10 +28,7 @@ ALLOWED = {
     "canonical_form",
 }
 
-ALLOWED_FIELDS = {
-    # Written to bench.json through BenchRow.to_dict's ``__dict__``.
-    "BenchRow.n_queries",
-}
+ALLOWED_FIELDS: set[str] = set()
 
 SETTINGS = ("ModelConfig", "TrainConfig")
 

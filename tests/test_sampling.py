@@ -1,4 +1,3 @@
-import json
 import random
 
 import pytest
@@ -10,11 +9,9 @@ from nlsql.sampling import (
     sample_exact_match_one,
     sample_random,
     sample_relevance,
-    save_sample_sets,
 )
 from nlsql.sketch import Table, TableSchema
 from nlsql.synth import generate_bench_table
-from nlsql.train import Sampler
 from nlsql.util import child_rng
 
 
@@ -94,23 +91,6 @@ def test_index_table_mismatch_rejected(tennis_table, league_table):
     index = build_index(league_table)
     with pytest.raises(ValueError):
         sample_relevance(tennis_table, index, "q", 1, 0)
-
-
-def test_sidecar_records_name_each_strategy(tmp_path, tennis_table):
-    tables = {tennis_table.table_id: tennis_table}
-    drawn = sample_random(tennis_table, 2, seed=5)
-    sets = [Sampler(tables, "none", 0).sample_for(tennis_table.table_id, ""),
-            drawn]
-    path = tmp_path / "samples.jsonl"
-    save_sample_sets(sets, path)
-    records = [json.loads(line)
-               for line in path.read_text(encoding="utf-8").splitlines()]
-    assert records == [
-        {"table_id": tennis_table.table_id, "strategy": "none", "k": 0,
-         "seed": None, "columns": [[], [], []]},
-        {"table_id": tennis_table.table_id, "strategy": "random", "k": 2,
-         "seed": 5, "columns": [list(c) for c in drawn.columns]},
-    ]
 
 
 # Properties ------------------------------------------------------------------

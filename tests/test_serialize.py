@@ -41,7 +41,7 @@ def test_token_texts_are_the_texts_of_tokenize(text):
 
 def test_serialize_motogp_layout(motogp_table):
     samples = SampleSet(
-        table_id=motogp_table.table_id, strategy="random", k=3,
+        table_id=motogp_table.table_id,
         columns=(
             ("Nicolas Terol", "Mike Di Meglio", "Stevie Bonsey"),
             ("Derbi", "Honda", "KTM"),
@@ -79,7 +79,7 @@ def test_budget_error_when_headers_do_not_fit(motogp_table):
 
 def test_truncation_drops_widest_column_last_sample_first(motogp_table):
     samples = SampleSet(
-        table_id=motogp_table.table_id, strategy="random", k=3,
+        table_id=motogp_table.table_id,
         columns=(
             ("Nicolas Terol", "Mike Di Meglio"),  # 4 sample tokens
             ("Derbi",),
@@ -137,7 +137,7 @@ def test_delimiter_text_in_headers_and_cells_round_trips():
     # '|' token of a header or a cell is an ordinary header or sample token.
     def recovered(header, cells):
         schema = TableSchema("t", (header,), ("text",))
-        samples = SampleSet("t", "random", 3, (cells,))
+        samples = SampleSet("t", (cells,))
         return serialize_input(tokenize("q"), schema, samples,
                                budget=64).recover_columns()
 
@@ -156,7 +156,7 @@ def test_round_trip_recovers_headers_and_samples(seed):
         tuple(rng.choice(CELL_WORDS) for _ in range(rng.randint(0, 3)))
         for _ in range(n_cols)
     )
-    samples = SampleSet("t", "random", 3, columns)
+    samples = SampleSet("t", columns)
     question = " ".join(rng.choice(CELL_WORDS) for _ in range(rng.randint(1, 5)))
     serialized = serialize_input(tokenize(question), schema, samples,
                                  budget=512, question=question)
@@ -172,8 +172,7 @@ def test_round_trip_recovers_headers_and_samples(seed):
 def test_shedding_blank_samples_takes_them_from_columns_that_have_them(motogp_table):
     # A blank cell has no tokens but costs a delimiter, so every column can
     # have width 0 while the input is still over budget.
-    samples = SampleSet(motogp_table.table_id, "random", 1,
-                        ((), ("",), (" ",), ()))
+    samples = SampleSet(motogp_table.table_id, ((), ("",), (" ",), ()))
     question = "grid of bmw"
     bare = serialize_input(tokenize(question), motogp_table.schema, None,
                            question=question)
@@ -206,7 +205,7 @@ def test_question_and_header_positions_follow_the_layout(data):
     base = 2 + m + sum(len(token_texts(h)) for h in headers) + n_cols
     budget = data.draw(st.integers(base, base + 30))
     serialized = serialize_input(question_tokens, schema,
-                                 SampleSet("t", "random", 3, columns), budget,
+                                 SampleSet("t", columns), budget,
                                  question=question)
 
     assert serialized.tokens[1:1 + m] == tuple(t.text for t in question_tokens)

@@ -38,8 +38,11 @@ def test_parse_strategy():
     assert parse_strategy("rel:3") == ("rel", 3)
     assert parse_strategy("none") == ("none", 0)
     assert parse_strategy("rand") == ("rand", 3)
-    with pytest.raises(ValueError):
-        parse_strategy("magic:1")
+    assert parse_strategy("em1") == ("em1", 1)
+    assert parse_strategy("em1:1") == ("em1", 1)
+    for label in ("magic:1", "none:2", "em1:3", "rand:-1", "rand:x"):
+        with pytest.raises(ValueError):
+            parse_strategy(label)
 
 
 def test_zero_learning_rate_freezes_parameters(tiny_setup):
