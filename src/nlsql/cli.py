@@ -113,8 +113,8 @@ def _strategy(args, checkpoint=None, default: str = "rand") -> tuple[str, int]:
     manifest."""
     label = args.strategy
     if label is None:
-        trained = checkpoint.extra.get("train_config") or {"strategy": default}
-        label = str(trained["strategy"])
+        trained = checkpoint.extra.get("train_config", {})
+        label = str(trained.get("strategy", default))
         # none and em1 serve a fixed k; older checkpoints record k=3 beside them
         if "k" in trained and label not in FIXED_K:
             label = f"{label}:{trained['k']}"

@@ -48,6 +48,9 @@ class ModelConfig:
     max_span_len = MAX_SPAN_LEN
 
     def __post_init__(self):
+        for name, value in asdict(self).items():
+            if type(value) is not int:
+                raise TypeError(f"ModelConfig.{name} must be an int, got {value!r}")
         if min(self.vocab_size, self.d_model, self.n_layers, self.n_heads,
                self.max_positions) < 1:
             raise ValueError("all ModelConfig dimensions must be >= 1")
@@ -59,69 +62,45 @@ N_AGG = len(AggOp)
 N_OPS = len(CondOp)
 
 
-def init_params(cfg: ModelConfig) -> dict[str, np.ndarray]:
-    rng = np.random.default_rng(cfg.seed)
+def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Each parameter block's name and shape, in the order ``init_params``
+    draws them; a checkpoint's tensors must be exactly these."""
     d, f = cfg.d_model, FFN_MULT * cfg.d_model
-    p: dict[str, np.ndarray] = {}
+    shapes = {"tok_emb": (cfg.vocab_size, d), "pos_emb": (cfg.max_positions, d),
+              "seg_emb": (N_SEGMENTS, d)}
+    layer = [("ln1.g", d), ("ln1.b", d), *((f"attn.w{x}", d, d) for x in "qkvo"),
+             *((f"attn.b{x}", d) for x in "qkvo"), ("ln2.g", d), ("ln2.b", d),
+             ("ffn.w1", d, f), ("ffn.b1", f), ("ffn.w2", f, d), ("ffn.b2", d)]
+    column = [("att_w", d, d), ("u", d, d), ("v", d, d), ("b", d)]  # see _column_head_fwd
+    hidden = [("w1", d, d), ("b1", d)]  # see _mlp_fwd
+    groups = {**{f"enc{i}": layer for i in range(cfg.n_layers)},
+              "ln_f": [("g", d), ("b", d)],
+              "sel": column + [("w", d)], "wcol": column + [("w", d)],
+              "agg": [("att_w", d, d), *hidden, ("w2", d, N_AGG), ("b2", N_AGG)],
+              "wnum": [("u", d), *hidden, ("w2", d, MAX_CONDS + 1), ("b2", MAX_CONDS + 1)],
+              "wop": column + [("w2", d, N_OPS), ("b2", N_OPS)],
+              "wvs": column[1:] + [("w", d)], "wve": column[1:] + [("w", d)]}
+    for group, blocks in groups.items():
+        shapes.update({f"{group}.{name}": tuple(shape) for name, *shape in blocks})
+    return shapes
 
-    def w(name, *shape):
-        p[name] = rng.normal(0.0, INIT_STD, size=shape)
 
-    def zeros(name, *shape):
-        p[name] = np.zeros(shape)
-
-    # Embeddings are unit variance so the pre-norm residual stream starts at
-    # unit scale: each LayerNorm scales its input gradient by about 1/sigma,
-    # and at INIT_STD the stream's sigma of ~0.035 would blow gradients up
-    # ~30x and leave each Adam step large against the 0.02-sized entries.
-    p["tok_emb"] = rng.normal(0.0, 1.0, size=(cfg.vocab_size, d))
-    p["pos_emb"] = rng.normal(0.0, 1.0, size=(cfg.max_positions, d))
-    p["seg_emb"] = rng.normal(0.0, 1.0, size=(N_SEGMENTS, d))
-    for i in range(cfg.n_layers):
-        pre = f"enc{i}."
-        p[pre + "ln1.g"] = np.ones(d)
-        zeros(pre + "ln1.b", d)
-        for name in ("wq", "wk", "wv", "wo"):
-            w(pre + "attn." + name, d, d)
-        for name in ("bq", "bk", "bv", "bo"):
-            zeros(pre + "attn." + name, d)
-        p[pre + "ln2.g"] = np.ones(d)
-        zeros(pre + "ln2.b", d)
-        w(pre + "ffn.w1", d, f)
-        zeros(pre + "ffn.b1", f)
-        w(pre + "ffn.w2", f, d)
-        zeros(pre + "ffn.b2", d)
-    p["ln_f.g"] = np.ones(d)
-    zeros("ln_f.b", d)
-
-    for head in ("sel", "wcol"):
-        w(f"{head}.att_w", d, d)
-        w(f"{head}.u", d, d)
-        w(f"{head}.v", d, d)
-        zeros(f"{head}.b", d)
-        w(f"{head}.w", d)
-    w("agg.att_w", d, d)
-    w("agg.w1", d, d)
-    zeros("agg.b1", d)
-    w("agg.w2", d, N_AGG)
-    zeros("agg.b2", N_AGG)
-    w("wnum.u", d)
-    w("wnum.w1", d, d)
-    zeros("wnum.b1", d)
-    w("wnum.w2", d, MAX_CONDS + 1)
-    zeros("wnum.b2", MAX_CONDS + 1)
-    w("wop.att_w", d, d)
-    w("wop.u", d, d)
-    w("wop.v", d, d)
-    zeros("wop.b", d)
-    w("wop.w2", d, N_OPS)
-    zeros("wop.b2", N_OPS)
-    for head in ("wvs", "wve"):
-        w(f"{head}.u", d, d)
-        w(f"{head}.v", d, d)
-        zeros(f"{head}.b", d)
-        w(f"{head}.w", d)
-    return p
+def init_params(cfg: ModelConfig) -> dict[str, np.ndarray]:
+    """One array per ``param_shapes`` block, drawn in its order: LayerNorm
+    gains ones, biases zeros, other weights N(0, INIT_STD), and the ``*_emb``
+    tables N(0, 1), so the pre-norm residual stream starts at unit scale (at
+    INIT_STD its sigma of ~0.035 would blow the LayerNorm gradients up ~30x
+    and leave each Adam step large against the 0.02-sized entries)."""
+    rng = np.random.default_rng(cfg.seed)
+    params = {}
+    for name, shape in param_shapes(cfg).items():
+        kind = name.rpartition(".")[2]
+        if kind == "g" or kind.startswith("b"):  # a LayerNorm gain, or a bias
+            params[name] = np.ones(shape) if kind == "g" else np.zeros(shape)
+        else:
+            std = 1.0 if name.endswith("_emb") else INIT_STD
+            params[name] = rng.normal(0.0, std, size=shape)
+    return params
 
 
 # ---------------------------------------------------------------------------
@@ -809,14 +788,15 @@ def save_checkpoint(path, checkpoint: Checkpoint) -> None:
 
 def load_checkpoint(path) -> Checkpoint:
     """Read a container written by ``save_checkpoint``; each tensor is read
-    straight into an array of its header shape. A short, inconsistent or
-    malformed file raises ValueError naming it."""
+    straight into an array of its header shape, once the header's tensor
+    list is checked against ``param_shapes`` of its config. A short,
+    inconsistent or malformed file raises ValueError naming it."""
     with open(path, "rb") as handle:
         try:
             return _read_checkpoint(handle)
         except KeyError as exc:
             raise ValueError(f"{path}: header has no {exc} field") from exc
-        except (OSError, TypeError, ValueError, OverflowError,
+        except (OSError, TypeError, ValueError, OverflowError, MemoryError,
                 RecursionError) as exc:
             raise ValueError(f"{path}: {exc}") from exc
 
@@ -840,9 +820,25 @@ def _read_checkpoint(handle) -> Checkpoint:
     config = ModelConfig(**{key: value for key, value in fields.items()
                             if key not in _RETIRED_CONFIG_KEYS})
     vocab = Vocab(header["vocab"])
+    if len(vocab) != config.vocab_size:
+        raise ValueError(f"{len(vocab)} vocab tokens do not fit vocab_size {config.vocab_size}")
+    extra = header.get("extra", {})
+    if not isinstance(extra, dict) or not isinstance(extra.get("train_config", {}), dict):
+        raise ValueError("extra and its train_config must be JSON objects")
+    specs = header["tensors"]
+    if config.n_layers > len(specs):  # bounds the block table built below
+        raise ValueError(f"{len(specs)} tensors cannot hold {config.n_layers} layers")
+    unmatched = param_shapes(config)
+    for spec in specs:
+        shape = unmatched.pop(spec["name"], None)
+        if shape is None or list(shape) != spec["shape"]:
+            raise ValueError(f"tensor {spec['name']!r} of shape {spec['shape']} does not fit "
+                             f"the config's {list(shape) if shape else 'blocks, or repeats'}")
+    if unmatched:
+        raise ValueError(f"no tensor {next(iter(unmatched))!r} ({len(unmatched)} blocks missing)")
     payload_start = handle.tell()
     params = {}
-    for spec in header["tensors"]:
+    for spec in specs:
         arr = np.empty(spec["shape"], dtype="<f8")
         if arr.nbytes != spec["nbytes"]:
             raise ValueError(f"tensor {spec['name']!r} has {spec['nbytes']} "
@@ -853,10 +849,4 @@ def _read_checkpoint(handle) -> Checkpoint:
             raise ValueError(f"truncated tensor {spec['name']!r} "
                              f"({got} of {arr.nbytes} bytes)")
         params[spec["name"]] = arr
-    expected = {"tok_emb": (config.vocab_size, config.d_model),
-                "pos_emb": (config.max_positions, config.d_model)}
-    found = {name: params[name].shape for name in expected if name in params}
-    if len(vocab) != config.vocab_size or found != expected:
-        raise ValueError(f"a vocabulary of {len(vocab)} tokens and tables {found} "
-                         f"do not fit vocab_size {config.vocab_size} and {expected}")
-    return Checkpoint(config, vocab, params, header.get("extra", {}))
+    return Checkpoint(config, vocab, params, extra)

@@ -32,6 +32,7 @@ from .model import (
     ModelConfig,
     decode_sketch,
     encode,
+    example_loss,
     example_loss_and_grads,
     init_params,
     make_target,
@@ -254,7 +255,8 @@ def train(corpus: Corpus, tables: dict[str, Table], config: TrainConfig,
     built from the (possibly augmented) corpus and tables. History rows carry
     per-epoch mean loss and task breakdown, the largest gradient norm before
     clipping and the number of clipped steps. An epoch whose mean loss is
-    not finite raises ``ValueError``.
+    not finite raises ``ValueError``, and so does a first example whose loss
+    is not finite after the last step.
     """
     if not corpus.examples:
         raise ValueError("cannot train on an empty corpus")
@@ -331,6 +333,10 @@ def train(corpus: Corpus, tables: dict[str, Table], config: TrainConfig,
         logger.info("epoch %d: loss %.4f", epoch, row["loss"])
         if config.stop_loss is not None and row["loss"] <= config.stop_loss:
             break
+    # The epoch losses come before each step, so none has seen the last one.
+    final_loss = example_loss(params, model_config, *prepared[0])
+    if not math.isfinite(final_loss):
+        raise ValueError(f"the loss after the last step is {final_loss}; a smaller lr may train")
 
     checkpoint = Checkpoint(
         config=model_config,

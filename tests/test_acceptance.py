@@ -409,17 +409,22 @@ def test_criterion_9_benchmark_scaling(tmp_path):
 
 
 def test_criterion_10_pipeline_smoke(tmp_path):
-    script = Path(__file__).resolve().parent.parent / "scripts" / "run_pipeline.sh"
+    scripts = Path(__file__).resolve().parent.parent / "scripts"
     out_dir = tmp_path / "pipeline"
     proc = subprocess.run(
-        ["bash", str(script), str(out_dir)],
+        ["bash", str(scripts / "run_pipeline.sh"), str(out_dir)],
         capture_output=True, text=True, timeout=900,
     )
     manifests = sorted(p.name for p in out_dir.glob("*.manifest.json"))
     expected = {"synth.manifest.json", "augment.manifest.json",
                 "train.manifest.json", "eval.manifest.json",
                 "compare.manifest.json", "bench.manifest.json"}
-    ok = proc.returncode == 0 and expected <= set(manifests)
+    # The script prints its fixed-seed outputs' hashes; each must be pinned.
+    pinned = (scripts / "pipeline.sha256").read_text().splitlines()
+    moved = [line.split()[1] for line in pinned
+             if line not in proc.stdout.splitlines()]
+    ok = proc.returncode == 0 and expected <= set(manifests) and not moved
     criterion(10, ok,
-              f"pipeline exit {proc.returncode}, manifests: {manifests}"
+              f"pipeline exit {proc.returncode}, manifests: {manifests}, "
+              f"hashes that moved: {moved}"
               + ("" if ok else f"\nstderr: {proc.stderr[-2000:]}"))

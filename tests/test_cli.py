@@ -1,8 +1,11 @@
 import argparse
+import contextlib
+import io
 import json
 import struct
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nlsql import cli
 from nlsql.cli import cli_dispatch
@@ -416,6 +419,21 @@ def test_training_that_diverges_is_an_error(workspace, capsys):
     assert not ckpt.exists() and not ckpt.with_suffix(".history.json").exists()
 
 
+def test_a_last_step_that_overflows_is_an_error(workspace, capsys):
+    # One step on one batch: the loss before it is finite, so only the check
+    # after the last step sees that it sent the parameters to about 1e300.
+    data, tables = synth(workspace)
+    ckpt = workspace / "model.ckpt"
+    assert run("train", "--data", str(data), "--tables", str(tables),
+               "--out", str(ckpt), "--epochs", "1", "--batch-size", "16",
+               "--d-model", "16", "--layers", "1", "--heads", "2",
+               "--lr", "1e300") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: the loss after the last step is nan")
+    assert "Traceback" not in err
+    assert not ckpt.exists() and not ckpt.with_suffix(".history.json").exists()
+
+
 def test_repl_predicts_and_executes(workspace, capsys, monkeypatch):
     data, tables = synth(workspace)
     ckpt = workspace / "model.ckpt"
@@ -552,28 +570,121 @@ def _pad_vocab(header, config_too=False):
         header["config"]["vocab_size"] += 50
 
 
-@pytest.mark.parametrize("damage", [
-    lambda path: _edit_header(path, lambda header: header.pop("tensors")),
-    lambda path: _edit_header(path, lambda header: header["config"].update(x=1)),
-    _not_utf8,
-    lambda path: _edit_header(path, _pad_vocab),
-    lambda path: _edit_header(path, lambda header: _pad_vocab(header, True)),
-    lambda path: _edit_header(
-        path, lambda header: header["config"].update(max_positions=129)),
-    lambda path: _edit_header(path, lambda header: header.update(config=[1])),
+def _tensor(header, name):
+    return next(spec for spec in header["tensors"] if spec["name"] == name)
+
+
+def _huge_pos_emb(header):
+    # A consistent header whose pos_emb (1.14 PiB) exceeds any address space
+    rows = 10**13
+    header["config"]["max_positions"] = rows
+    _tensor(header, "pos_emb").update(shape=[rows, 16], nbytes=rows * 16 * 8)
+
+
+@pytest.mark.parametrize("damage, message", [
+    (lambda header: header.pop("tensors"), "header has no 'tensors' field"),
+    (lambda header: header["config"].update(x=1), "ModelConfig.__init__() got"),
+    (_not_utf8, "'utf-8' codec"),
+    (_pad_vocab, "125 vocab tokens do not fit vocab_size 75"),
+    (lambda header: _pad_vocab(header, True), "tensor 'tok_emb' of shape"),
+    (lambda header: header["config"].update(max_positions=129),
+     "tensor 'pos_emb' of shape [128, 16] does not fit the config's [129, 16]"),
+    (lambda header: header.update(config=[1]), "config is not a JSON object"),
+    (lambda header: header.update(extra=[]), "extra and its train_config"),
+    (lambda header: header.update(extra="x"), "extra and its train_config"),
+    (lambda header: header.update(extra=7), "extra and its train_config"),
+    (lambda header: header.update(extra=None), "extra and its train_config"),
+    (lambda header: header["extra"].update(train_config=[]),
+     "extra and its train_config"),
+    (lambda header: header["config"].update(n_layers=1.5),
+     "ModelConfig.n_layers must be an int, got 1.5"),
+    (lambda header: header["config"].update(n_heads=True),
+     "ModelConfig.n_heads must be an int, got True"),
+    (lambda header: header["config"].update(n_layers=10**12),
+     "55 tensors cannot hold 1000000000000 layers"),
+    (lambda header: _tensor(header, "agg.att_w").update(name="agg.att_x"),
+     "tensor 'agg.att_x' of shape [16, 16] does not fit the config's blocks"),
+    (lambda header: header["tensors"].remove(_tensor(header, "agg.att_w")),
+     "no tensor 'agg.att_w' (1 blocks missing)"),
+    (lambda header: header["tensors"].append(dict(_tensor(header, "agg.b1"),
+                                                  name="agg.b3")),
+     "tensor 'agg.b3' of shape [16] does not fit the config's blocks"),
+    (lambda header: header["tensors"].append(_tensor(header, "agg.b1")),
+     "tensor 'agg.b1' of shape [16] does not fit the config's blocks, or repeats"),
+    (lambda header: _tensor(header, "agg.w2").update(shape=[6, 16]),
+     "tensor 'agg.w2' of shape [6, 16] does not fit the config's [16, 6]"),
+    (_huge_pos_emb, "Unable to allocate"),
 ], ids=["no-tensors", "unknown-config-key", "header-not-utf8",
         "vocab-vs-config", "vocab-vs-tok-emb", "max-positions-vs-pos-emb",
-        "config-not-an-object"])
+        "config-not-an-object", "extra-a-list", "extra-a-string",
+        "extra-a-number", "extra-null", "train-config-not-an-object",
+        "n-layers-not-an-int", "n-heads-a-bool", "n-layers-past-the-tensors",
+        "tensor-renamed", "tensor-missing", "tensor-extra", "tensor-repeated",
+        "tensor-mis-shaped", "tensor-past-the-address-space"])
 def test_eval_on_a_malformed_checkpoint_header_is_an_error(workspace, capsys,
-                                                           damage):
+                                                           damage, message):
     data, tables = synth(workspace)
     ckpt = train_small(workspace, data, tables)
-    damage(ckpt)
+    if damage is _not_utf8:  # the one case that damages bytes, not fields
+        _not_utf8(ckpt)
+    else:
+        _edit_header(ckpt, damage)
     capsys.readouterr()
     assert run("eval", "--data", str(data), "--tables", str(tables),
                "--ckpt", str(ckpt)) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {ckpt}: ") and "Traceback" not in err
+    assert message in err
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """A synth corpus and a checkpoint trained on it, shared by a module."""
+    root = tmp_path_factory.mktemp("trained")
+    data, tables = synth(root)
+    return data, tables, train_small(root, data, tables)
+
+
+# Paths to one field of a checkpoint header: each top-level field, each
+# config value, the training record and its strategy, one vocabulary token,
+# and one tensor entry and each of its fields.
+HEADER_FIELDS = (
+    ("version",), ("config",), ("vocab",), ("extra",), ("tensors",),
+    *(("config", key) for key in ("vocab_size", "d_model", "n_layers",
+                                  "n_heads", "max_positions", "seed")),
+    ("extra", "train_config"), ("extra", "train_config", "strategy"),
+    ("extra", "train_config", "k"), ("vocab", 6), ("tensors", 0),
+    *(("tensors", 0, key) for key in ("name", "shape", "offset", "nbytes")),
+)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=8), inner, max_size=3)),
+    max_leaves=6)
+
+
+@given(path=st.sampled_from(HEADER_FIELDS), value=JSON_VALUES)
+@settings(max_examples=200, deadline=None)
+def test_eval_on_any_value_in_one_header_field_exits_0_or_1(trained, path, value):
+    data, tables, ckpt = trained
+    mutated = ckpt.with_name("mutated.ckpt")
+    mutated.write_bytes(ckpt.read_bytes())
+
+    def edit(header):
+        node = header
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+
+    _edit_header(mutated, edit)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = run("eval", "--data", str(data), "--tables", str(tables),
+                   "--ckpt", str(mutated),
+                   "--out", str(mutated.with_name("eval.json")))
+    assert code in (0, 1)
+    if code == 1:
+        assert err.getvalue().startswith("error: ")
 
 
 def test_eval_loads_a_checkpoint_with_retired_config_keys(workspace):
@@ -636,6 +747,11 @@ def test_serving_strategy_defaults_to_checkpoint(workspace, capsys, monkeypatch)
     checkpoint.extra["train_config"].update(strategy="none", k=3)
     save_checkpoint(ckpt, checkpoint)
     assert eval_strategy() == "none:0"
+
+    # One whose training config records no strategy serves the default.
+    checkpoint.extra["train_config"] = {"k": 2}
+    save_checkpoint(ckpt, checkpoint)
+    assert eval_strategy() == "rand:2"
 
     # A checkpoint that records no training config keeps the old defaults.
     checkpoint.extra.pop("train_config")

@@ -26,6 +26,7 @@ from nlsql.model import (
     load_checkpoint,
     loss_from_heads,
     make_target,
+    param_shapes,
     predict_heads,
     prepare_features,
     save_checkpoint,
@@ -204,6 +205,14 @@ def test_perfect_predictions_drive_loss_to_zero():
     target = Target(sel=2, agg=3, n_conds=1, wcol=wcol, conds=[(1, 0, 2, 3)])
     total, _, _ = loss_from_heads(heads, target)
     assert total < 1e-6
+
+
+def test_param_shapes_are_the_blocks_initialised_and_trained(setup):
+    cfg, params, feats, target, *_ = setup
+    shapes = param_shapes(cfg)
+    assert [(name, p.shape) for name, p in params.items()] == list(shapes.items())
+    _, _, grads = example_loss_and_grads(params, cfg, feats, target)
+    assert {name: g.shape for name, g in grads.items()} == shapes
 
 
 def test_gradients_match_finite_differences_spot(setup):
@@ -602,15 +611,18 @@ def _cut_last_tensor(header):
     header["tensors"][-1]["nbytes"] -= 8
 
 
-@pytest.mark.parametrize("damage", [
-    lambda path: _rewrite(path, payload_bytes=-100),  # truncated payload
-    lambda path: path.write_bytes(path.read_bytes()[:200]),  # header past the end
-    lambda path: _rewrite(path, edit_header=_cut_last_tensor),  # nbytes vs shape
+@pytest.mark.parametrize("damage, message", [
+    (lambda path: _rewrite(path, payload_bytes=-100), "truncated tensor"),
+    (lambda path: path.write_bytes(path.read_bytes()[:200]), "truncated header"),
+    (lambda path: _rewrite(path, edit_header=_cut_last_tensor),
+     "tensor 'wvs.w' has 120 bytes for shape [16]"),
 ], ids=["truncated", "header-past-end", "nbytes-vs-shape"])
-def test_damaged_checkpoint_raises_naming_the_file(tmp_path, setup, damage):
+def test_damaged_checkpoint_raises_naming_the_file(tmp_path, setup, damage,
+                                                   message):
     cfg, params, feats, target, example, table = setup
+    vocab = Vocab.build(Corpus([example]), {table.table_id: table})
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, Checkpoint(cfg, Vocab([]), params))
+    save_checkpoint(path, Checkpoint(cfg, vocab, params))
     damage(path)
-    with pytest.raises(ValueError, match=re.escape(str(path))):
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
         load_checkpoint(path)
