@@ -4,6 +4,10 @@
 # $OUT (default ./out/pipeline). Exits non-zero if any stage fails.
 set -euo pipefail
 
+# This checkout's own package comes first, so the pinned hashes test its code.
+ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
+export PYTHONPATH="$ROOT/src${PYTHONPATH:+:$PYTHONPATH}"
+
 OUT="${1:-out/pipeline}"
 PY="${PYTHON:-python3}"
 mkdir -p "$OUT"

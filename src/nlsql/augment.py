@@ -18,7 +18,7 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .corpus import Corpus
+from .corpus import Corpus, example_table
 from .keyword_index import find_phrases, normalize_pattern
 from .sketch import (
     AggOp,
@@ -243,9 +243,7 @@ def augment_corpus(
     originals = list(corpus.examples)
     pool: list[Example] = []
     for i, example in enumerate(originals):
-        table = tables.get(example.table_id)
-        if table is None:
-            raise ValueError(f"example {i}: unknown table_id {example.table_id!r}")
+        table = example_table(i, example, tables)
         ex_rng = child_rng("augment", config.seed, i)
         for variant in synthesize_short_questions(
             example, table.schema, config, ex_rng, rmap

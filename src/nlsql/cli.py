@@ -156,7 +156,9 @@ def cmd_validate(args) -> int:
     corpus, tables = _load_pair(args)
     report = validate_corpus(corpus, tables)
     print(report.summary())
-    return 0 if report.ok else 1
+    if not report.ok:
+        raise ValueError(f"{len(report.violations)} violations")
+    return 0
 
 
 def cmd_synth(args) -> int:

@@ -175,6 +175,20 @@ def save_tables(tables: dict[str, Table], path) -> None:
     write_jsonl(map(table_to_record, tables.values()), path)
 
 
+def example_table(i: int, example: Example, tables: dict[str, Table]) -> Table:
+    """The table of example ``i``. Raises ValueError naming the example when
+    the table is unknown or ``validate_sketch`` rejects the gold sketch
+    against it, so no command reads or supervises a column that is not
+    there."""
+    table = tables.get(example.table_id)
+    if table is None:
+        raise ValueError(f"example {i}: unknown table {example.table_id!r}")
+    violations = validate_sketch(example.gold, table.schema)
+    if violations:
+        raise ValueError(f"example {i}: {'; '.join(violations)}")
+    return table
+
+
 @dataclass
 class CorpusReport:
     n_examples: int

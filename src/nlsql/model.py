@@ -181,13 +181,13 @@ def make_target(gold: SqlSketch, feats: Features,
     span (such examples are excluded from training). The flag reports
     whether any value occurred more than once (first occurrence is used)."""
     n_columns = len(feats.header_spans)
-    if len(gold.conds) > max_conds or gold.select_column >= n_columns:
+    if len(gold.conds) > max_conds or not 0 <= gold.select_column < n_columns:
         return None, False
     wcol = np.zeros(n_columns)
     conds = []
     ambiguous = False
     for cond in gold.conds:
-        if cond.column_index >= n_columns:
+        if not 0 <= cond.column_index < n_columns:
             return None, False
         span, n_hits = find_span(feats.question_tokens, cond.value)
         if span is None:
@@ -392,17 +392,6 @@ def encode_bwd(dhidden: np.ndarray, params: dict, cfg: ModelConfig, cache,
 # Heads
 
 
-@dataclass(frozen=True)
-class HeadOutputs:
-    sel_logits: np.ndarray  # (C,)
-    agg_logits: np.ndarray  # (6,)
-    wnum_logits: np.ndarray  # (max_conds + 1,)
-    wop_logits: np.ndarray  # (C, 3)
-    wval_start_logits: np.ndarray  # (C, m) over question positions only
-    wval_end_logits: np.ndarray  # (C, m)
-    wcol_logits: np.ndarray  # (C,) pre-sigmoid
-
-
 def _batched_attention(hc, q, w):
     scores = (hc @ w) @ q.T  # (C, m)
     probs = nn.softmax(scores, axis=-1)
@@ -439,65 +428,51 @@ def _mlp_fwd(head, x, params):
     return (t @ params[head + ".w2"] + params[head + ".b2"])[0], t
 
 
+def _span_head_fwd(head, hc, q, params):
+    """A where-value pointer, t = tanh(q.u + hc.v + b) at each (column,
+    question position) pair scored through one vector; returns (logits, t)."""
+    qu = q @ params[head + ".u"]  # (m, d)
+    hv = hc @ params[head + ".v"]  # (C, d)
+    t = np.tanh(qu[None, :, :] + hv[:, None, :] + params[head + ".b"])  # (C, m, d)
+    return t @ params[head + ".w"], t
+
+
 def predict_heads(enc: EncoderOutput, params: dict, cfg: ModelConfig,
                   sel_override: int | None = None):
-    """All six head outputs; returns (HeadOutputs, cache).
+    """All six heads' logits; returns (logits, cache). Both are keyed by each
+    head's parameter group (the cache also keeps ``hc`` and ``q``); for C
+    columns and m question positions the logits are:
+
+    - ``sel`` (C,) select column, ``agg`` (N_AGG,) aggregation, ``wnum``
+      (max_conds + 1,) where-count;
+    - ``wcol`` (C,) where-column, pre-sigmoid, ``wop`` (C, N_OPS) operator;
+    - ``wvs`` and ``wve`` (C, m) where-value span start and end.
 
     The aggregation head conditions on the gold select column when
     ``sel_override`` is given (training) and on the predicted one otherwise.
     Value-span logits exist only over question positions, so header and
     sample tokens can never receive probability mass.
     """
-    hc = enc.header_vecs
-    q = enc.question_vecs
-
-    sel_logits, sel_cache = _column_head_fwd("sel", hc, q, params)
+    hc, q = enc.header_vecs, enc.question_vecs
+    logits, cache = {}, {"hc": hc, "q": q}
+    logits["sel"], cache["sel"] = _column_head_fwd("sel", hc, q, params)
 
     sel_idx = int(sel_override) if sel_override is not None \
-        else int(np.argmax(sel_logits))
-    h_star = hc[sel_idx:sel_idx + 1]
-    agg_ctx, agg_probs = _batched_attention(h_star, q, params["agg.att_w"])
-    agg_logits, agg_t = _mlp_fwd("agg", agg_ctx, params)
+        else int(np.argmax(logits["sel"]))
+    agg_ctx, agg_probs = _batched_attention(hc[sel_idx:sel_idx + 1], q, params["agg.att_w"])
+    logits["agg"], agg_t = _mlp_fwd("agg", agg_ctx, params)
+    cache["agg"] = (sel_idx, agg_ctx, agg_probs, agg_t)
 
-    pool_scores = q @ params["wnum.u"]
-    pool_probs = nn.softmax(pool_scores)
+    pool_probs = nn.softmax(q @ params["wnum.u"])
     summary = (pool_probs @ q)[None, :]
-    wnum_logits, wnum_t = _mlp_fwd("wnum", summary, params)
+    logits["wnum"], wnum_t = _mlp_fwd("wnum", summary, params)
+    cache["wnum"] = (pool_probs, summary, wnum_t)
 
-    wcol_logits, wcol_cache = _column_head_fwd("wcol", hc, q, params)
-
-    wop_logits, wop_cache = _column_head_fwd("wop", hc, q, params)
-
-    def span_head(prefix):
-        qu = q @ params[prefix + ".u"]  # (m, d)
-        hv = hc @ params[prefix + ".v"]  # (C, d)
-        t = np.tanh(qu[None, :, :] + hv[:, None, :] + params[prefix + ".b"])
-        return t @ params[prefix + ".w"], t
-
-    wvs_logits, wvs_t = span_head("wvs")
-    wve_logits, wve_t = span_head("wve")
-
-    heads = HeadOutputs(
-        sel_logits=sel_logits,
-        agg_logits=agg_logits,
-        wnum_logits=wnum_logits,
-        wop_logits=wop_logits,
-        wval_start_logits=wvs_logits,
-        wval_end_logits=wve_logits,
-        wcol_logits=wcol_logits,
-    )
-    cache = {
-        "hc": hc, "q": q,
-        "sel": sel_cache,
-        "sel_idx": sel_idx,
-        "agg": (agg_ctx, agg_probs, agg_t),
-        "wnum": (pool_scores, pool_probs, summary, wnum_t),
-        "wcol": wcol_cache,
-        "wop": wop_cache,
-        "wvs": wvs_t,
-        "wve": wve_t,
-    }
-    return heads, cache
+    for head in ("wcol", "wop"):
+        logits[head], cache[head] = _column_head_fwd(head, hc, q, params)
+    for head in ("wvs", "wve"):
+        logits[head], cache[head] = _span_head_fwd(head, hc, q, params)
+    return logits, cache
 
 
 def _attention_bwd(dctx, probs, hc, q, w, dhc, dq, grads, name):
@@ -542,19 +517,29 @@ def _mlp_bwd(head, dlogits, x, t, params, grads):
     return dt @ params[head + ".w1"].T
 
 
+def _span_head_bwd(head, dlogits, params, t, hc, q, dhc, dq, grads):
+    """Backward through _span_head_fwd; accumulates into dhc/dq/grads."""
+    _acc(grads, head + ".w", (t * dlogits[:, :, None]).sum(axis=(0, 1)))
+    dt = dlogits[:, :, None] * params[head + ".w"] * (1.0 - t * t)
+    _acc(grads, head + ".b", dt.sum(axis=(0, 1)))
+    dqu = dt.sum(axis=0)  # (m, d)
+    dhv = dt.sum(axis=1)  # (C, d)
+    _acc(grads, head + ".u", q.T @ dqu)
+    dq += dqu @ params[head + ".u"].T
+    _acc(grads, head + ".v", hc.T @ dhv)
+    dhc += dhv @ params[head + ".v"].T
+
+
 def heads_bwd(dlogits: dict, params: dict, cache: dict, grads: dict):
-    """Backward from head-logit gradients; returns d(hidden header vecs) and
-    d(question vecs)."""
+    """Backward from head-logit gradients, keyed as ``predict_heads``' logits;
+    returns d(hidden header vecs) and d(question vecs)."""
     hc, q = cache["hc"], cache["q"]
     dhc = np.zeros_like(hc)
     dq = np.zeros_like(q)
 
-    _column_head_bwd("sel", dlogits["sel"], params, cache["sel"], hc, q,
-                     dhc, dq, grads)
+    _column_head_bwd("sel", dlogits["sel"], params, cache["sel"], hc, q, dhc, dq, grads)
 
-    # aggregation head (conditioned on cached select column)
-    agg_ctx, agg_probs, agg_t = cache["agg"]
-    sel_idx = cache["sel_idx"]
+    sel_idx, agg_ctx, agg_probs, agg_t = cache["agg"]
     dctx = _mlp_bwd("agg", dlogits["agg"], agg_ctx, agg_t, params, grads)
     h_star = hc[sel_idx:sel_idx + 1]
     dh_star = np.zeros_like(h_star)
@@ -562,10 +547,8 @@ def heads_bwd(dlogits: dict, params: dict, cache: dict, grads: dict):
                    dh_star, dq, grads, "agg.att_w")
     dhc[sel_idx] += dh_star[0]
 
-    # where-count head
-    pool_scores, pool_probs, summary, wnum_t = cache["wnum"]
-    dsummary = _mlp_bwd("wnum", dlogits["wnum"], summary, wnum_t, params,
-                        grads)[0]
+    pool_probs, summary, wnum_t = cache["wnum"]
+    dsummary = _mlp_bwd("wnum", dlogits["wnum"], summary, wnum_t, params, grads)[0]
     dpool = q @ dsummary
     dq += np.outer(pool_probs, dsummary)
     dscores = nn.softmax_bwd(dpool, pool_probs)
@@ -573,23 +556,9 @@ def heads_bwd(dlogits: dict, params: dict, cache: dict, grads: dict):
     dq += np.outer(dscores, params["wnum.u"])
 
     for head in ("wcol", "wop"):
-        _column_head_bwd(head, dlogits[head], params, cache[head], hc, q,
-                         dhc, dq, grads)
-
-    # where-value span heads
-    for prefix in ("wvs", "wve"):
-        dspan = dlogits[prefix]  # (C, m)
-        t = cache[prefix]  # (C, m, d)
-        _acc(grads, prefix + ".w", (t * dspan[:, :, None]).sum(axis=(0, 1)))
-        dt = dspan[:, :, None] * params[prefix + ".w"] * (1.0 - t * t)
-        _acc(grads, prefix + ".b", dt.sum(axis=(0, 1)))
-        dqu = dt.sum(axis=0)  # (m, d)
-        dhv = dt.sum(axis=1)  # (C, d)
-        _acc(grads, prefix + ".u", q.T @ dqu)
-        dq += dqu @ params[prefix + ".u"].T
-        _acc(grads, prefix + ".v", hc.T @ dhv)
-        dhc += dhv @ params[prefix + ".v"].T
-
+        _column_head_bwd(head, dlogits[head], params, cache[head], hc, q, dhc, dq, grads)
+    for head in ("wvs", "wve"):
+        _span_head_bwd(head, dlogits[head], params, cache[head], hc, q, dhc, dq, grads)
     return dhc, dq
 
 
@@ -597,38 +566,30 @@ def heads_bwd(dlogits: dict, params: dict, cache: dict, grads: dict):
 # Loss
 
 
-def loss_from_heads(heads: HeadOutputs, target: Target):
-    """Summed cross-entropy over all six subtasks.
+def loss_from_heads(logits: dict, target: Target):
+    """Summed cross-entropy over all six subtasks, from ``predict_heads``'
+    logits.
 
-    Returns (loss, per-task breakdown, dlogits dict for backward). The
+    Returns (loss, per-task breakdown, dlogits keyed as the logits). The
     where-operator and where-value terms apply per gold where-column only;
     the where-column term is binary cross-entropy over every column.
     """
-    breakdown: dict[str, float] = {}
     dlogits: dict[str, np.ndarray] = {}
+    sel_loss, dlogits["sel"] = nn.cross_entropy_from_logits(logits["sel"], target.sel)
+    agg_loss, dlogits["agg"] = nn.cross_entropy_from_logits(logits["agg"], target.agg)
+    wnum_loss, dlogits["wnum"] = nn.cross_entropy_from_logits(logits["wnum"], target.n_conds)
+    wcol_loss, dlogits["wcol"] = nn.binary_cross_entropy_from_logits(logits["wcol"], target.wcol)
 
-    sel_loss, dlogits["sel"] = nn.cross_entropy_from_logits(
-        heads.sel_logits, target.sel)
-    agg_loss, dlogits["agg"] = nn.cross_entropy_from_logits(
-        heads.agg_logits, target.agg)
-    wnum_loss, dlogits["wnum"] = nn.cross_entropy_from_logits(
-        heads.wnum_logits, target.n_conds)
-    wcol_loss, dlogits["wcol"] = nn.binary_cross_entropy_from_logits(
-        heads.wcol_logits, target.wcol)
-
-    dlogits["wop"] = np.zeros_like(heads.wop_logits)
-    dlogits["wvs"] = np.zeros_like(heads.wval_start_logits)
-    dlogits["wve"] = np.zeros_like(heads.wval_end_logits)
+    for head in ("wop", "wvs", "wve"):
+        dlogits[head] = np.zeros_like(logits[head])
     wop_loss = 0.0
     wval_loss = 0.0
     for col, op, start, end in target.conds:
-        loss_op, d_op = nn.cross_entropy_from_logits(heads.wop_logits[col], op)
+        loss_op, d_op = nn.cross_entropy_from_logits(logits["wop"][col], op)
         wop_loss += loss_op
         dlogits["wop"][col] += d_op
-        loss_s, d_s = nn.cross_entropy_from_logits(
-            heads.wval_start_logits[col], start)
-        loss_e, d_e = nn.cross_entropy_from_logits(
-            heads.wval_end_logits[col], end)
+        loss_s, d_s = nn.cross_entropy_from_logits(logits["wvs"][col], start)
+        loss_e, d_e = nn.cross_entropy_from_logits(logits["wve"][col], end)
         wval_loss += loss_s + loss_e
         dlogits["wvs"][col] += d_s
         dlogits["wve"][col] += d_e
@@ -648,8 +609,8 @@ def example_loss(params: dict, cfg: ModelConfig, feats: Features,
                  target: Target) -> float:
     """Forward-only loss; the finite-difference oracle drives this."""
     enc, _ = encode(feats, params, cfg)
-    heads, _ = predict_heads(enc, params, cfg, sel_override=target.sel)
-    loss, _, _ = loss_from_heads(heads, target)
+    logits, _ = predict_heads(enc, params, cfg, sel_override=target.sel)
+    loss, _, _ = loss_from_heads(logits, target)
     return float(loss)
 
 
@@ -664,8 +625,8 @@ def example_loss_and_grads(params: dict, cfg: ModelConfig, feats: Features,
     uses.
     """
     enc, enc_cache = encode(feats, params, cfg)
-    heads, head_cache = predict_heads(enc, params, cfg, sel_override=target.sel)
-    loss, breakdown, dlogits = loss_from_heads(heads, target)
+    logits, head_cache = predict_heads(enc, params, cfg, sel_override=target.sel)
+    loss, breakdown, dlogits = loss_from_heads(logits, target)
 
     if grads is None:
         grads = Gradients()
@@ -683,9 +644,9 @@ def example_loss_and_grads(params: dict, cfg: ModelConfig, feats: Features,
 # Decoding
 
 
-def decode_sketch(heads: HeadOutputs, schema: TableSchema, question: str,
+def decode_sketch(logits: dict, schema: TableSchema, question: str,
                   question_spans, max_span_len: int = MAX_SPAN_LEN) -> SqlSketch:
-    """Turn head scores into a sketch.
+    """Turn ``predict_heads``' logits into a sketch.
 
     select/agg/where-count by argmax; where columns are the top-n
     where-column logits (not their sigmoids, which round to 1.0 for large
@@ -695,35 +656,35 @@ def decode_sketch(heads: HeadOutputs, schema: TableSchema, question: str,
     going to the first end within a start, then to the first start), read
     back from the original question characters.
     """
-    n_columns = len(heads.sel_logits)
+    n_columns = len(logits["sel"])
     if schema.n_columns != n_columns:
         raise ValueError(
             f"heads cover {n_columns} columns, schema has {schema.n_columns}"
         )
-    sel = int(np.argmax(heads.sel_logits))
-    agg = AggOp(int(np.argmax(heads.agg_logits)))
-    n_conds = int(np.argmax(heads.wnum_logits))
+    sel = int(np.argmax(logits["sel"]))
+    agg = AggOp(int(np.argmax(logits["agg"])))
+    n_conds = int(np.argmax(logits["wnum"]))
     n_conds = min(n_conds, n_columns)
-    m = heads.wval_start_logits.shape[1]
+    m = logits["wvs"].shape[1]
     if m == 0:
         n_conds = 0
 
     order = sorted(range(n_columns),
-                   key=lambda c: (-float(heads.wcol_logits[c]), c))
+                   key=lambda c: (-float(logits["wcol"][c]), c))
     chosen = sorted(order[:n_conds])
     if not chosen:
         return SqlSketch(select_column=sel, agg=agg)
     width = min(m, max_span_len)
     # windows[i, s, j] is the end logit of span (s, s + j) of column
     # chosen[i], -inf past m
-    padded = np.concatenate([heads.wval_end_logits[chosen],
+    padded = np.concatenate([logits["wve"][chosen],
                              np.full((len(chosen), width - 1), -np.inf)], axis=1)
     windows = padded[:, np.arange(m)[:, None] + np.arange(width)]
     end_rel = windows.argmax(axis=2)  # the first best end of each start
-    scores = heads.wval_start_logits[chosen] + windows.max(axis=2)
+    scores = logits["wvs"][chosen] + windows.max(axis=2)
     starts = scores.argmax(axis=1)  # the first best start
     ends = starts + end_rel[np.arange(len(chosen)), starts]
-    ops = heads.wop_logits[chosen].argmax(axis=1)
+    ops = logits["wop"][chosen].argmax(axis=1)
     conds = tuple(
         Condition(col, CondOp(op), question[question_spans[start][0]:question_spans[end][1]])
         for col, op, start, end in zip(chosen, ops.tolist(), starts.tolist(), ends.tolist()))

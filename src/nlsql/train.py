@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .augment import AugmentConfig, augment_corpus
-from .corpus import Corpus, write_jsonl
+from .corpus import Corpus, example_table, write_jsonl
 from .executor import ex_equal
 from .keyword_index import build_index
 from .model import (
@@ -129,8 +129,8 @@ def predict(checkpoint: Checkpoint, sampler: Sampler, table: Table,
                                budget)
     cfg = checkpoint.config
     enc, _ = encode(feats, checkpoint.params, cfg)
-    heads, _ = predict_heads(enc, checkpoint.params, cfg)
-    return decode_sketch(heads, table.schema, feats.question,
+    logits, _ = predict_heads(enc, checkpoint.params, cfg)
+    return decode_sketch(logits, table.schema, feats.question,
                          feats.question_spans)
 
 
@@ -273,9 +273,7 @@ def train(corpus: Corpus, tables: dict[str, Table], config: TrainConfig,
     counters: Counter = Counter()
     prepared = []
     for i, example in enumerate(corpus.examples):
-        table = tables.get(example.table_id)
-        if table is None:
-            raise ValueError(f"example {i}: unknown table {example.table_id!r}")
+        table = example_table(i, example, tables)
         try:
             feats = build_features(example, table, sampler, vocab, config.budget)
         except BudgetError:
@@ -411,9 +409,7 @@ def evaluate(checkpoint: Checkpoint, corpus: Corpus, tables: dict[str, Table],
     subtask_hits: Counter = Counter()
     predictions = []
     for i, example in enumerate(corpus.examples):
-        table = tables.get(example.table_id)
-        if table is None:
-            raise ValueError(f"example {i}: unknown table {example.table_id!r}")
+        table = example_table(i, example, tables)
         try:
             pred = predict(checkpoint, sampler, table, example.question, budget)
         except BudgetError:

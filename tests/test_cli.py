@@ -55,13 +55,62 @@ def test_synth_validate_roundtrip(workspace, capsys):
     assert "violations: 0" in out
 
 
-def test_validate_fails_on_dangling_table(workspace, tmp_path):
+def test_validate_fails_on_dangling_table(workspace, capsys):
     data, tables = synth(workspace)
     bad = Example("q", "nowhere", SqlSketch(0))
     corpus = load_examples(data)
     corpus.examples.append(bad)
     save_examples(corpus, data)
     assert run("validate", "--data", str(data), "--tables", str(tables)) == 1
+    out, err = capsys.readouterr()
+    assert "violations: 1" in out and "dangling table_id 'nowhere'" in out
+    assert err == "error: 1 violations\n"
+
+
+def _set_first_gold(data, sel=None, cond_column=None, conds=None):
+    """Rewrite example 0's gold: its select column, or one condition on
+    ``cond_column`` whose value is the question's first word, or ``conds``."""
+    lines = data.read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[0])
+    if sel is not None:
+        record["sql"]["sel"] = sel
+    if cond_column is not None:
+        record["sql"]["conds"] = [[cond_column, 0, record["question"].split()[0]]]
+    if conds is not None:
+        record["sql"]["conds"] = conds
+    lines[0] = json.dumps(record)
+    data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+TRAIN_TINY = ("--epochs", "1", "--batch-size", "8", "--d-model", "8", "--layers", "1",
+              "--heads", "2")
+
+
+@pytest.mark.parametrize("command, gold, message", [
+    (("train",), {"sel": -1}, "select-column-out-of-range: -1 not in [0, "),
+    (("train",), {"cond_column": -1}, "condition-column-out-of-range: cond 0 column -1"),
+    (("train", "--augment"), {"sel": 9}, "select-column-out-of-range: 9 not in [0, "),
+    (("train",), {"conds": [[0, 0, "a"]] * 5}, "too-many-conditions: 5 > 4"),
+    (("train",), {"conds": [[0, 0, ""]]}, "empty-condition-value: cond 0"),
+    (("augment",), {"sel": -1}, "select-column-out-of-range: -1 not in [0, "),
+    (("augment",), {"cond_column": -1}, "condition-column-out-of-range: cond 0 column -1"),
+    (("augment",), {"sel": 9}, "select-column-out-of-range: 9 not in [0, "),
+    (("augment",), {"cond_column": 9}, "condition-column-out-of-range: cond 0 column 9"),
+], ids=["train-sel-minus-1", "train-cond-column-minus-1", "train-augment-sel-9",
+        "train-too-many-conditions", "train-empty-value", "augment-sel-minus-1",
+        "augment-cond-column-minus-1", "augment-sel-9", "augment-cond-column-9"])
+def test_a_gold_sketch_outside_its_table_is_an_error(workspace, capsys, command, gold,
+                                                     message):
+    # Columns index from 0, so -1 must not reach the last column, and 9 is
+    # past every synth table's 3 to 5 columns.
+    data, tables = synth(workspace)
+    _set_first_gold(data, **gold)
+    extra = (*TRAIN_TINY, "--budget", "128", "--out", "model.ckpt") \
+        if command[0] == "train" else ()
+    assert run(*command, "--data", str(data), "--tables", str(tables), *extra) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: example 0: {message}")
+    assert "Traceback" not in err
 
 
 DEEP_LINE = "[" * 100_000 + "]" * 100_000
@@ -784,3 +833,62 @@ def test_augment_unknown_operator_names_file_and_line(workspace, capsys):
     err = capsys.readouterr().err
     assert f"{replacements}:2: unknown operator 'BOGUS'" in err
     assert "Traceback" not in err
+
+
+# Paths to one field of an example record (one with a condition) and of the
+# table record it names: each field, and each part of the gold sketch, header,
+# types and rows.
+EXAMPLE_FIELDS = (
+    ("question",), ("table_id",), ("sql",), ("sql", "sel"), ("sql", "agg"),
+    ("sql", "conds"), ("sql", "conds", 0), *(("sql", "conds", 0, i) for i in range(3)),
+    ("provenance",), ("style",),
+)
+TABLE_FIELDS = (("id",), ("header",), ("header", 0), ("types",), ("types", 0),
+                ("rows",), ("rows", 0), ("rows", 0, 0))
+RECORD_FIELDS = (*(("data", path) for path in EXAMPLE_FIELDS),
+                 *(("tables", path) for path in TABLE_FIELDS))
+
+
+@pytest.fixture(scope="module")
+def small_corpus(tmp_path_factory):
+    """A 2-table, 8-example synth corpus, a tiny checkpoint trained on it, and
+    the line of an example with a condition and of its table."""
+    root = tmp_path_factory.mktemp("records")
+    data, tables = synth(root, questions=2)
+    ckpt = root / "model.ckpt"
+    assert run("train", "--data", str(data), "--tables", str(tables),
+               *TRAIN_TINY, "--budget", "128", "--out", str(ckpt)) == 0
+    examples = [json.loads(line) for line in data.read_text().splitlines()]
+    table_ids = [json.loads(line)["id"] for line in tables.read_text().splitlines()]
+    index = next(i for i, record in enumerate(examples) if record["sql"]["conds"])
+    lines = {"data": index, "tables": table_ids.index(examples[index]["table_id"])}
+    return root, {"data": data, "tables": tables}, ckpt, lines
+
+
+@given(field=st.sampled_from(RECORD_FIELDS), value=JSON_VALUES)
+@settings(max_examples=100, deadline=None)
+def test_any_value_in_one_record_field_exits_0_or_1(small_corpus, field, value):
+    root, files, ckpt, lines = small_corpus
+    which, path = field
+    paths = dict(files)
+    records = files[which].read_text(encoding="utf-8").splitlines()
+    record = json.loads(records[lines[which]])
+    node = record
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    records[lines[which]] = json.dumps(record)
+    paths[which] = root / f"mutated.{which}.jsonl"
+    paths[which].write_text("\n".join(records) + "\n", encoding="utf-8")
+
+    for argv in (("validate",), ("augment", "--out", str(root / "augmented.jsonl")),
+                 ("train", *TRAIN_TINY, "--budget", "64", "--out", str(root / "fuzz.ckpt")),
+                 ("eval", "--ckpt", str(ckpt), "--out", str(root / "eval.json"))):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run(*argv, "--data", str(paths["data"]), "--tables", str(paths["tables"]))
+        assert code in (0, 1), argv
+        if code == 1:
+            # A strict load may log a mapped column type before it fails.
+            last = err.getvalue().splitlines()[-1:]
+            assert last and last[0].startswith("error: "), argv

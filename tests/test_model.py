@@ -13,7 +13,6 @@ from nlsql.corpus import Corpus
 from nlsql.model import (
     Checkpoint,
     Gradients,
-    HeadOutputs,
     ModelConfig,
     Target,
     _batched_attention,
@@ -81,16 +80,12 @@ def test_encoder_and_head_shapes(setup):
     assert enc.header_vecs.shape == (table.schema.n_columns, cfg.d_model)
     assert enc.question_vecs.shape == (m, cfg.d_model)
 
-    heads, _ = predict_heads(enc, params, cfg)
-    assert heads.sel_logits.shape == (4,)
-    assert heads.agg_logits.shape == (6,)
-    assert heads.wnum_logits.shape == (cfg.max_conds + 1,)
-    assert heads.wcol_logits.shape == (4,)
-    assert heads.wop_logits.shape == (4, 3)
-    assert heads.wval_start_logits.shape == (4, m)
-    assert heads.wval_end_logits.shape == (4, m)
-    assert np.all(np.isfinite(heads.sel_logits))
-    assert np.all(np.isfinite(heads.wcol_logits))
+    logits, _ = predict_heads(enc, params, cfg)
+    assert {head: arr.shape for head, arr in logits.items()} == {
+        "sel": (4,), "agg": (6,), "wnum": (cfg.max_conds + 1,), "wcol": (4,),
+        "wop": (4, 3), "wvs": (4, m), "wve": (4, m)}
+    assert np.all(np.isfinite(logits["sel"]))
+    assert np.all(np.isfinite(logits["wcol"]))
 
 
 def test_residual_stream_starts_at_unit_scale(setup):
@@ -168,18 +163,17 @@ def test_permuting_column_blocks_permutes_header_vectors(motogp_table):
     assert np.allclose(original[1], swapped[0], atol=1e-10)
 
 
+def head_logits(m=6, **heads):
+    """``predict_heads``-shaped logits for 4 columns and m question
+    positions: the arrays given by head name, zeros for the other heads."""
+    zeros = {"sel": np.zeros(4), "agg": np.zeros(6), "wnum": np.zeros(5), "wcol": np.zeros(4),
+             "wop": np.zeros((4, 3)), "wvs": np.zeros((4, m)), "wve": np.zeros((4, m))}
+    return {**zeros, **heads}
+
+
 def test_uniform_sel_logits_costs_ln4():
-    heads = HeadOutputs(
-        sel_logits=np.zeros(4),
-        agg_logits=np.zeros(6),
-        wnum_logits=np.zeros(5),
-        wop_logits=np.zeros((4, 3)),
-        wval_start_logits=np.zeros((4, 6)),
-        wval_end_logits=np.zeros((4, 6)),
-        wcol_logits=np.zeros(4),
-    )
     target = Target(sel=1, agg=0, n_conds=0, wcol=np.zeros(4), conds=[])
-    _, breakdown, _ = loss_from_heads(heads, target)
+    _, breakdown, _ = loss_from_heads(head_logits(), target)
     assert breakdown["sel"] == pytest.approx(math.log(4))
 
 
@@ -199,7 +193,8 @@ def test_perfect_predictions_drive_loss_to_zero():
     ends = np.full((4, 6), -big)
     starts[1, 2] = big
     ends[1, 3] = big
-    heads = HeadOutputs(sel, agg, wnum, wop, starts, ends, wcol_logits)
+    heads = head_logits(sel=sel, agg=agg, wnum=wnum, wcol=wcol_logits, wop=wop,
+                        wvs=starts, wve=ends)
     wcol = np.zeros(4)
     wcol[1] = 1.0
     target = Target(sel=2, agg=3, n_conds=1, wcol=wcol, conds=[(1, 0, 2, 3)])
@@ -307,15 +302,8 @@ def test_batch_accumulation_equals_sum_of_example_gradients(motogp_table):
 def test_decode_empty_when_wnum_zero(setup):
     *_, example, table = setup
     m = 5
-    heads = HeadOutputs(
-        sel_logits=np.array([0.1, 0.9, 0.0, 0.0]),
-        agg_logits=np.zeros(6),
-        wnum_logits=np.array([5.0, 0, 0, 0, 0]),
-        wop_logits=np.zeros((4, 3)),
-        wval_start_logits=np.zeros((4, m)),
-        wval_end_logits=np.zeros((4, m)),
-        wcol_logits=np.zeros(4),
-    )
+    heads = head_logits(m, sel=np.array([0.1, 0.9, 0.0, 0.0]),
+                        wnum=np.array([5.0, 0, 0, 0, 0]))
     spans = tuple((i, i + 1) for i in range(m))
     sketch = decode_sketch(heads, table.schema, "a b c d e", spans)
     assert sketch.conds == ()
@@ -327,15 +315,7 @@ def test_decode_top_n_columns_and_tie_break(setup):
     m = 4
     wnum = np.zeros(5)
     wnum[2] = 9.0
-    heads = HeadOutputs(
-        sel_logits=np.zeros(4),
-        agg_logits=np.zeros(6),
-        wnum_logits=wnum,
-        wop_logits=np.zeros((4, 3)),
-        wval_start_logits=np.zeros((4, m)),
-        wval_end_logits=np.zeros((4, m)),
-        wcol_logits=np.array([0.9, 0.1, 0.8, 0.2]),
-    )
+    heads = head_logits(m, wnum=wnum, wcol=np.array([0.9, 0.1, 0.8, 0.2]))
     spans = tuple((i, i + 1) for i in range(m))
     sketch = decode_sketch(heads, table.schema, "a b c d", spans)
     assert [c.column_index for c in sketch.conds] == [0, 2]
@@ -343,12 +323,7 @@ def test_decode_top_n_columns_and_tie_break(setup):
     tie = np.array([0.3, 0.5, 0.2, 0.5])
     wnum1 = np.zeros(5)
     wnum1[1] = 9.0
-    heads_tie = HeadOutputs(
-        sel_logits=np.zeros(4), agg_logits=np.zeros(6), wnum_logits=wnum1,
-        wop_logits=np.zeros((4, 3)),
-        wval_start_logits=np.zeros((4, m)), wval_end_logits=np.zeros((4, m)),
-        wcol_logits=tie,
-    )
+    heads_tie = head_logits(m, wnum=wnum1, wcol=tie)
     sketch = decode_sketch(heads_tie, table.schema, "a b c d", spans)
     assert [c.column_index for c in sketch.conds] == [1]
 
@@ -359,12 +334,7 @@ def test_decode_ranks_where_columns_past_sigmoid_saturation(setup):
     m = 4
     wnum = np.zeros(5)
     wnum[1] = 9.0
-    heads = HeadOutputs(
-        sel_logits=np.zeros(4), agg_logits=np.zeros(6), wnum_logits=wnum,
-        wop_logits=np.zeros((4, 3)),
-        wval_start_logits=np.zeros((4, m)), wval_end_logits=np.zeros((4, m)),
-        wcol_logits=np.array([40.0, 50.0, 0.0, 0.0]),
-    )
+    heads = head_logits(m, wnum=wnum, wcol=np.array([40.0, 50.0, 0.0, 0.0]))
     spans = tuple((i, i + 1) for i in range(m))
     sketch = decode_sketch(heads, table.schema, "a b c d", spans)
     assert [c.column_index for c in sketch.conds] == [1]
@@ -379,12 +349,8 @@ def test_decode_respects_span_length_and_boundaries(setup):
     ends[0, 4] = 5.0
     wnum = np.zeros(5)
     wnum[1] = 9.0
-    heads = HeadOutputs(
-        sel_logits=np.zeros(4), agg_logits=np.zeros(6), wnum_logits=wnum,
-        wop_logits=np.zeros((4, 3)),
-        wval_start_logits=starts, wval_end_logits=ends,
-        wcol_logits=np.array([0.9, 0.1, 0.1, 0.1]),
-    )
+    heads = head_logits(m, wnum=wnum, wcol=np.array([0.9, 0.1, 0.1, 0.1]),
+                        wvs=starts, wve=ends)
     question = "alpha beta gamma delta echo fox"
     tokens = tokenize(question)
     spans = tuple((t.start, t.end) for t in tokens)
@@ -419,10 +385,7 @@ def test_decode_span_equals_the_loop_over_starts_with_ties(setup):
         draw = (lambda shape: rng.integers(-2, 3, size=shape).astype(float)) \
             if trial % 3 else (lambda shape: rng.normal(size=shape))
         starts, ends = draw((4, m)), draw((4, m))
-        heads = HeadOutputs(
-            sel_logits=np.zeros(4), agg_logits=np.zeros(6), wnum_logits=wnum,
-            wop_logits=np.zeros((4, 3)), wval_start_logits=starts,
-            wval_end_logits=ends, wcol_logits=np.zeros(4))
+        heads = head_logits(m, wnum=wnum, wvs=starts, wve=ends)
         question = " ".join(f"w{i}" for i in range(m))
         spans = tuple((t.start, t.end) for t in tokenize(question))
         sketch = decode_sketch(heads, table.schema, question, spans, max_span_len)
@@ -445,11 +408,7 @@ def test_sel_argmax_scale_invariance(setup):
     cfg, params, feats, target, example, table = setup
     enc, _ = encode(feats, params, cfg)
     heads, _ = predict_heads(enc, params, cfg)
-    scaled = HeadOutputs(
-        heads.sel_logits * 7.0, heads.agg_logits, heads.wnum_logits,
-        heads.wop_logits, heads.wval_start_logits,
-        heads.wval_end_logits, heads.wcol_logits,
-    )
+    scaled = {**heads, "sel": heads["sel"] * 7.0}
     a = decode_sketch(heads, table.schema, feats.question, feats.question_spans)
     b = decode_sketch(scaled, table.schema, feats.question, feats.question_spans)
     assert a.select_column == b.select_column
@@ -468,6 +427,16 @@ def test_make_target_drops_unalignable(setup):
     gold = SqlSketch(0, AggOp.NONE, (Condition(0, CondOp.EQ, "absent"),))
     target, _ = make_target(gold, feats, cfg.max_conds)
     assert target is None
+
+
+@pytest.mark.parametrize("sel, cond_column", [(-1, 0), (0, -1), (4, 0), (0, 4)],
+                         ids=["sel-minus-1", "cond-minus-1", "sel-past-end", "cond-past-end"])
+def test_make_target_drops_a_column_outside_the_table(setup, sel, cond_column):
+    # -1 must not supervise the last of the 4 columns
+    cfg, _, feats, _, example, _ = setup
+    value = feats.question_tokens[0]
+    gold = SqlSketch(sel, AggOp.NONE, (Condition(cond_column, CondOp.EQ, value),))
+    assert make_target(gold, feats, cfg.max_conds) == (None, False)
 
 
 @given(st.integers(0, 2**32))
@@ -527,16 +496,10 @@ def test_head_shapes_hold_for_arbitrary_inputs(data):
     enc, _ = encode(feats, params, cfg)
     heads, _ = predict_heads(enc, params, cfg)
     m = len(feats.question_spans)
-    assert heads.sel_logits.shape == (n_cols,)
-    assert heads.agg_logits.shape == (6,)
-    assert heads.wnum_logits.shape == (cfg.max_conds + 1,)
-    assert heads.wcol_logits.shape == (n_cols,)
-    assert heads.wop_logits.shape == (n_cols, 3)
-    assert heads.wval_start_logits.shape == (n_cols, m)
-    assert heads.wval_end_logits.shape == (n_cols, m)
-    for arr in (heads.sel_logits, heads.agg_logits, heads.wnum_logits,
-                heads.wop_logits, heads.wval_start_logits,
-                heads.wval_end_logits):
+    assert {head: arr.shape for head, arr in heads.items()} == {
+        "sel": (n_cols,), "agg": (6,), "wnum": (cfg.max_conds + 1,), "wcol": (n_cols,),
+        "wop": (n_cols, 3), "wvs": (n_cols, m), "wve": (n_cols, m)}
+    for arr in heads.values():
         assert np.all(np.isfinite(arr))
     sketch = decode_sketch(heads, schema, question, feats.question_spans,
                            cfg.max_span_len)
