@@ -9,10 +9,15 @@ Wire formats (UTF-8, one JSON record per line, unknown fields ignored):
 
 Condition values may arrive as JSON numbers or strings; both are accepted and
 normalized to strings at load — typing is the executor's job.
+
+``read_jsonl`` pauses the cyclic garbage collector while it reads: decoded
+JSON never forms reference cycles, so collector passes over the growing heap
+of parsed rows find nothing, and they were most of a large table's load.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import logging
 from collections import Counter
@@ -73,21 +78,29 @@ def read_jsonl(path, strict: bool, consume) -> None:
     not UTF-8, that does not decode (nested too deep, say) or that ``consume``
     rejects raises CorpusFormatError naming the file and line (strict) or is
     skipped with a line-numbered warning (lenient)."""
-    with open(path, "rb") as handle:
-        # Not enumerate: its reused result tuple would keep each line's bytes
-        # alive next to the decoded text (a table can be one multi-MB line).
-        lineno = 0
-        for line in handle:
-            lineno += 1
-            try:
-                line = line.decode("utf-8")
-                if line.strip():
-                    consume(json.loads(line))
-            except (KeyError, TypeError, ValueError, OverflowError,
-                    RecursionError) as exc:
-                if strict:
-                    raise CorpusFormatError(f"{path}:{lineno}: {exc}") from exc
-                logger.warning("%s:%d: skipping malformed line (%s)", path, lineno, exc)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        with open(path, "rb") as handle:
+            # Not enumerate: its reused result tuple would keep each line's
+            # bytes alive next to the decoded text (a table can be one
+            # multi-MB line).
+            lineno = 0
+            for line in handle:
+                lineno += 1
+                try:
+                    line = line.decode("utf-8")
+                    if line.strip():
+                        consume(json.loads(line))
+                except (KeyError, TypeError, ValueError, OverflowError,
+                        RecursionError) as exc:
+                    if strict:
+                        raise CorpusFormatError(f"{path}:{lineno}: {exc}") from exc
+                    logger.warning("%s:%d: skipping malformed line (%s)",
+                                   path, lineno, exc)
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def write_jsonl(records, path) -> None:
@@ -140,11 +153,10 @@ def _parse_table(record: dict) -> Table:
             t = "text"
         types.append(t)
     schema = TableSchema(table_id=table_id, headers=tuple(headers), types=tuple(types))
-    raw = record.get("rows", [])
-    if set(map(type, chain.from_iterable(raw))) <= {str}:
-        rows = tuple(map(tuple, raw))  # all cells already strings: no per-cell work
-    else:
-        rows = tuple(tuple(str(cell) for cell in row) for row in raw)
+    rows = record.get("rows", [])
+    if not set(map(type, chain.from_iterable(rows))) <= {str}:
+        rows = [tuple(map(str, row)) for row in rows]
+    # Table makes the row tuples and checks their width.
     return Table(schema=schema, rows=rows)
 
 

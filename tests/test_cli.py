@@ -26,6 +26,14 @@ def run(*argv) -> int:
     return cli_dispatch(list(argv))
 
 
+def run_captured(*argv) -> tuple[int, str]:
+    """``run``'s exit code and stderr, stdout discarded."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = run(*argv)
+    return code, err.getvalue()
+
+
 def synth(workspace, **over):
     out = workspace / "synth"
     args = ["synth", "--out-dir", str(out), "--n-tables", "2", "--rows", "4",
@@ -726,14 +734,12 @@ def test_eval_on_any_value_in_one_header_field_exits_0_or_1(trained, path, value
         node[path[-1]] = value
 
     _edit_header(mutated, edit)
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = run("eval", "--data", str(data), "--tables", str(tables),
-                   "--ckpt", str(mutated),
-                   "--out", str(mutated.with_name("eval.json")))
+    code, err = run_captured("eval", "--data", str(data), "--tables", str(tables),
+                             "--ckpt", str(mutated),
+                             "--out", str(mutated.with_name("eval.json")))
     assert code in (0, 1)
     if code == 1:
-        assert err.getvalue().startswith("error: ")
+        assert err.startswith("error: ")
 
 
 def test_eval_loads_a_checkpoint_with_retired_config_keys(workspace):
@@ -884,11 +890,79 @@ def test_any_value_in_one_record_field_exits_0_or_1(small_corpus, field, value):
     for argv in (("validate",), ("augment", "--out", str(root / "augmented.jsonl")),
                  ("train", *TRAIN_TINY, "--budget", "64", "--out", str(root / "fuzz.ckpt")),
                  ("eval", "--ckpt", str(ckpt), "--out", str(root / "eval.json"))):
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = run(*argv, "--data", str(paths["data"]), "--tables", str(paths["tables"]))
+        code, err = run_captured(*argv, "--data", str(paths["data"]),
+                                 "--tables", str(paths["tables"]))
         assert code in (0, 1), argv
         if code == 1:
             # A strict load may log a mapped column type before it fails.
-            last = err.getvalue().splitlines()[-1:]
+            last = err.splitlines()[-1:]
             assert last and last[0].startswith("error: "), argv
+
+
+# Each command's settings as a --config file sets them, one line each; the
+# inputs each command requires are flags.
+CONFIG_FILES = {
+    "validate": {"lenient": "no", "seed": "0", "log-level": "warning"},
+    "sample": {"strategy": "rel:2", "question": "more than 3", "seed": "1",
+               "lenient": "no"},
+    "serialize": {"strategy": "rand:2", "budget": "64", "seed": "1", "lenient": "no"},
+    "eval": {"strategy": "rel:2", "budget": "64", "seed": "0", "lenient": "no"},
+}
+CONFIG_LINES = tuple((command, key) for command, settings in CONFIG_FILES.items()
+                     for key in settings)
+CONFIG_VALUES = (st.text(st.characters(exclude_characters="\r\n"), max_size=10)
+                 | st.integers().map(str) | st.floats().map(str)
+                 | st.sampled_from(["rel:0", "rand:-1", "em1:5", "none", "rel:", ":3",
+                                    "yes", "off", "debug", "1e400"]))
+
+
+@given(line=st.sampled_from(CONFIG_LINES), value=CONFIG_VALUES)
+@settings(max_examples=200, deadline=None)
+def test_any_value_in_one_config_line_exits_0_or_1(small_corpus, line, value):
+    root, files, ckpt, _ = small_corpus
+    command, key = line
+    lines = dict(CONFIG_FILES[command], **{key: value})
+    config = root / "mutated.conf"
+    config.write_text("".join(f"{k} = {v}\n" for k, v in lines.items()),
+                      encoding="utf-8")
+    table_id = json.loads(files["tables"].read_text().splitlines()[0])["id"]
+    argv = {
+        "validate": ("--data", str(files["data"])),
+        "sample": ("--table-id", table_id),
+        "serialize": ("--table-id", table_id, "--question", "more than 3"),
+        "eval": ("--data", str(files["data"]), "--ckpt", str(ckpt),
+                 "--out", str(root / "eval.json")),
+    }[command]
+    code, err = run_captured(command, "--tables", str(files["tables"]), *argv,
+                             "--config", str(config))
+    assert code in (0, 1)
+    if code == 1:
+        assert err.startswith("error: ")
+
+
+REPLACEMENT_LINES = ("# pattern<TAB>op<TAB>symbol", "more than\tGT\t>",
+                     "at most\tlt\t<=", "fewer than\tLT\t<", "under\t<\t<")
+REPLACEMENT_VALUES = (
+    st.binary(max_size=12)
+    | st.lists(st.text(max_size=6), min_size=1, max_size=4).map("\t".join)
+    | st.tuples(st.text(st.characters(exclude_characters="\t\n\r"), min_size=1,
+                        max_size=6),
+                st.sampled_from(["GT", "lt", "eq", ">", "=", "<=", ""]),
+                st.text(max_size=3)).map("\t".join))
+
+
+@given(index=st.integers(0, len(REPLACEMENT_LINES) - 1), value=REPLACEMENT_VALUES)
+@settings(max_examples=200, deadline=None)
+def test_any_line_of_a_replacements_file_exits_0_or_1(small_corpus, index, value):
+    root, files, _, _ = small_corpus
+    lines = [line.encode("utf-8") for line in REPLACEMENT_LINES]
+    lines[index] = value if isinstance(value, bytes) else value.encode("utf-8")
+    replacements = root / "mutated.tsv"
+    replacements.write_bytes(b"\n".join(lines) + b"\n")
+    code, err = run_captured("augment", "--data", str(files["data"]),
+                             "--tables", str(files["tables"]),
+                             "--replacements", str(replacements), "--symbol-prob", "1",
+                             "--out", str(root / "augmented.jsonl"))
+    assert code in (0, 1)
+    if code == 1:
+        assert err.startswith("error: ")

@@ -1,3 +1,4 @@
+import gc
 import json
 
 import pytest
@@ -7,6 +8,7 @@ from nlsql.corpus import (
     CorpusFormatError,
     load_examples,
     load_tables,
+    read_jsonl,
     save_examples,
     save_tables,
     validate_corpus,
@@ -77,6 +79,13 @@ def test_load_tables_tennis(tmp_path, tennis_table):
     }])
     tables = load_tables(path)
     assert tables["1-tennis"] == tennis_table
+    assert_rows_are_string_tuples(tables["1-tennis"].rows)
+
+
+def assert_rows_are_string_tuples(rows):
+    assert type(rows) is tuple
+    assert all(type(row) is tuple for row in rows)
+    assert all(type(cell) is str for row in rows for cell in row)
 
 
 def test_load_tables_empty_rows_ok(tmp_path):
@@ -88,16 +97,61 @@ def test_load_tables_empty_rows_ok(tmp_path):
 def test_load_tables_numeric_cells_coerced(tmp_path):
     path = tmp_path / "tables.jsonl"
     write_lines(path, [{"id": "t", "header": ["A", "B"], "types": ["text", "real"],
-                        "rows": [["x", 200], [1.5, True]]}])
-    assert load_tables(path)["t"].rows == (("x", "200"), ("1.5", "True"))
+                        "rows": [["x", 200], [1.5, True], [False, None]]}])
+    rows = load_tables(path)["t"].rows
+    assert rows == (("x", "200"), ("1.5", "True"), ("False", "None"))
+    assert_rows_are_string_tuples(rows)
 
 
 def test_load_tables_arity_mismatch(tmp_path):
     path = tmp_path / "tables.jsonl"
-    write_lines(path, [{"id": "t", "header": ["A", "B", "C"],
-                        "types": ["text"] * 3, "rows": [["x", "y"]]}])
-    with pytest.raises(CorpusFormatError):
-        load_tables(path)
+    for cells in (["x", "y"], [1, 2]):  # string cells, and cells made strings
+        rows = [["a", "b", "c"], ["d", "e", "f"], cells, ["g"]]
+        write_lines(path, [{"id": "t", "header": ["A", "B", "C"],
+                            "types": ["text"] * 3, "rows": rows}])
+        with pytest.raises(CorpusFormatError, match=r"tables.jsonl:1: "
+                           r"table 't' row 2: 2 cells for 3 columns"):
+            load_tables(path)
+
+
+@pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
+def collector(request):
+    """The cyclic collector switched on or off for a test, then restored."""
+    was_enabled = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was_enabled else gc.disable)()
+
+
+def test_read_jsonl_pauses_the_collector_and_restores_it(tmp_path, collector):
+    path = tmp_path / "records.jsonl"
+    write_lines(path, [{"n": 1}, {"n": 2}])
+    seen = []
+    read_jsonl(path, True, lambda record: seen.append(gc.isenabled()))
+    assert seen == [False, False]
+    assert gc.isenabled() is collector
+
+
+def test_read_jsonl_restores_the_collector_after_a_strict_error(tmp_path, collector):
+    path = tmp_path / "records.jsonl"
+    path.write_text('{"n": 1}\nnot json\n{"n": 3}\n', encoding="utf-8")
+    seen = []
+    with pytest.raises(CorpusFormatError, match="records.jsonl:2"):
+        read_jsonl(path, True, seen.append)
+    assert seen == [{"n": 1}]
+    assert gc.isenabled() is collector
+
+
+def test_read_jsonl_restores_the_collector_after_lenient_skips(tmp_path, collector,
+                                                               caplog):
+    path = tmp_path / "records.jsonl"
+    path.write_bytes(b'{"n": 1}\nnot json\n\xff\n{"n": 4}\n')
+    seen = []
+    with caplog.at_level("WARNING"):
+        read_jsonl(path, False, seen.append)
+    assert seen == [{"n": 1}, {"n": 4}]
+    assert "records.jsonl:2" in caplog.text and "records.jsonl:3" in caplog.text
+    assert gc.isenabled() is collector
 
 
 def test_load_tables_duplicate_id(tmp_path):
