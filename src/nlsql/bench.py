@@ -9,12 +9,12 @@ negligible (zero) by convention and only the query path is timed.
 
 from __future__ import annotations
 
-import json
 import statistics
 import time
 import tracemalloc
 from dataclasses import dataclass, field
 
+from .corpus import write_json
 from .serialize import DEFAULT_BUDGET, serialize_input, tokenize
 from .sketch import Table
 from .train import Sampler
@@ -50,9 +50,7 @@ class BenchReport:
         }
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.to_dict(), handle, indent=2)
-            handle.write("\n")
+        write_json(self.to_dict(), path)
 
     def render_text(self) -> str:
         header = f"{'rows':>10}  {'cells':>10}  {'setup_s':>10}  {'peak_mb':>10}  {'query_ms':>10}"

@@ -3,9 +3,10 @@
 Subcommands: validate, synth, augment, index, sample, serialize, train,
 eval, compare, bench, render, repl. Configuration precedence is flags >
 config file > defaults; the config file is flat ``key = value`` text using
-the flag destination names (e.g. ``epochs = 300``). Every subcommand that
-writes outputs also writes a run manifest next to them. ``NLSQL_OUT_DIR``
-sets the default output directory.
+the flag destination names (e.g. ``epochs = 300``). Each handler returns the
+paths it wrote, and ``cli_dispatch`` writes a run manifest next to the first
+of them, so every run that writes outputs is recorded. ``NLSQL_OUT_DIR`` sets
+the default output directory.
 
 Exit codes: 0 success, 1 validation/run failure, 2 usage error.
 """
@@ -30,14 +31,16 @@ from .corpus import (
     load_tables,
     save_examples,
     save_tables,
+    sketch_from_record,
     validate_corpus,
+    write_json,
     write_jsonl,
 )
 from .executor import execute
 from .keyword_index import build_index
 from .model import ModelConfig, load_checkpoint, save_checkpoint
 from .serialize import DEFAULT_BUDGET, SEGMENT_LETTERS, serialize_input, tokenize
-from .sketch import AggOp, CondOp, Condition, SqlSketch, render_sql
+from .sketch import SqlSketch, render_sql
 from .synth import SynthConfig, generate_bench_table, generate_synthetic_corpus
 from .train import (
     FIXED_K,
@@ -47,8 +50,6 @@ from .train import (
     evaluate,
     parse_strategy,
     predict,
-    save_predictions,
-    save_report,
     train,
 )
 
@@ -75,35 +76,26 @@ def _digest(path) -> str:
     return h.hexdigest()
 
 
-def write_manifest(args, directory: Path, started: float,
-                   outputs: list[str]) -> None:
-    """One manifest per run: resolved config, seeds, input digests, version,
-    and the process's peak resident set so far."""
-    snapshot = {}
-    inputs = {}
-    for key, value in sorted(vars(args).items()):
-        if key == "func":
-            continue
-        snapshot[key] = str(value) if isinstance(value, Path) else value
-        if key in ("data", "tables", "ckpt", "replacements", "config") \
-                and value and Path(str(value)).is_file():
-            inputs[str(value)] = _digest(value)
-    manifest = {
+def write_manifest(args, started: float, outputs: list[Path]) -> None:
+    """One manifest per run, beside its first output: resolved config, seeds,
+    input digests, outputs, version and the peak resident set so far."""
+    config = {key: value for key, value in sorted(vars(args).items())
+              if key != "func"}
+    inputs = {value: _digest(value) for key, value in config.items()
+              if key in ("data", "tables", "ckpt", "replacements", "config")
+              and value and Path(value).is_file()}
+    write_json({
         "subcommand": args.subcommand,
-        "config": snapshot,
-        "seed": snapshot.get("seed"),
+        "config": config,
+        "seed": config.get("seed"),
         "inputs": inputs,
-        "outputs": outputs,
+        "outputs": [str(path) for path in outputs],
         "version": __version__,
         "started": started,
         "finished": time.time(),
         # ru_maxrss is in KiB on Linux
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
-    }
-    path = directory / f"{args.subcommand}.manifest.json"
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(manifest, handle, indent=2)
-        handle.write("\n")
+    }, outputs[0].parent / f"{args.subcommand}.manifest.json")
 
 
 def _strategy(args, checkpoint=None, default: str = "rand") -> tuple[str, int]:
@@ -149,20 +141,18 @@ def _load_pair(args):
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers (each returns a process exit status)
+# Subcommand handlers (each returns the paths it wrote, if any)
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(args) -> None:
     corpus, tables = _load_pair(args)
     report = validate_corpus(corpus, tables)
     print(report.summary())
     if not report.ok:
         raise ValueError(f"{len(report.violations)} violations")
-    return 0
 
 
-def cmd_synth(args) -> int:
-    started = time.time()
+def cmd_synth(args) -> list[Path]:
     config = SynthConfig(
         n_tables=args.n_tables, rows_per_table=args.rows,
         n_columns_min=args.cols_min, n_columns_max=args.cols_max,
@@ -174,18 +164,15 @@ def cmd_synth(args) -> int:
     tables_path = directory / "tables.jsonl"
     save_examples(corpus, data_path)
     save_tables(tables, tables_path)
-    manifest_path = directory / "archetypes.json"
-    with open(manifest_path, "w", encoding="utf-8") as handle:
+    archetypes_path = directory / "archetypes.json"
+    with open(archetypes_path, "w", encoding="utf-8") as handle:
         json.dump(corpus.meta["archetypes"], handle, indent=2)
-    write_manifest(args, directory, started,
-                   [str(data_path), str(tables_path), str(manifest_path)])
     print(f"wrote {len(corpus.examples)} examples over {len(tables)} tables "
           f"to {directory}")
-    return 0
+    return [data_path, tables_path, archetypes_path]
 
 
-def cmd_augment(args) -> int:
-    started = time.time()
+def cmd_augment(args) -> list[Path]:
     corpus, tables = _load_pair(args)
     rmap = load_replacement_map(args.replacements) if args.replacements \
         else ReplacementMap()
@@ -198,14 +185,13 @@ def cmd_augment(args) -> int:
     augmented = augment_corpus(corpus, tables, config, rmap)
     out_path = _out_path(args, "augmented.jsonl")
     save_examples(augmented, out_path)
-    write_manifest(args, out_path.parent, started, [str(out_path)])
     stats = augmented.meta["augmentation"]
     print(f"wrote {len(augmented.examples)} examples "
           f"({stats['added']} added from a pool of {stats['pool']}) to {out_path}")
-    return 0
+    return [out_path]
 
 
-def cmd_index(args) -> int:
+def cmd_index(args) -> None:
     tables = load_tables(args.tables, strict=not args.lenient)
     selected = [_table(args, tables)] if args.table_id \
         else [tables[table_id] for table_id in sorted(tables)]
@@ -213,10 +199,11 @@ def cmd_index(args) -> int:
         started = time.perf_counter()
         index = build_index(table)
         seconds = time.perf_counter() - started
-        n_cells = sum(1 for row in table.rows for cell in row if cell.strip())
+        n_cells = sum(n for column in table.columns
+                      for cell, n in zip(column.codebook, column.counts.tolist())
+                      if cell.strip())
         print(f"{table.table_id}: {index.n_patterns} patterns over "
               f"{n_cells} cells, built in {seconds:.3f}s")
-    return 0
 
 
 def _table_samples(args):
@@ -228,8 +215,7 @@ def _table_samples(args):
     return table, sampler.sample_for(args.table_id, args.question or "")
 
 
-def cmd_sample(args) -> int:
-    started = time.time()
+def cmd_sample(args) -> list[Path] | None:
     table, samples = _table_samples(args)
     for col, values in enumerate(samples.columns):
         print(f"{table.schema.headers[col]}: {list(values)}")
@@ -237,22 +223,19 @@ def cmd_sample(args) -> int:
         write_jsonl([{"table_id": samples.table_id, "strategy": args.strategy,
                       "seed": args.seed,
                       "columns": [list(c) for c in samples.columns]}], args.out)
-        write_manifest(args, Path(args.out).parent, started, [args.out])
-    return 0
+        return [Path(args.out)]
 
 
-def cmd_serialize(args) -> int:
+def cmd_serialize(args) -> None:
     table, samples = _table_samples(args)
     serialized = serialize_input(tokenize(args.question), table.schema,
                                  samples, args.budget, question=args.question)
     print(serialized.render())
     print(" ".join(SEGMENT_LETTERS[s] for s in serialized.segments))
     print(" ".join(str(c) if c >= 0 else "." for c in serialized.columns))
-    return 0
 
 
-def cmd_train(args) -> int:
-    started = time.time()
+def cmd_train(args) -> list[Path]:
     corpus, tables = _load_pair(args)
     strategy, k = _strategy(args)
     augment_config = None
@@ -277,16 +260,13 @@ def cmd_train(args) -> int:
     history_path = ckpt_path.with_suffix(".history.json")
     with open(history_path, "w", encoding="utf-8") as handle:
         json.dump(history, handle, indent=2)
-    write_manifest(args, ckpt_path.parent, started,
-                   [str(ckpt_path), str(history_path)])
     final = history[-1]
     print(f"trained {len(history)} epochs, final loss {final['loss']:.4f}, "
           f"checkpoint at {ckpt_path}")
-    return 0
+    return [ckpt_path, history_path]
 
 
-def cmd_eval(args) -> int:
-    started = time.time()
+def cmd_eval(args) -> list[Path]:
     corpus, tables = _load_pair(args)
     checkpoint = load_checkpoint(args.ckpt)
     args.budget = _serving_budget(args, checkpoint)
@@ -295,18 +275,17 @@ def cmd_eval(args) -> int:
                       budget=args.budget, seed=args.seed)
     print(report.render_text())
     report_path = _out_path(args, "eval.json")
-    save_report(report, report_path)
+    write_json(report.to_dict(), report_path)
     predictions_path = report_path.with_suffix(".predictions.jsonl")
-    save_predictions(report, predictions_path)
-    write_manifest(args, report_path.parent, started,
-                   [str(report_path), str(predictions_path)])
-    return 0
+    write_jsonl(report.predictions, predictions_path)
+    return [report_path, predictions_path]
 
 
-def cmd_compare(args) -> int:
-    started = time.time()
-    corpus, tables = _load_pair(args)
+def cmd_compare(args) -> list[Path]:
     labels = [s.strip() for s in args.strategies.split(",") if s.strip()]
+    if not labels:
+        raise ValueError("--strategies: no strategy given")
+    corpus, tables = _load_pair(args)
     checkpoint = load_checkpoint(args.ckpt)
     args.budget = _serving_budget(args, checkpoint)
     comparison = compare_strategies(checkpoint, corpus, tables, labels,
@@ -315,12 +294,10 @@ def cmd_compare(args) -> int:
     out_path = _out_path(args, "comparison.json")
     with open(out_path, "w", encoding="utf-8") as handle:
         json.dump(comparison.to_dict(), handle, indent=2)
-    write_manifest(args, out_path.parent, started, [str(out_path)])
-    return 0
+    return [out_path]
 
 
-def cmd_bench(args) -> int:
-    started = time.time()
+def cmd_bench(args) -> list[Path]:
     sizes = [int(s) if s.strip().isdecimal() else 0 for s in args.rows.split(",") if s]
     if not sizes or min(sizes) < 1:
         raise ValueError(f"--rows: expected comma-separated table sizes of at "
@@ -332,8 +309,7 @@ def cmd_bench(args) -> int:
     print(report.render_text())
     out_path = _out_path(args, "bench.json")
     report.save(out_path)
-    write_manifest(args, out_path.parent, started, [str(out_path)])
-    return 0
+    return [out_path]
 
 
 def _parse_sketch_json(text: str) -> SqlSketch:
@@ -341,26 +317,20 @@ def _parse_sketch_json(text: str) -> SqlSketch:
         record = json.loads(text)
         if not isinstance(record, dict):
             raise TypeError("expected a JSON object")
-        conds = tuple(
-            Condition(int(col), CondOp(int(op)), str(value))
-            for col, op, value in record.get("conds", [])
-        )
-        return SqlSketch(select_column=int(record["sel"]),
-                         agg=AggOp(int(record.get("agg", 0))), conds=conds)
+        return sketch_from_record({"agg": 0, **record})
     except KeyError as exc:
         raise ValueError(f"--sketch: missing key {exc}") from None
     except (OverflowError, RecursionError, TypeError, ValueError) as exc:
         raise ValueError(f"--sketch: {exc}") from None
 
 
-def cmd_render(args) -> int:
+def cmd_render(args) -> None:
     table = _table(args, load_tables(args.tables, strict=not args.lenient))
     sketch = _parse_sketch_json(args.sketch)
     print(render_sql(sketch, table.schema))
-    return 0
 
 
-def cmd_repl(args) -> int:
+def cmd_repl(args) -> None:
     tables = load_tables(args.tables, strict=not args.lenient)
     table = _table(args, tables)
     checkpoint = load_checkpoint(args.ckpt)
@@ -369,8 +339,13 @@ def cmd_repl(args) -> int:
     sampler = Sampler(tables, strategy, k, args.seed)
     print(f"table {args.table_id}: {', '.join(table.schema.headers)}")
     print("enter a question (EOF to quit)")
-    for line in sys.stdin:
-        question = line.strip()
+    # Bytes, decoded line by line: an undecodable line is one error, not the end.
+    for lineno, line in enumerate(sys.stdin.buffer, start=1):
+        try:
+            question = line.decode("utf-8").strip()
+        except UnicodeDecodeError:
+            print(f"error: line {lineno}: not UTF-8", file=sys.stderr)
+            continue
         if not question:
             continue
         try:
@@ -383,7 +358,6 @@ def cmd_repl(args) -> int:
         shown = list(result.values[:10])
         suffix = " ..." if len(result.values) > 10 else ""
         print(f"-> {shown}{suffix}")
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -624,8 +598,12 @@ def cli_dispatch(argv) -> int:
     previous = package.level
     package.addHandler(handler)
     package.setLevel(level)
+    started = time.time()
     try:
-        return args.func(args)
+        outputs = args.func(args)
+        if outputs:
+            write_manifest(args, started, outputs)
+        return 0
     except OSError as exc:  # a missing or unreadable file, or a directory
         where = f"{exc.filename}: " if exc.filename is not None else ""
         print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)

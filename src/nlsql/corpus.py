@@ -7,6 +7,7 @@ Wire formats (UTF-8, one JSON record per line, unknown fields ignored):
   tables:    {"id": str, "header": [str, ...], "types": [str, ...],
               "rows": [[cell, ...], ...]}
 
+``sel``, ``agg`` and each condition's column and op must be JSON integers.
 Condition values may arrive as JSON numbers or strings; both are accepted and
 normalized to strings at load — typing is the executor's job.
 
@@ -51,23 +52,36 @@ class Corpus:
     meta: dict = field(default_factory=dict)
 
 
+def _not_an_integer(fields: dict) -> ValueError:
+    """The error naming the first of ``fields`` whose value is not a JSON
+    integer: a float, a bool or a string is not one."""
+    name, value = next((n, v) for n, v in fields.items() if type(v) is not int)
+    return ValueError(f"{name}: expected an integer, got {value!r}")
+
+
+def sketch_from_record(sql: dict) -> SqlSketch:
+    """The sketch of an example's ``sql`` record; ``sel``, ``agg`` and each
+    condition's column and op must be integers, tested two at a time."""
+    sel, agg = sql["sel"], sql["agg"]
+    if type(sel) is not int or type(agg) is not int:
+        raise _not_an_integer({"sel": sel, "agg": agg})
+    conds = []
+    for i, (col, op, value) in enumerate(sql.get("conds", [])):
+        if type(col) is not int or type(op) is not int:
+            raise _not_an_integer({f"cond {i} column": col, f"cond {i} op": op})
+        conds.append(Condition(col, CondOp(op), str(value)))
+    return SqlSketch(select_column=sel, agg=AggOp(agg), conds=tuple(conds))
+
+
 def _parse_example(record: dict) -> Example:
     question = record["question"]
     table_id = str(record["table_id"])
     if not isinstance(question, str) or not question.strip():
         raise ValueError("question must be a non-empty string")
-    sql = record["sql"]
-    sel = int(sql["sel"])
-    agg = AggOp(int(sql["agg"]))
-    conds = []
-    for triple in sql.get("conds", []):
-        col, op, value = triple
-        conds.append(Condition(int(col), CondOp(int(op)), str(value)))
-    sketch = SqlSketch(select_column=sel, agg=agg, conds=tuple(conds))
     return Example(
         question=question,
         table_id=table_id,
-        gold=sketch,
+        gold=sketch_from_record(record["sql"]),
         provenance=record.get("provenance", PROV_ORIGINAL),
         style=record.get("style", ""),
     )
@@ -109,6 +123,13 @@ def write_jsonl(records, path) -> None:
         for record in records:
             handle.write(json.dumps(record, ensure_ascii=False))
             handle.write("\n")
+
+
+def write_json(record, path) -> None:
+    """Write one indented JSON record and a final newline."""
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(record, handle, indent=2)
+        handle.write("\n")
 
 
 def load_examples(path, strict: bool = True) -> Corpus:

@@ -13,7 +13,6 @@ samples are drawn once per table and shared across questions.
 from __future__ import annotations
 
 import dataclasses
-import json
 import logging
 import math
 from collections import Counter
@@ -22,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .augment import AugmentConfig, augment_corpus
-from .corpus import Corpus, example_table, write_jsonl
+from .corpus import Corpus, example_table
 from .executor import ex_equal
 from .keyword_index import build_index
 from .model import (
@@ -443,16 +442,6 @@ def evaluate(checkpoint: Checkpoint, corpus: Corpus, tables: dict[str, Table],
         counts=dict(counts),
         predictions=predictions,
     )
-
-
-def save_report(report: EvalReport, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(report.to_dict(), handle, indent=2)
-        handle.write("\n")
-
-
-def save_predictions(report: EvalReport, path) -> None:
-    write_jsonl(report.predictions, path)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import struct
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,6 +33,13 @@ def run_captured(*argv) -> tuple[int, str]:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = run(*argv)
     return code, err.getvalue()
+
+
+def stdin(text: str | bytes) -> io.TextIOWrapper:
+    """A stand-in for ``sys.stdin`` holding ``text``, with the byte buffer
+    that ``repl`` reads."""
+    data = text.encode("utf-8") if isinstance(text, str) else text
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
 
 
 def synth(workspace, **over):
@@ -195,6 +203,32 @@ def test_render_rejects_a_malformed_sketch(workspace, motogp_table, capsys,
     assert err.startswith("error: --sketch") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("value", [1.9, True, "1"], ids=["float", "bool", "string"])
+@pytest.mark.parametrize("path, name", [
+    (("sel",), "sel"), (("agg",), "agg"),
+    (("conds", 0, 0), "cond 0 column"), (("conds", 0, 1), "cond 0 op"),
+], ids=["sel", "agg", "cond-column", "cond-op"])
+def test_sketch_indices_must_be_json_integers(workspace, tennis_table, capsys,
+                                              path, name, value):
+    # Through int(), each value would read as 1: a valid index in every field.
+    sql = {"sel": 1, "agg": 1, "conds": [[1, 1, "clay"]]}
+    node = sql
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    tables, data = workspace / "tables.jsonl", workspace / "corpus.jsonl"
+    save_tables({tennis_table.table_id: tennis_table}, tables)
+    data.write_text(json.dumps({"question": "court past clay", "sql": sql,
+                                "table_id": tennis_table.table_id}) + "\n",
+                    encoding="utf-8")
+    message = f"{name}: expected an integer, got {value!r}"
+    assert run("validate", "--data", str(data), "--tables", str(tables)) == 1
+    assert capsys.readouterr().err == f"error: {data}:1: {message}\n"
+    assert run("render", "--tables", str(tables), "--table-id", tennis_table.table_id,
+               "--sketch", json.dumps(sql)) == 1
+    assert capsys.readouterr().err == f"error: --sketch: {message}\n"
+
+
 @pytest.mark.parametrize("subcommand, extra", [
     ("index", []),
     ("sample", []),
@@ -282,6 +316,20 @@ def test_index_prints_pattern_and_cell_counts(workspace, tennis_table, capsys):
     ]
 
 
+@given(rows=st.lists(st.lists(st.sampled_from(["", " ", "a", "A ", "b b"]),
+                              min_size=2, max_size=2), min_size=1, max_size=6))
+@settings(max_examples=50, deadline=None)
+def test_index_counts_the_non_blank_cells(tmp_path_factory, rows):
+    table = Table(TableSchema("t", ("A", "B"), ("text", "text")), rows)
+    tables = tmp_path_factory.mktemp("index") / "tables.jsonl"
+    save_tables({"t": table}, tables)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert run("index", "--tables", str(tables)) == 0
+    n_cells = sum(1 for row in rows for cell in row if cell.strip())
+    assert f" patterns over {n_cells} cells, built in " in out.getvalue()
+
+
 def test_augment_command(workspace, capsys):
     data, tables = synth(workspace)
     out_file = workspace / "augmented.jsonl"
@@ -317,6 +365,19 @@ def test_train_eval_compare_smoke(workspace, capsys):
                "--out", str(cmp_path)) == 0
     rows = json.loads(cmp_path.read_text())["rows"]
     assert [r["strategy"] for r in rows] == ["none", "rand:2"]
+
+
+@pytest.mark.parametrize("strategies", ["", ",", " , "])
+def test_compare_with_no_strategy_is_an_error(workspace, capsys, strategies):
+    data, tables = synth(workspace)
+    ckpt = train_small(workspace, data, tables)
+    capsys.readouterr()
+    out = workspace / "cmp.json"
+    assert run("compare", "--data", str(data), "--tables", str(tables),
+               "--ckpt", str(ckpt), f"--strategies={strategies}",
+               "--out", str(out)) == 1
+    assert capsys.readouterr().err == "error: --strategies: no strategy given\n"
+    assert not out.exists() and not (workspace / "compare.manifest.json").exists()
 
 
 def test_train_reports_the_epochs_it_ran(workspace, capsys):
@@ -500,8 +561,7 @@ def test_repl_predicts_and_executes(workspace, capsys, monkeypatch):
                "--strategy", "none:0", "--budget", "128") == 0
     table_id = json.loads(tables.read_text().splitlines()[0])["id"]
     before = (data.read_bytes(), tables.read_bytes(), ckpt.read_bytes())
-    import io
-    monkeypatch.setattr("sys.stdin", io.StringIO("anything about the table\n"))
+    monkeypatch.setattr("sys.stdin", stdin("anything about the table\n"))
     assert run("repl", "--tables", str(tables), "--table-id", table_id,
                "--ckpt", str(ckpt), "--strategy", "rel:1") == 0
     out = capsys.readouterr().out
@@ -524,15 +584,28 @@ def test_repl_reports_bad_line_and_goes_on(workspace, capsys, monkeypatch):
     ckpt = train_small(workspace, data, tables)
     table_id = json.loads(tables.read_text().splitlines()[0])["id"]
     capsys.readouterr()
-    import io
     long_line = " ".join(["word"] * 40)
-    monkeypatch.setattr("sys.stdin", io.StringIO(f"{long_line}\nfoo\n"))
+    monkeypatch.setattr("sys.stdin", stdin(f"{long_line}\nfoo\n"))
     assert run("repl", "--tables", str(tables), "--table-id", table_id,
                "--ckpt", str(ckpt), "--budget", "20") == 0
     captured = capsys.readouterr()
     errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
     assert len(errors) == 1 and "budget is 20" in errors[0]
     assert sum(line.startswith("SELECT") for line in captured.out.splitlines()) == 1
+
+
+def test_repl_reports_a_line_that_is_not_utf8_and_goes_on(workspace, capsys,
+                                                          monkeypatch):
+    data, tables = synth(workspace)
+    ckpt = train_small(workspace, data, tables)
+    table_id = json.loads(tables.read_text().splitlines()[0])["id"]
+    capsys.readouterr()
+    monkeypatch.setattr("sys.stdin", stdin(b"player 3\n\xff\xfe bad\n\nplayer 4\n"))
+    assert run("repl", "--tables", str(tables), "--table-id", table_id,
+               "--ckpt", str(ckpt)) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "error: line 2: not UTF-8\n"
+    assert sum(line.startswith("SELECT") for line in captured.out.splitlines()) == 2
 
 
 def test_repl_prints_the_sql_eval_predicts(workspace, capsys, monkeypatch):
@@ -547,9 +620,8 @@ def test_repl_prints_the_sql_eval_predicts(workspace, capsys, monkeypatch):
     table_id = predictions[0]["table_id"]
     mine = [p for p in predictions if p["table_id"] == table_id]
     capsys.readouterr()
-    import io
     monkeypatch.setattr("sys.stdin",
-                        io.StringIO("".join(p["question"] + "\n" for p in mine)))
+                        stdin("".join(p["question"] + "\n" for p in mine)))
     assert run("repl", "--tables", str(tables), "--table-id", table_id,
                "--ckpt", str(ckpt), "--strategy", "rel:2") == 0
     printed = [line for line in capsys.readouterr().out.splitlines()
@@ -791,8 +863,7 @@ def test_serving_strategy_defaults_to_checkpoint(workspace, capsys, monkeypatch)
 
     monkeypatch.setattr(cli, "Sampler", SpySampler)
     table_id = json.loads(tables.read_text().splitlines()[0])["id"]
-    import io
-    monkeypatch.setattr("sys.stdin", io.StringIO("anything\n"))
+    monkeypatch.setattr("sys.stdin", stdin("anything\n"))
     assert run("repl", "--tables", str(tables), "--table-id", table_id,
                "--ckpt", str(ckpt)) == 0
     assert served == [("rand", 2)]
@@ -812,7 +883,7 @@ def test_serving_strategy_defaults_to_checkpoint(workspace, capsys, monkeypatch)
     checkpoint.extra.pop("train_config")
     save_checkpoint(ckpt, checkpoint)
     assert eval_strategy() == "rand:3"
-    monkeypatch.setattr("sys.stdin", io.StringIO("anything\n"))
+    monkeypatch.setattr("sys.stdin", stdin("anything\n"))
     assert run("repl", "--tables", str(tables), "--table-id", table_id,
                "--ckpt", str(ckpt)) == 0
     assert served[-1] == ("rel", 3)
@@ -966,3 +1037,80 @@ def test_any_line_of_a_replacements_file_exits_0_or_1(small_corpus, index, value
     assert code in (0, 1)
     if code == 1:
         assert err.startswith("error: ")
+
+
+
+def _files(*roots) -> set:
+    return {path for root in roots for path in root.rglob("*") if path.is_file()}
+
+
+def _argv(small_corpus, argv, **more) -> list[str]:
+    """``argv`` with ``{data}``, ``{tables}``, ``{ckpt}``, ``{table_id}`` and
+    ``more`` filled in from the small corpus."""
+    _, files, ckpt, _ = small_corpus
+    table_id = json.loads(files["tables"].read_text().splitlines()[0])["id"]
+    return [arg.format(ckpt=ckpt, table_id=table_id, **files, **more) for arg in argv]
+
+
+SERVING = ("--tables", "{tables}", "--table-id", "{table_id}")
+
+# Each command that writes outputs, with every output under ``{here}``, away
+# from the default output directory.
+MANIFEST_RUNS = {
+    "synth": ("--out-dir", "{here}", "--n-tables", "1", "--rows", "3",
+              "--questions", "2"),
+    "augment": ("--data", "{data}", "--tables", "{tables}",
+                "--out", "{here}/augmented.jsonl"),
+    "sample": (*SERVING, "--out", "{here}/samples.jsonl"),
+    "train": ("--data", "{data}", "--tables", "{tables}", *TRAIN_TINY,
+              "--budget", "64", "--out", "{here}/m.ckpt"),
+    "eval": ("--data", "{data}", "--tables", "{tables}", "--ckpt", "{ckpt}",
+             "--out", "{here}/report.json"),
+    "compare": ("--data", "{data}", "--tables", "{tables}", "--ckpt", "{ckpt}",
+                "--strategies", "none,rand:1", "--out", "{here}/cmp.json"),
+    "bench": ("--rows", "20", "--queries", "2", "--out", "{here}/b.json"),
+}
+
+# Runs that write nothing: the commands with no outputs, and runs that fail.
+SILENT_RUNS = {
+    "validate": ("validate", "--data", "{data}", "--tables", "{tables}"),
+    "index": ("index", "--tables", "{tables}"),
+    "serialize": ("serialize", *SERVING, "--question", "more than 3"),
+    "render": ("render", *SERVING, "--sketch", '{{"sel": 0}}'),
+    "repl": ("repl", *SERVING, "--ckpt", "{ckpt}"),
+    "sample-without-out": ("sample", *SERVING),
+    "failing-augment": ("augment", "--data", "{data}", "--tables", "{tables}",
+                        "--replacements", "missing.tsv"),
+    "failing-eval": ("eval", "--data", "{data}", "--tables", "{tables}",
+                     "--ckpt", "{ckpt}", "--budget", "100000"),
+    "failing-sample": ("sample", "--tables", "{tables}", "--table-id", "nope",
+                       "--out", "s.jsonl"),
+    "failing-bench": ("bench", "--rows", "0", "--out", "b.json"),
+}
+
+
+@pytest.mark.parametrize("command", MANIFEST_RUNS)
+def test_an_output_run_writes_one_manifest_beside_its_first_output(
+        workspace, small_corpus, command):
+    here = workspace / "here"
+    here.mkdir()
+    before = _files(workspace, small_corpus[0])
+    argv = _argv(small_corpus, MANIFEST_RUNS[command], here=here)
+    assert run_captured(command, *argv)[0] == 0
+    written = _files(workspace, small_corpus[0]) - before
+    manifests = [path for path in written if path.name.endswith(".manifest.json")]
+    assert manifests == [here / f"{command}.manifest.json"]
+    manifest = json.loads(manifests[0].read_text(encoding="utf-8"))
+    outputs = [Path(path) for path in manifest["outputs"]]
+    assert manifest["subcommand"] == command and outputs[0].parent == here
+    assert sorted(outputs) == sorted(written - set(manifests))
+
+
+@pytest.mark.parametrize("command", SILENT_RUNS)
+def test_a_run_without_outputs_writes_no_manifest(workspace, small_corpus,
+                                                  monkeypatch, command):
+    monkeypatch.setattr("sys.stdin", stdin("more than 3\n"))
+    before = _files(workspace, small_corpus[0])
+    code, _ = run_captured(*_argv(small_corpus, SILENT_RUNS[command]))
+    assert code == (1 if command.startswith("failing-") else 0)
+    assert _files(workspace, small_corpus[0]) == before

@@ -22,7 +22,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SEARCHED = ("src", "perfbench", "scripts")
 
 ALLOWED = {
-    # Builds the content-only probe corpus for criterion 8 (ROADMAP direction 1).
+    # Builds the content-only probe corpus for criterion 8 (ROADMAP direction 2).
     "generate_ambiguity_probe",
     # The sorted rendering that tests/test_sketch.py checks lf_equal against.
     "canonical_form",
