@@ -1,7 +1,7 @@
 """Alternating parent/change benchmark pairs, summarised per end-to-end metric.
 
     python3 scripts/ab_pairs.py PARENT CHANGE --workload serve-bigtable --pairs 10 --seed 1
-    python3 scripts/ab_pairs.py PARENT CHANGE --workload all --pairs 6
+    python3 scripts/ab_pairs.py PARENT CHANGE --workload all --pairs 6 --seed 1 2 --record
 
 PARENT and CHANGE are two checkouts of this repository. Each pair runs
 ``perfbench/run.py`` once in each checkout, the parent first on odd pairs
@@ -14,14 +14,24 @@ change/parent ratio of the medians, the pairs the change won under the
 metric's ``better`` (ties count for neither side), whether the change's
 median is worse than the parent's by more than the metric's ``bound`` (a
 fraction of the parent's median) and whether the medians differ by more
-than the parent's quartile spread. The script exits 1 when any run is not
+than the parent's quartile spread. Several ``--seed`` values run one set of
+pairs each, one seed after the other. The script exits 1 when any run is not
 ``correct``, has failed operations or gives no result.
+
+``--record`` then writes each workload's trend file, ``BENCH_<workload>.json``,
+at CHANGE's root. It holds each seed's summary (both sides' median and
+quartiles per end-to-end metric, and the pair count), the run length, both
+checkouts' commits as ``git describe --always --dirty`` gives them, the
+``MALLOC_MMAP_THRESHOLD_`` that every run inherited (null when unset) and the
+``env`` record of the workload's last run. A set of pairs replaces the file
+whole: numbers from two sets on a shared host are not comparable.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -71,9 +81,38 @@ def render(rows: list[dict]) -> str:
     return "\n".join(lines)
 
 
+def trend_record(workload: str, sets: list[dict], commits: dict, env: dict | None,
+                 run_seconds: float) -> dict:
+    """A ``BENCH_<workload>.json`` record of ``sets``, each a seed, its pair
+    count and its ``summarize`` rows."""
+    def sides(row):
+        return {side: dict(zip(("median", "q1", "q3"), row[side]))
+                for side in ("parent", "change")}
+
+    return {
+        "workload": workload, "run_seconds": run_seconds, "commits": commits,
+        "malloc_mmap_threshold": os.environ.get("MALLOC_MMAP_THRESHOLD_"),
+        "sets": [{"seed": s["seed"], "pairs": s["pairs"],
+                  "metrics": {row["name"]: {"unit": row["unit"], "better": row["better"],
+                                            **sides(row), "ratio": row["ratio"],
+                                            "change_wins": row["wins"]}
+                              for row in s["rows"]}}
+                 for s in sets],
+        "env": env,
+    }
+
+
+def describe(checkout: Path) -> str | None:
+    """The checkout's commit, with ``-dirty`` when its tracked files differ."""
+    proc = subprocess.run(["git", "-C", str(checkout), "describe", "--always",
+                           "--dirty", "--abbrev=40"], capture_output=True, text=True)
+    return proc.stdout.strip() if proc.returncode == 0 else None
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One ``perfbench/run.py`` run; its last output line parsed, or a
-    result that is not ``correct`` when it gave none."""
+    """One ``perfbench/run.py`` run; its last output line parsed, with the
+    run's ``env`` record, or a result that is not ``correct`` when it gave
+    none."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds)],
@@ -83,6 +122,8 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
         result = json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
         result = {"correct": False, "failed": 0, "metrics": {}}
+    result["env"] = next((json.loads(line[4:]) for line in lines
+                          if line.startswith("env ")), None)
     if proc.returncode != 0:
         result["correct"] = False
         sys.stderr.write(proc.stderr[-2000:])
@@ -105,33 +146,49 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True,
                         help="a workload of BENCHMARK.json, or all of them")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--seed", type=int, nargs="+", default=[1])
+    parser.add_argument("--record", action="store_true",
+                        help="write BENCH_<workload>.json at CHANGE's root")
     args = parser.parse_args(argv)
     benchmark = json.loads((args.parent / "BENCHMARK.json").read_text())
     specs = benchmark["end_to_end"]
     workloads = ([w["name"] for w in benchmark["workloads"]]
                  if args.workload == "all" else [args.workload])
-    pairs = {workload: [] for workload in workloads}
+    sets = {workload: [] for workload in workloads}
+    envs = {}
     problems = []
-    for pair in range(1, args.pairs + 1):
-        order = ["parent", "change"] if pair % 2 else ["change", "parent"]
-        for workload in workloads:
-            values, found = {}, []
-            for side in order:
-                result = run_once(getattr(args, side), workload, args.seed,
+    for seed in args.seed:
+        pairs = {workload: [] for workload in workloads}
+        for pair in range(1, args.pairs + 1):
+            order = ["parent", "change"] if pair % 2 else ["change", "parent"]
+            for workload in workloads:
+                values, found = {}, []
+                for side in order:
+                    result = run_once(getattr(args, side), workload, seed,
+                                      benchmark["run_seconds"])
+                    envs[workload] = result.get("env") or envs.get(workload)
+                    values[side] = {k: v["value"] for k, v in result.get("metrics", {}).items()}
+                    print(f"pair {pair} {workload} {side}: " + json.dumps(values[side]),
+                          flush=True)
+                    found += [f"{workload} seed {seed} {problem}"
+                              for problem in problems_of(side, pair, result)]
+                problems += found
+                if not found:
+                    pairs[workload].append((values["parent"], values["change"]))
+        for workload, done in pairs.items():
+            print(f"{workload}, seed {seed}, {len(done)} pairs")
+            if done:
+                rows = summarize(specs, done)
+                print(render(rows))
+                sets[workload].append({"seed": seed, "pairs": len(done), "rows": rows})
+    if args.record:
+        commits = {side: describe(getattr(args, side)) for side in ("parent", "change")}
+        for workload, measured in sets.items():
+            path = args.change / f"BENCH_{workload}.json"
+            record = trend_record(workload, measured, commits, envs.get(workload),
                                   benchmark["run_seconds"])
-                values[side] = {k: v["value"] for k, v in result.get("metrics", {}).items()}
-                print(f"pair {pair} {workload} {side}: " + json.dumps(values[side]),
-                      flush=True)
-                found += [f"{workload} {problem}"
-                          for problem in problems_of(side, pair, result)]
-            problems += found
-            if not found:
-                pairs[workload].append((values["parent"], values["change"]))
-    for workload, done in pairs.items():
-        print(f"{workload}, seed {args.seed}, {len(done)} pairs")
-        if done:
-            print(render(summarize(specs, done)))
+            path.write_text(json.dumps(record, indent=1) + "\n")
+            print(f"wrote {path}")
     for problem in problems:
         print(problem, file=sys.stderr)
     return 1 if problems else 0

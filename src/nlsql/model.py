@@ -18,6 +18,9 @@ parameter block.
 from __future__ import annotations
 
 import json
+import math
+import mmap
+import os
 import struct
 from dataclasses import asdict, dataclass, field
 from itertools import groupby
@@ -716,7 +719,12 @@ def save_checkpoint(path, checkpoint: Checkpoint) -> None:
     Layout: 8-byte magic, little-endian u64 header length, UTF-8 JSON header
     {version, config, vocab, extra, tensors: [{name, shape, offset, nbytes}]},
     then tensor payloads as little-endian float64, concatenated in header
-    order. Each payload is written from its array's own buffer.
+    order. The header is padded with spaces, which JSON reads as trailing
+    whitespace, so the payload starts on a 64-byte boundary and
+    ``load_checkpoint`` can map it. Each payload is written from its array's
+    own buffer into a file beside ``path`` that then replaces it: a process
+    that has the old file mapped keeps reading the old bytes, and a save that
+    fails leaves the old file whole.
     """
     arrays = {name: np.ascontiguousarray(checkpoint.params[name], dtype="<f8")
               for name in sorted(checkpoint.params)}
@@ -739,19 +747,33 @@ def save_checkpoint(path, checkpoint: Checkpoint) -> None:
         "tensors": tensors,
     }
     payload = json.dumps(header).encode("utf-8")
-    with open(path, "wb") as handle:
-        handle.write(_MAGIC)
-        handle.write(struct.pack("<Q", len(payload)))
-        handle.write(payload)
-        for arr in arrays.values():
-            handle.write(arr.data)
+    payload += b" " * (-(16 + len(payload)) % 64)
+    partial = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(partial, "wb") as handle:
+            handle.write(_MAGIC)
+            handle.write(struct.pack("<Q", len(payload)))
+            handle.write(payload)
+            for arr in arrays.values():
+                handle.write(arr.data)
+        os.replace(partial, path)
+    finally:
+        if os.path.exists(partial):
+            os.remove(partial)
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read a container written by ``save_checkpoint``; each tensor is read
-    straight into an array of its header shape, once the header's tensor
-    list is checked against ``param_shapes`` of its config. A short,
-    inconsistent or malformed file raises ValueError naming it."""
+    """Read a container written by ``save_checkpoint``, once the header's
+    tensor list is checked against ``param_shapes`` of its config and each
+    tensor's extent against the file's size.
+
+    When the payload is 8-byte aligned, as ``save_checkpoint`` writes it,
+    each tensor is a view of one copy-on-write mapping of the file. Loading
+    copies nothing, the OS reads in only the pages a caller touches (memory
+    grows with the embedding rows read, not the table), and a write to a
+    tensor changes this process's copy, never the file. A file written before
+    the header was padded is read into fresh arrays, as it always was. A
+    short, inconsistent or malformed file raises ValueError naming it."""
     with open(path, "rb") as handle:
         try:
             return _read_checkpoint(handle)
@@ -798,16 +820,26 @@ def _read_checkpoint(handle) -> Checkpoint:
     if unmatched:
         raise ValueError(f"no tensor {next(iter(unmatched))!r} ({len(unmatched)} blocks missing)")
     payload_start = handle.tell()
+    size = os.fstat(handle.fileno()).st_size
+    # An unaligned view would be copied whole by np.take on every gather.
+    mapped = (mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_COPY)
+              if payload_start % 8 == 0 else None)
     params = {}
     for spec in specs:
-        arr = np.empty(spec["shape"], dtype="<f8")
-        if arr.nbytes != spec["nbytes"]:
-            raise ValueError(f"tensor {spec['name']!r} has {spec['nbytes']} "
-                             f"bytes for shape {spec['shape']}")
-        handle.seek(payload_start + spec["offset"])
-        got = handle.readinto(arr.data)
-        if got != arr.nbytes:
-            raise ValueError(f"truncated tensor {spec['name']!r} "
-                             f"({got} of {arr.nbytes} bytes)")
-        params[spec["name"]] = arr
+        name, shape, offset = spec["name"], spec["shape"], spec["offset"]
+        nbytes = 8 * math.prod(shape)
+        if spec["nbytes"] != nbytes:
+            raise ValueError(f"tensor {name!r} has {spec['nbytes']} bytes for shape {shape}")
+        if type(offset) is not int or offset < 0:
+            raise ValueError(f"tensor {name!r} has offset {offset!r}")
+        start = payload_start + offset
+        if start + nbytes > size:
+            raise ValueError(f"truncated tensor {name!r} "
+                             f"({max(size - start, 0)} of {nbytes} bytes)")
+        if mapped is not None and start % 8 == 0:
+            params[name] = np.frombuffer(mapped, "<f8", nbytes // 8, start).reshape(shape)
+        else:
+            params[name] = np.empty(shape, dtype="<f8")
+            handle.seek(start)
+            handle.readinto(params[name].data)
     return Checkpoint(config, vocab, params, extra)

@@ -199,17 +199,3 @@ def lf_equal(a: SqlSketch, b: SqlSketch) -> bool:
     if a.select_column != b.select_column or a.agg != b.agg:
         return False
     return Counter(map(_cond_key, a.conds)) == Counter(map(_cond_key, b.conds))
-
-
-def canonical_form(sketch: SqlSketch, schema: TableSchema) -> str:
-    """Canonical rendering with conditions sorted; identical strings iff
-    lf_equal for sketches of one schema."""
-    ordered = SqlSketch(
-        select_column=sketch.select_column,
-        agg=sketch.agg,
-        conds=tuple(
-            Condition(c.column_index, c.op, normalize_value(c.value))
-            for c in sorted(sketch.conds, key=_cond_key)
-        ),
-    )
-    return render_sql(ordered, schema)

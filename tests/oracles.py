@@ -1,8 +1,10 @@
-"""Brute-force keyword-matching oracle, independent of the index's lookup.
+"""Test oracles, independent of the code they check.
 
-Scans every distinct cell with an overlapping regex search (lookahead, so
-self-overlapping occurrences are not lost), filters to word-boundary-anchored
-hits, and resolves overlaps left-to-right longest-first.
+``oracle_matches`` is a brute-force keyword matcher: it scans every distinct
+cell with an overlapping regex search (lookahead, so self-overlapping
+occurrences are not lost), filters to word-boundary-anchored hits, and
+resolves overlaps left-to-right longest-first. ``canonical_form`` renders a
+sketch with its conditions sorted, the string form of ``lf_equal``.
 """
 
 from __future__ import annotations
@@ -10,7 +12,8 @@ from __future__ import annotations
 import re
 
 from nlsql.keyword_index import normalize_pattern
-from nlsql.sketch import Table
+from nlsql.sketch import Condition, SqlSketch, Table, TableSchema, render_sql
+from nlsql.util import normalize_value
 
 
 def oracle_matches(table: Table, question: str):
@@ -40,3 +43,14 @@ def oracle_matches(table: Table, question: str):
         for col in sorted(columns):
             out.append((col, columns[col], (start, end)))
     return out
+
+
+def canonical_form(sketch: SqlSketch, schema: TableSchema) -> str:
+    """Canonical rendering with conditions sorted; identical strings iff
+    lf_equal for sketches of one schema."""
+    conds = sorted(sketch.conds, key=lambda c: (c.column_index, int(c.op),
+                                                normalize_value(c.value)))
+    ordered = SqlSketch(select_column=sketch.select_column, agg=sketch.agg,
+                        conds=tuple(Condition(c.column_index, c.op, normalize_value(c.value))
+                                    for c in conds))
+    return render_sql(ordered, schema)

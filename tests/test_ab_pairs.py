@@ -66,22 +66,29 @@ def test_a_median_worse_than_its_bound_is_flagged():
         ["yes", "no"], ["no", "no"]]
 
 
-def test_all_runs_every_workload_in_each_pair(tmp_path, monkeypatch, capsys):
+CANNED = {  # (side, workload) -> (setup_s, throughput_per_s)
+    ("parent", "serve-a"): (1.0, 100.0), ("change", "serve-a"): (0.5, 150.0),
+    ("parent", "train-b"): (2.0, 10.0), ("change", "train-b"): (3.0, 10.0),
+}
+
+
+def _checkouts(tmp_path):
     parent, change = tmp_path / "parent", tmp_path / "change"
     parent.mkdir()
     change.mkdir()
     (parent / "BENCHMARK.json").write_text(json.dumps({
         "run_seconds": 10, "end_to_end": SPECS,
         "workloads": [{"name": "serve-a"}, {"name": "train-b"}]}))
-    canned = {  # (side, workload) -> (setup_s, throughput_per_s)
-        ("parent", "serve-a"): (1.0, 100.0), ("change", "serve-a"): (0.5, 150.0),
-        ("parent", "train-b"): (2.0, 10.0), ("change", "train-b"): (3.0, 10.0),
-    }
+    return parent, change
+
+
+def test_all_runs_every_workload_in_each_pair(tmp_path, monkeypatch, capsys):
+    parent, change = _checkouts(tmp_path)
     calls = []
 
     def run_once(checkout, workload, seed, seconds):
         calls.append((checkout.name, workload))
-        setup, rate = canned[checkout.name, workload]
+        setup, rate = CANNED[checkout.name, workload]
         return {"correct": True, "failed": 0,
                 "metrics": {"setup_s": {"value": setup},
                             "throughput_per_s": {"value": rate}}}
@@ -102,3 +109,35 @@ def test_all_runs_every_workload_in_each_pair(tmp_path, monkeypatch, capsys):
     train_rows = summaries[2].splitlines()[1:3]
     assert [row.split()[-2:] for row in serve_rows] == [["no", "yes"], ["no", "yes"]]
     assert [row.split()[-2:] for row in train_rows] == [["yes", "no"], ["no", "no"]]
+    assert list(change.iterdir()) == []  # no --record, no trend file
+
+
+def test_record_writes_one_trend_file_per_workload_at_the_change(tmp_path, monkeypatch):
+    parent, change = _checkouts(tmp_path)
+
+    def run_once(checkout, workload, seed, seconds):
+        setup, rate = CANNED[checkout.name, workload]
+        return {"correct": True, "failed": 0, "env": {"nproc": 2, "seed": seed},
+                "metrics": {"setup_s": {"value": setup * seed},
+                            "throughput_per_s": {"value": rate}}}
+
+    monkeypatch.setattr(ab_pairs, "run_once", run_once)
+    monkeypatch.setattr(ab_pairs, "describe", lambda checkout: f"{checkout.name}-commit")
+    monkeypatch.setenv("MALLOC_MMAP_THRESHOLD_", "131072")
+    assert ab_pairs.main([str(parent), str(change), "--workload", "all",
+                          "--pairs", "2", "--seed", "3", "4", "--record"]) == 0
+    assert sorted(p.name for p in change.iterdir()) == [
+        "BENCH_serve-a.json", "BENCH_train-b.json"]
+    record = json.loads((change / "BENCH_train-b.json").read_text())
+    assert record["workload"] == "train-b" and record["run_seconds"] == 10
+    assert record["commits"] == {"parent": "parent-commit", "change": "change-commit"}
+    assert record["malloc_mmap_threshold"] == "131072"
+    assert record["env"] == {"nproc": 2, "seed": 4}  # the last run's
+    assert [(s["seed"], s["pairs"]) for s in record["sets"]] == [(3, 2), (4, 2)]
+    setup = record["sets"][1]["metrics"]["setup_s"]
+    assert setup == {"unit": "s", "better": "lower",
+                     "parent": {"median": 8.0, "q1": 8.0, "q3": 8.0},
+                     "change": {"median": 12.0, "q1": 12.0, "q3": 12.0},
+                     "ratio": 1.5, "change_wins": 0}
+    rate = record["sets"][0]["metrics"]["throughput_per_s"]
+    assert (rate["parent"]["median"], rate["change"]["median"]) == (10.0, 10.0)

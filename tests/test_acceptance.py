@@ -5,15 +5,20 @@ criteria (6-8) dominate the runtime; the whole suite is sized for a
 laptop-class CPU.
 """
 
+import hashlib
+import json
 import random
+import struct
 import subprocess
 import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from nlsql.augment import AugmentConfig
 from nlsql.bench import bench_sampling
+from nlsql.cli import cli_dispatch
 from nlsql.corpus import Corpus
 from nlsql.executor import ex_equal, execute
 from nlsql.keyword_index import build_index, extract_matches
@@ -408,19 +413,32 @@ def test_criterion_9_benchmark_scaling(tmp_path):
               f"written")
 
 
-def test_criterion_10_pipeline_smoke(tmp_path):
-    scripts = Path(__file__).resolve().parent.parent / "scripts"
-    out_dir = tmp_path / "pipeline"
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+@pytest.fixture(scope="module")
+def pipeline(tmp_path_factory):
+    """``scripts/run_pipeline.sh``'s output directory and finished process."""
+    out_dir = tmp_path_factory.mktemp("run") / "pipeline"
     proc = subprocess.run(
-        ["bash", str(scripts / "run_pipeline.sh"), str(out_dir)],
+        ["bash", str(SCRIPTS / "run_pipeline.sh"), str(out_dir)],
         capture_output=True, text=True, timeout=900,
     )
+    return out_dir, proc
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_criterion_10_pipeline_smoke(pipeline):
+    out_dir, proc = pipeline
     manifests = sorted(p.name for p in out_dir.glob("*.manifest.json"))
     expected = {"synth.manifest.json", "augment.manifest.json",
                 "train.manifest.json", "eval.manifest.json",
                 "compare.manifest.json", "bench.manifest.json"}
     # The script prints its fixed-seed outputs' hashes; each must be pinned.
-    pinned = (scripts / "pipeline.sha256").read_text().splitlines()
+    pinned = (SCRIPTS / "pipeline.sha256").read_text().splitlines()
     moved = [line.split()[1] for line in pinned
              if line not in proc.stdout.splitlines()]
     ok = proc.returncode == 0 and expected <= set(manifests) and not moved
@@ -428,3 +446,31 @@ def test_criterion_10_pipeline_smoke(tmp_path):
               f"pipeline exit {proc.returncode}, manifests: {manifests}, "
               f"hashes that moved: {moved}"
               + ("" if ok else f"\nstderr: {proc.stderr[-2000:]}"))
+
+
+# The pipeline's model.ckpt as it was written before the header was padded.
+UNPADDED_CKPT_SHA256 = "719b00f95579696dcd8dbbfb70739435ad6295bc1cbfe2b45c3d9eb1354dc53f"
+
+
+def test_an_unpadded_pipeline_checkpoint_serves_the_pinned_outputs(pipeline, tmp_path):
+    out_dir, proc = pipeline
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    data = (out_dir / "model.ckpt").read_bytes()
+    (header_len,) = struct.unpack("<Q", data[8:16])
+    raw = json.dumps(json.loads(data[16:16 + header_len])).encode()
+    ckpt = tmp_path / "model.ckpt"
+    ckpt.write_bytes(data[:8] + struct.pack("<Q", len(raw)) + raw
+                     + data[16 + header_len:])
+    assert _sha256(ckpt) == UNPADDED_CKPT_SHA256
+    # run_pipeline.sh's eval and compare, served from the unpadded file
+    served = ["--data", str(out_dir / "corpus.jsonl"),
+              "--tables", str(out_dir / "tables.jsonl"), "--ckpt", str(ckpt),
+              "--budget", "256", "--seed", "13"]
+    assert cli_dispatch(["eval", *served, "--strategy", "rand:2",
+                         "--out", str(tmp_path / "eval.json")]) == 0
+    assert cli_dispatch(["compare", *served, "--strategies", "none,rand:2,rel:2,em1:1",
+                         "--out", str(tmp_path / "comparison.json")]) == 0
+    lines = (SCRIPTS / "pipeline.sha256").read_text().splitlines()
+    pinned = {name: digest for digest, name in map(str.split, lines)}
+    for name in ("eval.json", "eval.predictions.jsonl", "comparison.json"):
+        assert _sha256(tmp_path / name) == pinned[name], name

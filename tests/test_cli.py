@@ -704,7 +704,8 @@ def _tensor(header, name):
 
 
 def _huge_pos_emb(header):
-    # A consistent header whose pos_emb (1.14 PiB) exceeds any address space
+    # A consistent header whose pos_emb (1.14 PiB) exceeds any address space:
+    # its extent is checked against the file before anything is allocated.
     rows = 10**13
     header["config"]["max_positions"] = rows
     _tensor(header, "pos_emb").update(shape=[rows, 16], nbytes=rows * 16 * 8)
@@ -742,7 +743,7 @@ def _huge_pos_emb(header):
      "tensor 'agg.b1' of shape [16] does not fit the config's blocks, or repeats"),
     (lambda header: _tensor(header, "agg.w2").update(shape=[6, 16]),
      "tensor 'agg.w2' of shape [6, 16] does not fit the config's [16, 6]"),
-    (_huge_pos_emb, "Unable to allocate"),
+    (_huge_pos_emb, "truncated tensor 'pos_emb' ("),
 ], ids=["no-tensors", "unknown-config-key", "header-not-utf8",
         "vocab-vs-config", "vocab-vs-tok-emb", "max-positions-vs-pos-emb",
         "config-not-an-object", "extra-a-list", "extra-a-string",
@@ -994,8 +995,10 @@ def test_any_value_in_one_config_line_exits_0_or_1(small_corpus, line, value):
     command, key = line
     lines = dict(CONFIG_FILES[command], **{key: value})
     config = root / "mutated.conf"
+    # A drawn lone surrogate is written as its undecodable UTF-8-like bytes,
+    # so the file reaches the loader instead of failing to be written.
     config.write_text("".join(f"{k} = {v}\n" for k, v in lines.items()),
-                      encoding="utf-8")
+                      encoding="utf-8", errors="surrogatepass")
     table_id = json.loads(files["tables"].read_text().splitlines()[0])["id"]
     argv = {
         "validate": ("--data", str(files["data"])),
@@ -1027,7 +1030,9 @@ REPLACEMENT_VALUES = (
 def test_any_line_of_a_replacements_file_exits_0_or_1(small_corpus, index, value):
     root, files, _, _ = small_corpus
     lines = [line.encode("utf-8") for line in REPLACEMENT_LINES]
-    lines[index] = value if isinstance(value, bytes) else value.encode("utf-8")
+    # A drawn lone surrogate becomes undecodable bytes, as in the config test.
+    lines[index] = (value if isinstance(value, bytes)
+                    else value.encode("utf-8", "surrogatepass"))
     replacements = root / "mutated.tsv"
     replacements.write_bytes(b"\n".join(lines) + b"\n")
     code, err = run_captured("augment", "--data", str(files["data"]),

@@ -1,3 +1,4 @@
+import errno
 import json
 import math
 import random
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nlsql import model
 from nlsql.corpus import Corpus
 from nlsql.model import (
     Checkpoint,
@@ -545,20 +547,9 @@ def _traced_peak(fn, *args):
         tracemalloc.stop()
 
 
-def test_checkpoint_io_holds_no_second_copy_of_the_tensors(tmp_path):
-    ckpt = _big_checkpoint()
-    tensor_bytes = sum(a.nbytes for a in ckpt.params.values())
-    path = tmp_path / "big.ckpt"
-    save_peak, _ = _traced_peak(save_checkpoint, path, ckpt)
-    load_peak, loaded = _traced_peak(load_checkpoint, path)
-    assert save_peak < 0.25 * tensor_bytes
-    assert load_peak < 1.2 * tensor_bytes
-    for name, arr in ckpt.params.items():
-        assert np.array_equal(loaded.params[name], arr)
-
-
 def _rewrite(path, edit_header=None, payload_bytes=None):
-    """Rewrite a checkpoint with an edited header and/or a cut payload."""
+    """Rewrite a checkpoint with an edited header and/or a cut payload. The
+    header is written unpadded, as before the payload was aligned."""
     data = path.read_bytes()
     (header_len,) = struct.unpack("<Q", data[8:16])
     header = json.loads(data[16:16 + header_len])
@@ -570,16 +561,138 @@ def _rewrite(path, edit_header=None, payload_bytes=None):
                      + payload[:payload_bytes])
 
 
+def _payload_start(path) -> int:
+    (header_len,) = struct.unpack("<Q", path.read_bytes()[8:16])
+    return 16 + header_len
+
+
+def test_checkpoint_io_holds_no_second_copy_of_the_tensors(tmp_path):
+    ckpt = _big_checkpoint()
+    tensor_bytes = sum(a.nbytes for a in ckpt.params.values())
+    path = tmp_path / "big.ckpt"
+    save_peak, _ = _traced_peak(save_checkpoint, path, ckpt)
+    load_peak, loaded = _traced_peak(load_checkpoint, path)
+    assert save_peak < 0.25 * tensor_bytes
+    assert load_peak < 0.1 * tensor_bytes  # views of the mapped file
+    for name, arr in ckpt.params.items():
+        assert np.array_equal(loaded.params[name], arr)
+    _rewrite(path, edit_header=lambda header: header["extra"].update(note="x"))
+    assert _payload_start(path) % 8
+    load_peak, loaded = _traced_peak(load_checkpoint, path)
+    assert load_peak < 1.2 * tensor_bytes  # read once, into the arrays
+    for name, arr in ckpt.params.items():
+        assert np.array_equal(loaded.params[name], arr)
+
+
+def _saved(tmp_path, setup, params=None) -> tuple:
+    """Save the fixture's model, or ``params`` in its place, to model.ckpt."""
+    cfg, default_params, feats, target, example, table = setup
+    vocab = Vocab.build(Corpus([example]), {table.table_id: table})
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, Checkpoint(cfg, vocab, params or default_params))
+    return path, default_params
+
+
+def test_the_padded_header_is_plain_json_before_an_aligned_payload(tmp_path, setup):
+    path, params = _saved(tmp_path, setup)
+    data = path.read_bytes()
+    (header_len,) = struct.unpack("<Q", data[8:16])
+    assert (16 + header_len) % 64 == 0
+    header = json.loads(data[16:16 + header_len])
+    assert header["version"] == 1 and len(header["tensors"]) == len(params)
+    loaded = load_checkpoint(path)
+    for name, arr in params.items():
+        got = loaded.params[name]
+        assert not got.flags.owndata  # a view of the mapped file
+        assert got.flags.aligned and got.flags.writeable
+        assert got.tobytes() == arr.tobytes()
+
+
+def test_a_checkpoint_without_header_padding_loads_as_before(tmp_path, setup):
+    residues = set()
+    for width in range(8):  # moves the payload's start through every residue mod 8
+        path, params = _saved(tmp_path, setup)
+        _rewrite(path, edit_header=lambda header: header["extra"].update(note="x" * width))
+        residue = _payload_start(path) % 8
+        residues.add(residue)
+        loaded = load_checkpoint(path)
+        assert loaded.extra == {"note": "x" * width}
+        for name, arr in params.items():
+            got = loaded.params[name]
+            assert got.tobytes() == arr.tobytes() and got.flags.writeable
+            # read into an array of its own, unless the payload is aligned by chance
+            assert got.flags.owndata == bool(residue)
+    assert residues == set(range(8))
+
+
+def test_saving_over_a_loaded_checkpoint_leaves_its_tensors_as_loaded(tmp_path, setup):
+    path, params = _saved(tmp_path, setup)
+    loaded = load_checkpoint(path)
+    _saved(tmp_path, setup, {name: arr + 1.0 for name, arr in params.items()})
+    for name, arr in params.items():
+        assert loaded.params[name].tobytes() == arr.tobytes()
+    reloaded = load_checkpoint(path)
+    assert np.array_equal(reloaded.params["sel.w"], params["sel.w"] + 1.0)
+
+
+class _FullDisk:
+    """A file that takes its first ``writes`` writes and fails the next."""
+
+    def __init__(self, file, mode, writes):
+        self.handle, self.writes = open(file, mode), writes
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.handle.close()
+
+    def write(self, data):
+        if not self.writes:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self.writes -= 1
+        return self.handle.write(data)
+
+
+def test_a_save_that_fails_part_way_leaves_the_old_file_and_no_other(tmp_path, setup,
+                                                                     monkeypatch):
+    path, params = _saved(tmp_path, setup)
+    before = path.read_bytes()
+    # The magic, header length, header and one tensor are written; the next fails.
+    monkeypatch.setattr(model, "open", lambda file, mode: _FullDisk(file, mode, 4),
+                        raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        _saved(tmp_path, setup, {name: arr + 1.0 for name, arr in params.items()})
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_a_write_to_a_loaded_tensor_leaves_the_file_unchanged(tmp_path, setup):
+    path, params = _saved(tmp_path, setup)
+    before = path.read_bytes()
+    loaded = load_checkpoint(path)
+    loaded.params["sel.w"].view(np.uint64)[0] ^= np.uint64(1)
+    loaded.params["tok_emb"][:] = 0.0
+    assert path.read_bytes() == before
+    assert load_checkpoint(path).params["sel.w"].tobytes() == params["sel.w"].tobytes()
+
+
 def _cut_last_tensor(header):
     header["tensors"][-1]["nbytes"] -= 8
 
 
 @pytest.mark.parametrize("damage, message", [
     (lambda path: _rewrite(path, payload_bytes=-100), "truncated tensor"),
+    (lambda path: path.write_bytes(path.read_bytes()[:-100]),
+     "truncated tensor 'wvs.w' (28 of 128 bytes)"),
     (lambda path: path.write_bytes(path.read_bytes()[:200]), "truncated header"),
     (lambda path: _rewrite(path, edit_header=_cut_last_tensor),
      "tensor 'wvs.w' has 120 bytes for shape [16]"),
-], ids=["truncated", "header-past-end", "nbytes-vs-shape"])
+    (lambda path: _rewrite(path, edit_header=lambda header:
+                           header["tensors"][0].update(offset=-8)),
+     "tensor 'agg.att_w' has offset -8"),
+], ids=["truncated", "truncated-aligned", "header-past-end", "nbytes-vs-shape",
+        "negative-offset"])
 def test_damaged_checkpoint_raises_naming_the_file(tmp_path, setup, damage,
                                                    message):
     cfg, params, feats, target, example, table = setup

@@ -24,8 +24,6 @@ SEARCHED = ("src", "perfbench", "scripts")
 ALLOWED = {
     # Builds the content-only probe corpus for criterion 8 (ROADMAP direction 2).
     "generate_ambiguity_probe",
-    # The sorted rendering that tests/test_sketch.py checks lf_equal against.
-    "canonical_form",
 }
 
 ALLOWED_FIELDS: set[str] = set()

@@ -9,11 +9,12 @@ from nlsql.sketch import (
     SketchError,
     SqlSketch,
     TableSchema,
-    canonical_form,
     lf_equal,
     render_sql,
     validate_sketch,
 )
+
+from oracles import canonical_form
 
 
 def schema4() -> TableSchema:
