@@ -1,15 +1,15 @@
 """Desk-scale transformer encoder with six sketch-decoding heads.
 
 The encoder is a small pre-norm transformer over token + position + segment
-embeddings, trained from scratch in float64. Six heads read the encoded
-question and header tokens, and only those, so the last layer runs its
-queries, FFN and final LayerNorm at those rows alone (``encode``); the
-sample and separator tokens serve it as keys and values. The heads are:
-select column, aggregation, where-count, where-column (sigmoid per column),
-where-operator, and where-value start/end span pointers over the question
-positions. Header/column interaction uses column attention: a
-pooled header vector attends over question tokens through a learned bilinear
-map, one map per head type.
+embeddings, trained from scratch in float64, one ``_block_fwd``/``_block_bwd``
+pair per layer. Six heads read the encoded question and header tokens, and
+only those, so the last block (the pair's ``rows``) runs its queries and FFN,
+and the final LayerNorm runs, at those rows alone; the sample and separator
+tokens serve as keys and values. The heads are: select column, aggregation,
+where-count, where-column (sigmoid per column), where-operator, and
+where-value start/end span pointers over the question positions. Column
+attention links headers to the question: a pooled header vector attends over
+question tokens through a learned bilinear map, one map per head type.
 
 All gradients are hand-derived; the finite-difference suite checks every
 parameter block.
@@ -218,14 +218,44 @@ class EncoderOutput:
     question_vecs: np.ndarray  # (m, d)
 
 
+def _block_fwd(x, params, pre, cfg, rows=None):
+    """The pre-norm block whose parameters are named ``pre + ...``: x +
+    attention(ln1(x)), then + FFN(ln2(.)); returns (residual, cache), the
+    residual being ``x``, added to in place.
+
+    With ``rows`` (distinct indices), all n rows give keys and values but
+    only those rows query: the residual becomes their rows of ``x``, gathered
+    into ``residual.read``, and the rest of the block runs at them alone.
+    """
+    a_in, ln1_cache = nn.layernorm_fwd(x, params[pre + "ln1.g"], params[pre + "ln1.b"],
+                                       slot=pre + "ln1")
+    a_out, attn_cache = nn.attention_fwd(
+        a_in, *(params[f"{pre}attn.{kind}{proj}"] for proj in "qkvo" for kind in "wb"),
+        cfg.n_heads, slot=pre + "attn", rows=rows)
+    if rows is not None:
+        (read,) = nn.WORKSPACE.take("residual.read", a_out.shape)
+        x = np.take(x, rows, axis=0, out=read)
+    x += a_out
+    f_in, ln2_cache = nn.layernorm_fwd(x, params[pre + "ln2.g"], params[pre + "ln2.b"],
+                                       slot=pre + "ln2")
+    h1, lin1_cache = nn.linear_fwd(f_in, params[pre + "ffn.w1"], params[pre + "ffn.b1"],
+                                   slot=pre + "ffn1")
+    h2, gelu_cache = nn.gelu_fwd(h1, slot=pre + "gelu")
+    f_out, lin2_cache = nn.linear_fwd(h2, params[pre + "ffn.w2"], params[pre + "ffn.b2"],
+                                      slot=pre + "ffn2")
+    x += f_out
+    return x, (ln1_cache, attn_cache, ln2_cache, lin1_cache, gelu_cache, lin2_cache,
+               pre, rows)
+
+
 def encode(feats: Features, params: dict, cfg: ModelConfig):
     """Run the encoder; returns (EncoderOutput, cache for backward).
 
-    Every layer but the last runs over all n tokens. The heads read only
-    the question rows and the header runs (``Features.read_rows``), so the
-    last layer computes keys and values over all n rows but its queries,
-    attention output, residual, FFN and ``ln_f`` at those r rows alone; the
-    other tokens reach the heads only as context.
+    The embedding sum, one ``_block_fwd`` per layer, then ``ln_f``. The
+    heads read only the question rows and the header runs
+    (``Features.read_rows``), so the last block takes them as ``rows``: keys
+    and values over all n tokens, but queries, residual, FFN and ``ln_f`` at
+    those r rows alone; the other tokens reach the heads only as context.
 
     The output's arrays are fresh. The cache points into ``netops.WORKSPACE``,
     so it is valid only until the next call.
@@ -241,32 +271,9 @@ def encode(feats: Features, params: dict, cfg: ModelConfig):
     x += np.take(params["seg_emb"], feats.segments, axis=0, out=seg)
     layer_caches = []
     for i in range(cfg.n_layers):
-        pre = f"enc{i}."
         rows = feats.read_rows if i == cfg.n_layers - 1 else None
-        a_in, ln1_cache = nn.layernorm_fwd(x, params[pre + "ln1.g"], params[pre + "ln1.b"],
-                                           slot=pre + "ln1")
-        a_out, attn_cache = nn.attention_fwd(
-            a_in,
-            params[pre + "attn.wq"], params[pre + "attn.bq"],
-            params[pre + "attn.wk"], params[pre + "attn.bk"],
-            params[pre + "attn.wv"], params[pre + "attn.bv"],
-            params[pre + "attn.wo"], params[pre + "attn.bo"],
-            cfg.n_heads, slot=pre + "attn", rows=rows,
-        )
-        if rows is not None:
-            (read,) = nn.WORKSPACE.take("residual.read", a_out.shape)
-            x = np.take(x, rows, axis=0, out=read)
-        x += a_out
-        f_in, ln2_cache = nn.layernorm_fwd(x, params[pre + "ln2.g"], params[pre + "ln2.b"],
-                                           slot=pre + "ln2")
-        h1, lin1_cache = nn.linear_fwd(f_in, params[pre + "ffn.w1"], params[pre + "ffn.b1"],
-                                       slot=pre + "ffn1")
-        h2, gelu_cache = nn.gelu_fwd(h1, slot=pre + "gelu")
-        f_out, lin2_cache = nn.linear_fwd(h2, params[pre + "ffn.w2"], params[pre + "ffn.b2"],
-                                          slot=pre + "ffn2")
-        x += f_out
-        layer_caches.append((ln1_cache, attn_cache, ln2_cache,
-                             lin1_cache, gelu_cache, lin2_cache))
+        x, layer_cache = _block_fwd(x, params, f"enc{i}.", cfg, rows)
+        layer_caches.append(layer_cache)
     hidden, lnf_cache = nn.layernorm_fwd(x, params["ln_f.g"], params["ln_f.b"], slot="ln_f")
     hidden = hidden.copy()  # a caller may keep the output across calls
 
@@ -343,12 +350,32 @@ def _acc_embedding(grads, name, params, ids, dx):
     grads.add_rows(name, params[name], uniq, block)
 
 
+def _block_bwd(dx, cache, grads):
+    """Gradients of ``_block_fwd`` from ``dx``, d(its residual), which is
+    added to in place: adds the block's parameter gradients into ``grads``
+    and returns d(its input). With ``rows``, ``dx`` covers those rows alone
+    and is scattered back onto them."""
+    ln1_cache, attn_cache, ln2_cache, lin1_cache, gelu_cache, lin2_cache, pre, rows = cache
+    dh2, *ffn2 = nn.linear_bwd(dx, lin2_cache, slot=pre + "ffn2")
+    dh1 = nn.gelu_bwd(dh2, gelu_cache, slot=pre + "gelu")
+    df_in, *ffn1 = nn.linear_bwd(dh1, lin1_cache, slot=pre + "ffn1")
+    dres, *ln2 = nn.layernorm_bwd(df_in, ln2_cache, slot=pre + "ln2")
+    dx += dres
+    da_in, attn_grads = nn.attention_bwd(dx, attn_cache, slot=pre + "attn")
+    dres, *ln1 = nn.layernorm_bwd(da_in, ln1_cache, slot=pre + "ln1")
+    names = ("ffn.w2", "ffn.b2", "ffn.w1", "ffn.b1", "ln2.g", "ln2.b",
+             *("attn." + name for name in attn_grads), "ln1.g", "ln1.b")
+    for name, g in zip(names, (*ffn2, *ffn1, *ln2, *attn_grads.values(), *ln1)):
+        _acc(grads, pre + name, g)
+    dres[slice(None) if rows is None else rows] += dx
+    return dres
+
+
 def encode_bwd(dhidden: np.ndarray, params: dict, cfg: ModelConfig, cache,
                grads: Gradients) -> None:
     """Backprop from d(hidden states), shaped like ``EncoderOutput.hidden``,
-    into parameter grads (accumulated).
-
-    The embedding gradients are row-sparse: only the rows of the tokens,
+    into parameter grads (accumulated): ``ln_f``, each ``_block_bwd`` in
+    reverse, then the embeddings, row-sparse: only the rows of the tokens,
     positions and segments the example uses are added to. Raises ValueError
     when ``encode`` has run again since ``cache`` was made.
     """
@@ -359,33 +386,8 @@ def encode_bwd(dhidden: np.ndarray, params: dict, cfg: ModelConfig, cache,
     dx, dg, db = nn.layernorm_bwd(dhidden, lnf_cache, slot="ln_f")
     _acc(grads, "ln_f.g", dg)
     _acc(grads, "ln_f.b", db)
-    for i in reversed(range(cfg.n_layers)):
-        pre = f"enc{i}."
-        ln1_cache, attn_cache, ln2_cache, lin1_cache, gelu_cache, lin2_cache = \
-            layer_caches[i]
-        dh2, dw2, db2 = nn.linear_bwd(dx, lin2_cache, slot=pre + "ffn2")
-        _acc(grads, pre + "ffn.w2", dw2)
-        _acc(grads, pre + "ffn.b2", db2)
-        dh1 = nn.gelu_bwd(dh2, gelu_cache, slot=pre + "gelu")
-        df_in, dw1, db1 = nn.linear_bwd(dh1, lin1_cache, slot=pre + "ffn1")
-        _acc(grads, pre + "ffn.w1", dw1)
-        _acc(grads, pre + "ffn.b1", db1)
-        dres, dg2, db2n = nn.layernorm_bwd(df_in, ln2_cache, slot=pre + "ln2")
-        _acc(grads, pre + "ln2.g", dg2)
-        _acc(grads, pre + "ln2.b", db2n)
-        dx += dres
-        da_in, attn_grads = nn.attention_bwd(dx, attn_cache, slot=pre + "attn")
-        for name, g in attn_grads.items():
-            _acc(grads, pre + "attn." + name, g)
-        dres, dg1, db1n = nn.layernorm_bwd(da_in, ln1_cache, slot=pre + "ln1")
-        _acc(grads, pre + "ln1.g", dg1)
-        _acc(grads, pre + "ln1.b", db1n)
-        if i < cfg.n_layers - 1:
-            dx += dres
-        else:  # the last layer's residual carried the read rows only
-            dres[feats.read_rows] += dx
-            dx = dres
-
+    for layer_cache in reversed(layer_caches):
+        dx = _block_bwd(dx, layer_cache, grads)
     _acc_embedding(grads, "tok_emb", params, feats.ids, dx)
     grads.add_rows("pos_emb", params["pos_emb"], slice(0, len(feats.ids)), dx)
     _acc_embedding(grads, "seg_emb", params, feats.segments, dx)
@@ -767,13 +769,14 @@ def load_checkpoint(path) -> Checkpoint:
     tensor list is checked against ``param_shapes`` of its config and each
     tensor's extent against the file's size.
 
-    When the payload is 8-byte aligned, as ``save_checkpoint`` writes it,
-    each tensor is a view of one copy-on-write mapping of the file. Loading
-    copies nothing, the OS reads in only the pages a caller touches (memory
-    grows with the embedding rows read, not the table), and a write to a
-    tensor changes this process's copy, never the file. A file written before
-    the header was padded is read into fresh arrays, as it always was. A
-    short, inconsistent or malformed file raises ValueError naming it."""
+    One read path: every tensor comes from one copy-on-write mapping of the
+    file. When the payload is 8-byte aligned, as ``save_checkpoint`` writes
+    it, each tensor is a view: loading copies nothing, the OS reads in only
+    the pages a caller touches (memory grows with the embedding rows read,
+    not the table), and a write to a tensor changes this process's copy,
+    never the file. An unaligned payload (written before the header was
+    padded) is copied out of the mapping into fresh arrays. A short,
+    inconsistent or malformed file raises ValueError naming it."""
     with open(path, "rb") as handle:
         try:
             return _read_checkpoint(handle)
@@ -821,9 +824,7 @@ def _read_checkpoint(handle) -> Checkpoint:
         raise ValueError(f"no tensor {next(iter(unmatched))!r} ({len(unmatched)} blocks missing)")
     payload_start = handle.tell()
     size = os.fstat(handle.fileno()).st_size
-    # An unaligned view would be copied whole by np.take on every gather.
-    mapped = (mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_COPY)
-              if payload_start % 8 == 0 else None)
+    mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_COPY)
     params = {}
     for spec in specs:
         name, shape, offset = spec["name"], spec["shape"], spec["offset"]
@@ -836,10 +837,7 @@ def _read_checkpoint(handle) -> Checkpoint:
         if start + nbytes > size:
             raise ValueError(f"truncated tensor {name!r} "
                              f"({max(size - start, 0)} of {nbytes} bytes)")
-        if mapped is not None and start % 8 == 0:
-            params[name] = np.frombuffer(mapped, "<f8", nbytes // 8, start).reshape(shape)
-        else:
-            params[name] = np.empty(shape, dtype="<f8")
-            handle.seek(start)
-            handle.readinto(params[name].data)
+        tensor = np.frombuffer(mapped, "<f8", nbytes // 8, start).reshape(shape)
+        # An unaligned view would be copied whole by np.take on every gather.
+        params[name] = tensor if start % 8 == 0 else tensor.copy()
     return Checkpoint(config, vocab, params, extra)

@@ -22,13 +22,15 @@ from nlsql.cli import cli_dispatch
 from nlsql.corpus import Corpus
 from nlsql.executor import ex_equal, execute
 from nlsql.keyword_index import build_index, extract_matches
-from nlsql import netops as nn
 from nlsql.model import (
     ModelConfig,
+    _block_bwd,
+    _block_fwd,
     example_loss,
     example_loss_and_grads,
     init_params,
     make_target,
+    param_shapes,
     prepare_features,
 )
 from nlsql.sampling import sample_exact_match_one, sample_random, sample_relevance
@@ -233,6 +235,20 @@ def test_criterion_4_serializer_contracts():
               f"correctly rejected as over budget), {failures} failures")
 
 
+def _relative_error(loss, arr, i, analytic, h=1e-5):
+    """|analytic - fd| / max(|analytic|, |fd|, 1e-3), fd being the central
+    difference of ``loss()`` at flat entry ``i`` of ``arr``."""
+    flat = arr.reshape(-1)
+    keep = flat[i]
+    flat[i] = keep + h
+    up = loss()
+    flat[i] = keep - h
+    down = loss()
+    flat[i] = keep
+    fd = (up - down) / (2 * h)
+    return abs(analytic - fd) / max(abs(analytic), abs(fd), 1e-3)
+
+
 def test_criterion_5_gradient_check_every_block():
     started = time.perf_counter()
     table = Table(
@@ -257,63 +273,50 @@ def test_criterion_5_gradient_check_every_block():
     _, _, grads = example_loss_and_grads(params, cfg, feats, target)
 
     rng = np.random.default_rng(0)
-    h = 1e-5
     worst = 0.0
     worst_block = ""
     for name in sorted(params):
-        flat = params[name].reshape(-1)
-        if flat.size <= 64:
-            indices = np.arange(flat.size)
+        size = params[name].size
+        if size <= 64:
+            indices = np.arange(size)
         else:
-            indices = rng.choice(flat.size, size=32, replace=False)
+            indices = rng.choice(size, size=32, replace=False)
         for i in indices:
-            keep = flat[i]
-            flat[i] = keep + h
-            up = example_loss(params, cfg, feats, target)
-            flat[i] = keep - h
-            down = example_loss(params, cfg, feats, target)
-            flat[i] = keep
-            fd = (up - down) / (2 * h)
-            an = grads[name].reshape(-1)[i]
-            rel = abs(an - fd) / max(abs(an), abs(fd), 1e-3)
+            rel = _relative_error(lambda: example_loss(params, cfg, feats, target),
+                                  params[name], i, grads[name].reshape(-1)[i])
             if rel > worst:
                 worst, worst_block = rel, name
 
-    # The attention kernel with a query-row subset, as the encoder's last
-    # layer runs it: every input and weight, against a random projection.
+    # One encoder block alone, at every entry of its input and of its 16
+    # parameter blocks, against a random projection of its output: over all
+    # rows, and at query rows only, as the encoder's last block runs.
+    block_cfg = ModelConfig(vocab_size=1, d_model=8, n_layers=1, n_heads=2)
+    block = {name: rng.normal(size=shape)
+             for name, shape in param_shapes(block_cfg).items() if name.startswith("enc0.")}
+    assert len(block) == 16
     x = rng.normal(size=(7, 8))
-    weights = [rng.normal(size=shape) for shape in ((8, 8), 8) * 4]
-    rows = np.array([5, 0, 2])
-    probe = rng.normal(size=(len(rows), 8))
+    for rows in (None, np.array([5, 0, 2])):
+        probe = rng.normal(size=(7 if rows is None else len(rows), 8))
 
-    def attention_loss():
-        out, _ = nn.attention_fwd(x, *weights, 2, slot="fd.attn", rows=rows)
-        return float(np.sum(out * probe))
+        def block_loss():
+            out, _ = _block_fwd(x.copy(), block, "enc0.", block_cfg, rows)
+            return float(np.sum(out * probe))
 
-    _, cache = nn.attention_fwd(x, *weights, 2, slot="fd.attn", rows=rows)
-    dx, attn_grads = nn.attention_bwd(probe, cache, slot="fd.attn")
-    analytic = {"x": dx.copy()}
-    analytic.update((name, attn_grads[name]) for name in (
-        "wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo"))
-    for (name, an_block), arr in zip(analytic.items(), [x, *weights]):
-        flat = arr.reshape(-1)
-        for i in range(flat.size):
-            keep = flat[i]
-            flat[i] = keep + h
-            up = attention_loss()
-            flat[i] = keep - h
-            down = attention_loss()
-            flat[i] = keep
-            fd = (up - down) / (2 * h)
-            an = an_block.reshape(-1)[i]
-            rel = abs(an - fd) / max(abs(an), abs(fd), 1e-3)
-            if rel > worst:
-                worst, worst_block = rel, f"query-row attention {name}"
+        _, cache = _block_fwd(x.copy(), block, "enc0.", block_cfg, rows)
+        block_grads = {}
+        analytic = {"x": _block_bwd(probe.copy(), cache, block_grads).copy()}
+        assert block_grads.keys() == block.keys()
+        analytic.update(block_grads)
+        for name, arr in [("x", x), *block.items()]:
+            for i in range(arr.size):
+                rel = _relative_error(block_loss, arr, i, analytic[name].reshape(-1)[i])
+                if rel > worst:
+                    worst, worst_block = rel, f"block {name}, rows {rows}"
     elapsed = time.perf_counter() - started
     criterion(5, worst < 1e-4 and elapsed < 300,
               f"max relative gradient error {worst:.2e} (worst block "
-              f"{worst_block}) over all {len(params)} blocks and query-row "
-              f"attention, {elapsed:.0f}s")
+              f"{worst_block}) over all {len(params)} blocks, and one encoder "
+              f"block with and without query rows, {elapsed:.0f}s")
 
 
 def test_criterion_6_overfit_small_corpus():
