@@ -371,8 +371,7 @@ def _block_bwd(dx, cache, grads):
     return dres
 
 
-def encode_bwd(dhidden: np.ndarray, params: dict, cfg: ModelConfig, cache,
-               grads: Gradients) -> None:
+def encode_bwd(dhidden: np.ndarray, params: dict, cache, grads: Gradients) -> None:
     """Backprop from d(hidden states), shaped like ``EncoderOutput.hidden``,
     into parameter grads (accumulated): ``ln_f``, each ``_block_bwd`` in
     reverse, then the embeddings, row-sparse: only the rows of the tokens,
@@ -641,7 +640,7 @@ def example_loss_and_grads(params: dict, cfg: ModelConfig, feats: Features,
     dhidden[:len(dq)] += dq
     for (start, end), dh in zip(feats.read_header_spans(), dhc):
         dhidden[start:end] += dh / (end - start)
-    encode_bwd(dhidden, params, cfg, enc_cache, grads)
+    encode_bwd(dhidden, params, enc_cache, grads)
     return float(loss), breakdown, grads
 
 

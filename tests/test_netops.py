@@ -307,7 +307,7 @@ def test_encode_bwd_rejects_a_stale_cache(features):
     enc, cache = encode(first, params, cfg)
     encode(second, params, cfg)
     with pytest.raises(ValueError, match="stale"):
-        encode_bwd(np.ones_like(enc.hidden), params, cfg, cache, Gradients())
+        encode_bwd(np.ones_like(enc.hidden), params, cache, Gradients())
 
 
 def test_encoder_outputs_kept_side_by_side_stay_distinct(features):
