@@ -11,20 +11,24 @@ lists, one after the other within each pair. Every run is printed as it
 finishes. Then, per workload and for each end-to-end metric in
 ``BENCHMARK.json``, the summary gives each side's median [Q1, Q3], the
 change/parent ratio of the medians, the pairs the change won under the
-metric's ``better`` (ties count for neither side), whether the change's
-median is worse than the parent's by more than the metric's ``bound`` (a
-fraction of the parent's median) and whether the medians differ by more
-than the parent's quartile spread. Several ``--seed`` values run one set of
-pairs each, one seed after the other. The script exits 1 when any run is not
-``correct``, has failed operations or gives no result.
+metric's ``better`` (ties count for neither side), whether the metric is
+unresolved, whether the change's median is worse than the parent's by more
+than the metric's ``bound`` (a fraction of the parent's median) and whether
+the medians differ by more than the parent's quartile spread. A metric is
+unresolved when the parent's own quartile spread is wider than the bound
+times the parent's median: its runs spread too widely for a "worse > bound"
+on it to show a regression, or its absence to show none. Several ``--seed``
+values run one set of pairs each, one seed after the other. The script exits
+1 when any run is not ``correct``, has failed operations or gives no result.
 
 ``--record`` then writes each workload's trend file, ``BENCH_<workload>.json``,
 at CHANGE's root. It holds each seed's summary (both sides' median and
-quartiles per end-to-end metric, and the pair count), the run length, both
-checkouts' commits as ``git describe --always --dirty`` gives them, the
-``MALLOC_MMAP_THRESHOLD_`` that every run inherited (null when unset) and the
-``env`` record of the workload's last run. A set of pairs replaces the file
-whole: numbers from two sets on a shared host are not comparable.
+quartiles per end-to-end metric, whether it is unresolved, and the pair
+count), the run length, both checkouts' commits as ``git describe --always
+--dirty`` gives them, the ``MALLOC_MMAP_THRESHOLD_`` that every run inherited
+(null when unset) and the ``env`` record of the workload's last run. A set
+of pairs replaces the file whole: numbers from two sets on a shared host are
+not comparable.
 """
 
 from __future__ import annotations
@@ -62,6 +66,7 @@ def summarize(specs: list[dict], pairs: list[tuple[dict, dict]]) -> list[dict]:
             "parent": (p_med, p_q1, p_q3), "change": (c_med, c_q1, c_q3),
             "ratio": c_med / p_med if p_med else float("nan"),
             "wins": wins, "pairs": len(pairs),
+            "unresolved": p_q3 - p_q1 > spec["bound"] * abs(p_med),
             "beyond_bound": sign * (c_med - p_med) < -spec["bound"] * abs(p_med),
             "beyond_spread": sign * (c_med - p_med) > p_q3 - p_q1,
         })
@@ -70,12 +75,14 @@ def summarize(specs: list[dict], pairs: list[tuple[dict, dict]]) -> list[dict]:
 
 def render(rows: list[dict]) -> str:
     lines = [f"{'metric':<26}{'parent median [Q1, Q3]':>34}{'change median [Q1, Q3]':>34}"
-             f"{'change/parent':>15}{'change wins':>13}  worse > bound  gap > parent IQR"]
+             f"{'change/parent':>15}{'change wins':>13}  unresolved  worse > bound"
+             "  gap > parent IQR"]
     for row in rows:
         sides = ["{:.4g} [{:.4g}, {:.4g}]".format(*row[side]) for side in ("parent", "change")]
         lines.append(f"{row['name'] + ' (' + row['unit'] + ')':<26}{sides[0]:>34}"
                      f"{sides[1]:>34}{row['ratio']:>15.3f}"
                      f"{str(row['wins']) + '/' + str(row['pairs']):>13}  "
+                     f"{'yes' if row['unresolved'] else 'no':<12}"
                      f"{'yes' if row['beyond_bound'] else 'no':<15}"
                      f"{'yes' if row['beyond_spread'] else 'no'}")
     return "\n".join(lines)
@@ -95,7 +102,8 @@ def trend_record(workload: str, sets: list[dict], commits: dict, env: dict | Non
         "sets": [{"seed": s["seed"], "pairs": s["pairs"],
                   "metrics": {row["name"]: {"unit": row["unit"], "better": row["better"],
                                             **sides(row), "ratio": row["ratio"],
-                                            "change_wins": row["wins"]}
+                                            "change_wins": row["wins"],
+                                            "unresolved": row["unresolved"]}
                               for row in s["rows"]}}
                  for s in sets],
         "env": env,

@@ -30,7 +30,7 @@ import numpy as np
 from . import netops as nn
 from .serialize import DEFAULT_BUDGET, N_SEGMENTS, SEG_HEADER, SerializedInput, token_texts
 from .sketch import MAX_CONDS, AggOp, CondOp, Condition, SqlSketch, TableSchema
-from .vocab import Vocab
+from .vocab import SPECIALS, Vocab
 
 
 FFN_MULT = 4  # the FFN is FFN_MULT * d_model wide
@@ -718,7 +718,7 @@ def save_checkpoint(path, checkpoint: Checkpoint) -> None:
     """Write the self-describing container.
 
     Layout: 8-byte magic, little-endian u64 header length, UTF-8 JSON header
-    {version, config, vocab, extra, tensors: [{name, shape, offset, nbytes}]},
+    {version, config, vocab, extra, tensors: [{name, shape, dtype, offset, nbytes}]},
     then tensor payloads as little-endian float64, concatenated in header
     order. The header is padded with spaces, which JSON reads as trailing
     whitespace, so the payload starts on a 64-byte boundary and
@@ -804,7 +804,13 @@ def _read_checkpoint(handle) -> Checkpoint:
         raise ValueError("config is not a JSON object")
     config = ModelConfig(**{key: value for key, value in fields.items()
                             if key not in _RETIRED_CONFIG_KEYS})
-    vocab = Vocab(header["vocab"])
+    tokens = header["vocab"]
+    if not isinstance(tokens, list) or tokens[:len(SPECIALS)] != list(SPECIALS) \
+            or not all(isinstance(t, str) for t in tokens):
+        raise ValueError(f"vocab is not a list of strings that starts with {list(SPECIALS)}")
+    vocab = Vocab(tokens)
+    if len(vocab.index) != len(tokens):
+        raise ValueError(f"vocab repeats a token ({len(tokens) - len(vocab.index)} repeats)")
     if len(vocab) != config.vocab_size:
         raise ValueError(f"{len(vocab)} vocab tokens do not fit vocab_size {config.vocab_size}")
     extra = header.get("extra", {})
@@ -828,6 +834,8 @@ def _read_checkpoint(handle) -> Checkpoint:
     for spec in specs:
         name, shape, offset = spec["name"], spec["shape"], spec["offset"]
         nbytes = 8 * math.prod(shape)
+        if spec["dtype"] != "<f8":
+            raise ValueError(f"tensor {name!r} has dtype {spec['dtype']!r}, not '<f8'")
         if spec["nbytes"] != nbytes:
             raise ValueError(f"tensor {name!r} has {spec['nbytes']} bytes for shape {shape}")
         if type(offset) is not int or offset < 0:

@@ -80,7 +80,7 @@ class Sampler:
             raise ValueError(f"unknown strategy {strategy!r}")
         self.tables = tables
         self.strategy = strategy
-        self.k = k
+        self.k = FIXED_K.get(strategy, k)
         self.seed = seed
         self._indexes = {}
         self._random_sets = {}
@@ -92,16 +92,14 @@ class Sampler:
 
     def sample_for(self, table_id: str, question: str) -> SampleSet:
         table = self.tables[table_id]
-        if self.strategy == "none":
-            return SampleSet.empty(table_id, table.schema.n_columns)
-        if self.strategy == "rand":
+        if self.strategy in ("none", "rand"):
             if table_id not in self._random_sets:
                 self._random_sets[table_id] = sample_random(table, self.k, self.seed)
             return self._random_sets[table_id]
+        index = self.index_for(table_id)
         if self.strategy == "rel":
-            return sample_relevance(table, self.index_for(table_id), question,
-                                    self.k, self.seed)
-        return sample_exact_match_one(table, self.index_for(table_id), question)
+            return sample_relevance(table, index, question, self.k, self.seed)
+        return sample_exact_match_one(table, index, question)
 
 
 def _question_features(table: Table, question: str, sampler: Sampler,

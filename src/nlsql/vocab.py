@@ -14,9 +14,8 @@ VOCAB_MAX_SIZE = 30_000  # the cap on tokens, specials included
 
 class Vocab:
     def __init__(self, tokens: list[str]):
-        if list(tokens[: len(SPECIALS)]) != list(SPECIALS):
-            tokens = list(SPECIALS) + [t for t in tokens if t not in SPECIALS]
-        self.tokens = list(tokens)
+        """``tokens`` start with ``SPECIALS`` and are kept as given."""
+        self.tokens = tokens
         self.index = {t: i for i, t in enumerate(self.tokens)}
         self.unk_id = self.index[UNK]
 

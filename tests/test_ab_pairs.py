@@ -66,6 +66,28 @@ def test_a_median_worse_than_its_bound_is_flagged():
         ["yes", "no"], ["no", "no"]]
 
 
+def test_a_parent_spread_wider_than_the_bound_leaves_the_metric_unresolved():
+    # setup_s: the parent's own runs span Q1 0.80 to Q3 1.40 s around a 1.00 s
+    # median, a spread of 0.60 s past the 0.25 s bound, so the change's 1.30 s
+    # is worse than the bound but unresolved; throughput's parent quartiles
+    # 98-102 /s sit inside its bound of 25 /s.
+    parent = [(0.60, 96.0), (0.80, 98.0), (1.00, 100.0), (1.40, 102.0), (1.60, 104.0)]
+    pairs = [({"setup_s": s, "throughput_per_s": r},
+              {"setup_s": 1.30, "throughput_per_s": 80.0}) for s, r in parent]
+    setup, rate = ab_pairs.summarize(SPECS, pairs)
+    assert setup["parent"] == pytest.approx((1.00, 0.80, 1.40))
+    assert setup["unresolved"] and setup["beyond_bound"]
+    assert not rate["unresolved"] and not rate["beyond_bound"]
+    text = ab_pairs.render([setup, rate])
+    assert [line.split()[-3:] for line in text.splitlines()[1:]] == [
+        ["yes", "yes", "no"], ["no", "no", "no"]]
+    record = ab_pairs.trend_record("serve-a", [{"seed": 1, "pairs": 5, "rows": [setup, rate]}],
+                                   {}, None, 10)
+    metrics = record["sets"][0]["metrics"]
+    assert (metrics["setup_s"]["unresolved"], metrics["throughput_per_s"]["unresolved"]) \
+        == (True, False)
+
+
 CANNED = {  # (side, workload) -> (setup_s, throughput_per_s)
     ("parent", "serve-a"): (1.0, 100.0), ("change", "serve-a"): (0.5, 150.0),
     ("parent", "train-b"): (2.0, 10.0), ("change", "train-b"): (3.0, 10.0),
@@ -138,6 +160,6 @@ def test_record_writes_one_trend_file_per_workload_at_the_change(tmp_path, monke
     assert setup == {"unit": "s", "better": "lower",
                      "parent": {"median": 8.0, "q1": 8.0, "q3": 8.0},
                      "change": {"median": 12.0, "q1": 12.0, "q3": 12.0},
-                     "ratio": 1.5, "change_wins": 0}
+                     "ratio": 1.5, "change_wins": 0, "unresolved": False}
     rate = record["sets"][0]["metrics"]["throughput_per_s"]
     assert (rate["parent"]["median"], rate["change"]["median"]) == (10.0, 10.0)

@@ -744,13 +744,20 @@ def _huge_pos_emb(header):
     (lambda header: _tensor(header, "agg.w2").update(shape=[6, 16]),
      "tensor 'agg.w2' of shape [6, 16] does not fit the config's [16, 6]"),
     (_huge_pos_emb, "truncated tensor 'pos_emb' ("),
+    (lambda header: header["vocab"].append(header["vocab"].pop(0)),
+     "vocab is not a list of strings that starts with ['[PAD]', '[UNK]'"),
+    (lambda header: header["vocab"].__setitem__(-1, header["vocab"][6]),
+     "vocab repeats a token (1 repeats)"),
+    (lambda header: _tensor(header, "agg.b1").update(dtype="<f4"),
+     "tensor 'agg.b1' has dtype '<f4', not '<f8'"),
 ], ids=["no-tensors", "unknown-config-key", "header-not-utf8",
         "vocab-vs-config", "vocab-vs-tok-emb", "max-positions-vs-pos-emb",
         "config-not-an-object", "extra-a-list", "extra-a-string",
         "extra-a-number", "extra-null", "train-config-not-an-object",
         "n-layers-not-an-int", "n-heads-a-bool", "n-layers-past-the-tensors",
         "tensor-renamed", "tensor-missing", "tensor-extra", "tensor-repeated",
-        "tensor-mis-shaped", "tensor-past-the-address-space"])
+        "tensor-mis-shaped", "tensor-past-the-address-space", "vocab-rotated",
+        "vocab-repeats-a-token", "tensor-dtype-f4"])
 def test_eval_on_a_malformed_checkpoint_header_is_an_error(workspace, capsys,
                                                            damage, message):
     data, tables = synth(workspace)
@@ -784,7 +791,7 @@ HEADER_FIELDS = (
                                   "n_heads", "max_positions", "seed")),
     ("extra", "train_config"), ("extra", "train_config", "strategy"),
     ("extra", "train_config", "k"), ("vocab", 6), ("tensors", 0),
-    *(("tensors", 0, key) for key in ("name", "shape", "offset", "nbytes")),
+    *(("tensors", 0, key) for key in ("name", "shape", "dtype", "offset", "nbytes")),
 )
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),

@@ -44,7 +44,7 @@ from nlsql.sketch import (
     TableSchema,
     validate_sketch,
 )
-from nlsql.vocab import Vocab
+from nlsql.vocab import SPECIALS, Vocab
 
 
 @pytest.fixture
@@ -533,7 +533,7 @@ def test_checkpoint_rejects_bad_magic(tmp_path):
 
 
 def _big_checkpoint():
-    vocab = Vocab([f"w{i}" for i in range(1994)])
+    vocab = Vocab(list(SPECIALS) + [f"w{i}" for i in range(1994)])
     cfg = ModelConfig(vocab_size=len(vocab), d_model=128, n_layers=2, n_heads=2)
     return Checkpoint(cfg, vocab, init_params(cfg))
 

@@ -3,15 +3,16 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nlsql.keyword_index import build_index, extract_matches
+from nlsql.keyword_index import Match, build_index, extract_matches
 from nlsql.sampling import (
-    _remaining,
+    _draw,
     sample_exact_match_one,
     sample_random,
     sample_relevance,
 )
 from nlsql.sketch import Table, TableSchema
 from nlsql.synth import generate_bench_table
+from nlsql.train import Sampler
 from nlsql.util import child_rng
 
 
@@ -87,12 +88,6 @@ def test_em1_keeps_earliest_match(tennis_table):
     assert samples.columns[1] == ("grass",)
 
 
-def test_index_table_mismatch_rejected(tennis_table, league_table):
-    index = build_index(league_table)
-    with pytest.raises(ValueError):
-        sample_relevance(tennis_table, index, "q", 1, 0)
-
-
 # Properties ------------------------------------------------------------------
 
 POOL = ["winner", "clay", "Rafael Nadal", "BMW", "42", "200", "fox", "", "KTM"]
@@ -159,19 +154,40 @@ def test_em1_emits_at_most_one_per_column(seed):
     assert all(len(column) <= 1 for column in samples.columns)
 
 
+@given(st.integers(0, 2**32))
+@settings(max_examples=60, deadline=None)
+def test_every_strategy_is_one_draw(seed):
+    # rand is rel with no matches, em1 is rel at k=1 without the fill, and
+    # none serves nothing whatever k says.
+    rng = random.Random(seed)
+    table = random_table(rng)
+    question = " ".join(rng.choice(POOL) for _ in range(rng.randint(0, 6)))
+    k = rng.randint(0, 4)
+    index = build_index(table)
+    assert sample_random(table, k, seed) == sample_relevance(table, index, "", k, seed)
+    first = sample_relevance(table, index, question, 1, seed).columns
+    matched = {m.column_index for m in extract_matches(index, question)}
+    assert sample_exact_match_one(table, index, question).columns == tuple(
+        first[col] if col in matched else () for col in range(len(first)))
+    assert Sampler({"rt": table}, "none", k, seed).sample_for("rt", question).columns \
+        == ((),) * table.schema.n_columns
+
+
 @pytest.mark.parametrize("n_values", [12, 500])
 def test_relevance_fill_draws_match_the_filtered_list(n_values):
     # random.sample copies a small population and probes a large one by
-    # index; the view must give the filtered list's draws on both paths.
+    # index; the fill's indices, mapped past the sorted hit positions, must
+    # give the filtered list's draws on both paths.
     values = tuple(f"value {i}" for i in range(n_values))
+    table = Table(TableSchema("t", ("V",), ("text",)), tuple((v,) for v in values))
     for hits in ([], [values[7]], [values[-1], values[2]]):
+        matches = [Match(0, v, (0, 0), values.index(v)) for v in hits]
         pool = [v for v in values if v not in hits]
-        remaining = _remaining(values, sorted(map(values.index, hits)))
-        assert len(remaining) == len(pool) and list(remaining) == pool
         for seed in range(200):
             for n in (1, 3, 8, len(pool)):
-                assert random.Random(seed).sample(remaining, n) \
-                    == random.Random(seed).sample(pool, n), (hits, seed, n)
+                drawn = _draw(table, matches, len(hits) + n, seed).columns[0]
+                rng = child_rng("sample", seed, "t", 0)
+                assert drawn == tuple(hits + rng.sample(pool, n)), (hits, seed, n)
 
 
 @pytest.fixture(scope="module", params=[0, 1])

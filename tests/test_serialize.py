@@ -16,7 +16,7 @@ from nlsql.serialize import (
     tokenize,
 )
 from nlsql.sketch import TableSchema
-from nlsql.vocab import Vocab
+from nlsql.vocab import SPECIALS, Vocab
 
 
 def test_tokenize_spans_recover_text():
@@ -220,4 +220,4 @@ def test_question_and_header_positions_follow_the_layout(data):
         assert [serialized.tokens[i] for i in rows] == token_texts(headers[col])
         runs.append((rows[0], rows[-1] + 1))
     assert runs == sorted(runs)
-    assert prepare_features(serialized, Vocab([])).header_spans == runs
+    assert prepare_features(serialized, Vocab(list(SPECIALS))).header_spans == runs
