@@ -26,9 +26,13 @@ at CHANGE's root. It holds each seed's summary (both sides' median and
 quartiles per end-to-end metric, whether it is unresolved, and the pair
 count), the run length, both checkouts' commits as ``git describe --always
 --dirty`` gives them, the ``MALLOC_MMAP_THRESHOLD_`` that every run inherited
-(null when unset) and the ``env`` record of the workload's last run. A set
-of pairs replaces the file whole: numbers from two sets on a shared host are
-not comparable.
+(null when unset), whether the two checkouts' paths are of equal length, and
+the ``env`` record of the workload's last run. A set of pairs replaces the
+file whole: numbers from two sets on a shared host are not comparable.
+
+``peak_rss_mb`` moves with the length of the checkout's path, by several MB
+on ``train-bigvocab``, so the script warns when PARENT's and CHANGE's
+resolved paths differ in length, at the start and again at the end.
 """
 
 from __future__ import annotations
@@ -89,7 +93,7 @@ def render(rows: list[dict]) -> str:
 
 
 def trend_record(workload: str, sets: list[dict], commits: dict, env: dict | None,
-                 run_seconds: float) -> dict:
+                 run_seconds: float, paths_equal_length: bool) -> dict:
     """A ``BENCH_<workload>.json`` record of ``sets``, each a seed, its pair
     count and its ``summarize`` rows."""
     def sides(row):
@@ -99,6 +103,7 @@ def trend_record(workload: str, sets: list[dict], commits: dict, env: dict | Non
     return {
         "workload": workload, "run_seconds": run_seconds, "commits": commits,
         "malloc_mmap_threshold": os.environ.get("MALLOC_MMAP_THRESHOLD_"),
+        "paths_equal_length": paths_equal_length,
         "sets": [{"seed": s["seed"], "pairs": s["pairs"],
                   "metrics": {row["name"]: {"unit": row["unit"], "better": row["better"],
                                             **sides(row), "ratio": row["ratio"],
@@ -108,6 +113,16 @@ def trend_record(workload: str, sets: list[dict], commits: dict, env: dict | Non
                  for s in sets],
         "env": env,
     }
+
+
+def path_length_warning(parent: Path, change: Path) -> str | None:
+    """A warning when the checkouts' resolved paths differ in length."""
+    lengths = [len(str(checkout.resolve())) for checkout in (parent, change)]
+    if lengths[0] == lengths[1]:
+        return None
+    return (f"warning: PARENT's path is {lengths[0]} characters and CHANGE's is "
+            f"{lengths[1]}; peak_rss_mb moves with path length, so compare it "
+            "only between checkouts at paths of equal length")
 
 
 def describe(checkout: Path) -> str | None:
@@ -162,6 +177,9 @@ def main(argv=None) -> int:
     specs = benchmark["end_to_end"]
     workloads = ([w["name"] for w in benchmark["workloads"]]
                  if args.workload == "all" else [args.workload])
+    warning = path_length_warning(args.parent, args.change)
+    if warning:
+        print(warning, file=sys.stderr, flush=True)
     sets = {workload: [] for workload in workloads}
     envs = {}
     problems = []
@@ -194,11 +212,13 @@ def main(argv=None) -> int:
         for workload, measured in sets.items():
             path = args.change / f"BENCH_{workload}.json"
             record = trend_record(workload, measured, commits, envs.get(workload),
-                                  benchmark["run_seconds"])
+                                  benchmark["run_seconds"], warning is None)
             path.write_text(json.dumps(record, indent=1) + "\n")
             print(f"wrote {path}")
     for problem in problems:
         print(problem, file=sys.stderr)
+    if warning:
+        print(warning, file=sys.stderr)
     return 1 if problems else 0
 
 

@@ -87,7 +87,7 @@ def bench_sampling(tables: list[Table], strategy: str, k: int,
     """Measure setup cost and median per-query latency over a table ladder."""
     report = BenchReport(strategy=strategy, k=k, n_queries=n_queries)
     for table in tables:
-        n_cells = len(table.rows) * table.schema.n_columns
+        n_cells = table.n_rows * table.schema.n_columns
         sampler = Sampler({table.table_id: table}, strategy, k, seed)
         if strategy in ("rel", "em1"):
             tracemalloc.start()
@@ -115,7 +115,7 @@ def bench_sampling(tables: list[Table], strategy: str, k: int,
 
         report.rows.append(BenchRow(
             table_id=table.table_id,
-            rows=len(table.rows),
+            rows=table.n_rows,
             cells=n_cells,
             setup_seconds=setup_seconds,
             peak_memory_bytes=int(peak_memory),

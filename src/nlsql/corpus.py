@@ -9,11 +9,9 @@ Wire formats (UTF-8, one JSON record per line, unknown fields ignored):
 
 ``sel``, ``agg`` and each condition's column and op must be JSON integers.
 Condition values may arrive as JSON numbers or strings; both are accepted and
-normalized to strings at load — typing is the executor's job.
-
-``read_jsonl`` pauses the cyclic garbage collector while it reads: decoded
-JSON never forms reference cycles, so collector passes over the growing heap
-of parsed rows find nothing, and they were most of a large table's load.
+normalized to strings at load — typing is the executor's job. A table's
+rows are neither copied nor scanned at load: its column store, built on
+first use, turns the cells of a column holding a non-string into ``str()``.
 """
 
 from __future__ import annotations
@@ -23,7 +21,6 @@ import json
 import logging
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
 
 from .sketch import (
     AggOp,
@@ -175,9 +172,8 @@ def _parse_table(record: dict) -> Table:
         types.append(t)
     schema = TableSchema(table_id=table_id, headers=tuple(headers), types=tuple(types))
     rows = record.get("rows", [])
-    if not set(map(type, chain.from_iterable(rows))) <= {str}:
-        rows = [tuple(map(str, row)) for row in rows]
-    # Table makes the row tuples and checks their width.
+    if type(rows) is not list or not set(map(type, rows)) <= {list}:
+        raise ValueError(f"table {table_id!r}: rows must be a list of arrays")
     return Table(schema=schema, rows=rows)
 
 

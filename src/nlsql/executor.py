@@ -1,11 +1,13 @@
 """In-memory single-table query engine and execution-accuracy comparator.
 
-Each table carries a column store, built on first use and cached on the
-``Table`` (``Table.columns``): per column, a codebook of the distinct raw
-cells in first-seen order (blanks included) and an ``int32`` code per row.
-The normalized string and the parsed number of a codebook entry are
-computed once, the first time a query needs them, so a query costs a few
-vector operations over the codes instead of a pass over the cell strings.
+A table's cells live only in its column store (``Table.columns``), built
+on first use from the rows the ``Table`` was given: per column, a codebook
+of the distinct raw cells in first-seen order (blanks included) and an
+``int32`` code per row. A column with a non-``str`` cell is coded from each
+cell's ``str()``; the codebook decides, as ``1``, ``1.0`` and ``True`` are
+one dict key. The normalized string and the parsed number of a codebook
+entry are computed once, the first time a query needs them, so a query
+costs a few vector operations over the codes, not a pass over the cells.
 
 Conditions become boolean masks over the rows, ANDed in sketch order into
 one mask of live rows. Equality compares normalized strings; order
@@ -40,7 +42,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter, defaultdict
-from collections.abc import Iterable
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import count
@@ -66,11 +68,18 @@ class QueryResult:
 class Column:
     """One dictionary-encoded column of a table's column store."""
 
-    def __init__(self, cells: Iterable[str], n_rows: int):
-        code_of = defaultdict(count().__next__)  # a new cell takes the next code
-        self.codes = np.fromiter(map(code_of.__getitem__, cells), np.int32,
-                                 n_rows)
-        self.codebook: tuple[str, ...] = tuple(code_of)
+    def __init__(self, rows: Sequence[Sequence], col: int):
+        """Cell ``col`` of each row, or its ``str()`` if any cell is not a ``str``."""
+        for cells in (map(itemgetter(col), rows), map(str, map(itemgetter(col), rows))):
+            code_of = defaultdict(count().__next__)  # a new cell takes the next code
+            try:
+                self.codes = np.fromiter(map(code_of.__getitem__, cells), np.int32, len(rows))
+            except TypeError:  # an unhashable cell: a JSON array or object
+                continue
+            self.codebook: tuple[str, ...] = tuple(code_of)
+            if set(map(type, self.codebook)) <= {str}:
+                return
+        raise TypeError(f"column {col}: a row whose cells cannot be indexed")
 
     @cached_property
     def distinct(self) -> tuple[str, ...]:
@@ -111,13 +120,6 @@ class Column:
         return self.numbers[self.codes[rows]]
 
 
-def build_columns(table: Table) -> tuple[Column, ...]:
-    """Dictionary-encode every column of a table (see ``Table.columns``)."""
-    rows = table.rows
-    return tuple(Column(map(itemgetter(col), rows), len(rows))
-                 for col in range(table.schema.n_columns))
-
-
 def _warn(warnings: Counter, kind: str, n_rows) -> None:
     if n_rows:
         warnings[kind] += int(n_rows)
@@ -136,7 +138,7 @@ def execute(sketch: SqlSketch, table: Table) -> QueryResult:
 
     columns = table.columns
     warnings: Counter = Counter()
-    alive = np.ones(len(table.rows), dtype=bool)
+    alive = np.ones(table.n_rows, dtype=bool)
     for cond in sketch.conds:
         column = columns[cond.column_index]
         if cond.op is CondOp.EQ:

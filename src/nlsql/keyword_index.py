@@ -54,10 +54,10 @@ def _normalize_with_map(text: str) -> tuple[str, Sequence[int]]:
 
 def normalize_pattern(text: str) -> str:
     """``_normalize_with_map``'s text, which for ASCII is the collapsed text
-    lowered: no offsets to keep and no letter that lowers by context."""
-    if text.isascii():
-        return " ".join(text.split()).lower()
-    return _normalize_with_map(text)[0]
+    lowered: no offsets to keep and no letter that lowers by context. An
+    unchanged text is returned itself, so an index key shares its cell's string."""
+    pattern = " ".join(text.split()).lower() if text.isascii() else _normalize_with_map(text)[0]
+    return text if pattern == text else pattern
 
 
 class Match(NamedTuple):

@@ -10,6 +10,7 @@ condition order are the same query.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
@@ -98,21 +99,36 @@ class TableSchema:
 
 
 @dataclass(frozen=True)
-class Table:
-    schema: TableSchema
-    rows: tuple[tuple[str, ...], ...]
+class _Rows(Sequence):
+    """A read-only view of a table's rows, rebuilt from its column store."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(map(tuple, self.rows)))
-        width = self.schema.n_columns
-        if set(map(len, self.rows)) <= {width}:
-            return
-        for i, row in enumerate(self.rows):  # name the first bad row
-            if len(row) != width:
-                raise ValueError(
-                    f"table {self.schema.table_id!r} row {i}: "
-                    f"{len(row)} cells for {width} columns"
-                )
+    _table: Table
+
+    def __len__(self) -> int:
+        return self._table.n_rows
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(*i.indices(len(self)))))
+        return tuple(c.codebook[c.codes[i]] for c in self._table.columns)
+
+    def __iter__(self):
+        return zip(*(map(c.codebook.__getitem__, c.codes) for c in self._table.columns))
+
+
+class Table:
+    """A schema and its cells. The rows given are checked and kept, not copied,
+    until the first read of ``columns`` builds the store from them and drops them."""
+
+    def __init__(self, schema: TableSchema, rows: Sequence[Sequence]):
+        width = schema.n_columns
+        if not set(map(len, rows)) <= {width}:
+            i, row = next((i, r) for i, r in enumerate(rows) if len(r) != width)
+            raise ValueError(f"table {schema.table_id!r} row {i}: "
+                             f"{len(row)} cells for {width} columns")
+        self.schema, self.n_rows, self._given = schema, len(rows), rows
+
+    rows = property(_Rows)
 
     @property
     def table_id(self) -> str:
@@ -120,10 +136,15 @@ class Table:
 
     @cached_property
     def columns(self) -> tuple:
-        """The table's column store, one ``executor.Column`` per column:
-        built on first use and kept with the table, which is immutable."""
-        from .executor import build_columns  # executor imports this module
-        return build_columns(self)
+        """The column store, one ``executor.Column`` per column."""
+        from .executor import Column  # executor imports this module
+        rows = vars(self).pop("_given")
+        return tuple(Column(rows, col) for col in range(self.schema.n_columns))
+
+    def __eq__(self, other):
+        return isinstance(other, Table) and self.schema == other.schema and all(
+            a.codebook == b.codebook and a.codes.tobytes() == b.codes.tobytes()
+            for a, b in zip(self.columns, other.columns))
 
 
 # Provenance tags carried by examples through augmentation.

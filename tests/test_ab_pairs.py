@@ -82,7 +82,7 @@ def test_a_parent_spread_wider_than_the_bound_leaves_the_metric_unresolved():
     assert [line.split()[-3:] for line in text.splitlines()[1:]] == [
         ["yes", "yes", "no"], ["no", "no", "no"]]
     record = ab_pairs.trend_record("serve-a", [{"seed": 1, "pairs": 5, "rows": [setup, rate]}],
-                                   {}, None, 10)
+                                   {}, None, 10, True)
     metrics = record["sets"][0]["metrics"]
     assert (metrics["setup_s"]["unresolved"], metrics["throughput_per_s"]["unresolved"]) \
         == (True, False)
@@ -94,8 +94,8 @@ CANNED = {  # (side, workload) -> (setup_s, throughput_per_s)
 }
 
 
-def _checkouts(tmp_path):
-    parent, change = tmp_path / "parent", tmp_path / "change"
+def _checkouts(tmp_path, change_name="change"):
+    parent, change = tmp_path / "parent", tmp_path / change_name
     parent.mkdir()
     change.mkdir()
     (parent / "BENCHMARK.json").write_text(json.dumps({
@@ -154,6 +154,7 @@ def test_record_writes_one_trend_file_per_workload_at_the_change(tmp_path, monke
     assert record["workload"] == "train-b" and record["run_seconds"] == 10
     assert record["commits"] == {"parent": "parent-commit", "change": "change-commit"}
     assert record["malloc_mmap_threshold"] == "131072"
+    assert record["paths_equal_length"] is True  # "parent" and "change"
     assert record["env"] == {"nproc": 2, "seed": 4}  # the last run's
     assert [(s["seed"], s["pairs"]) for s in record["sets"]] == [(3, 2), (4, 2)]
     setup = record["sets"][1]["metrics"]["setup_s"]
@@ -163,3 +164,28 @@ def test_record_writes_one_trend_file_per_workload_at_the_change(tmp_path, monke
                      "ratio": 1.5, "change_wins": 0, "unresolved": False}
     rate = record["sets"][0]["metrics"]["throughput_per_s"]
     assert (rate["parent"]["median"], rate["change"]["median"]) == (10.0, 10.0)
+
+
+def test_checkouts_at_paths_of_unequal_length_are_flagged(tmp_path, monkeypatch, capsys):
+    # peak_rss_mb moves with the checkout path's length: "parent" (6) against
+    # "change-b" (8) draws a warning and is recorded in the trend file.
+    parent, change = _checkouts(tmp_path, "change-b")
+
+    def run_once(checkout, workload, seed, seconds):
+        setup, rate = CANNED[checkout.name.replace("change-b", "change"), workload]
+        return {"correct": True, "failed": 0,
+                "metrics": {"setup_s": {"value": setup},
+                            "throughput_per_s": {"value": rate}}}
+
+    monkeypatch.setattr(ab_pairs, "run_once", run_once)
+    monkeypatch.setattr(ab_pairs, "describe", lambda checkout: None)
+    assert ab_pairs.main([str(parent), str(change), "--workload", "serve-a",
+                          "--pairs", "1", "--record"]) == 0
+    err = capsys.readouterr().err.splitlines()
+    length = len(str(parent.resolve()))
+    assert err == [f"warning: PARENT's path is {length} characters and CHANGE's is "
+                   f"{length + 2}; peak_rss_mb moves with path length, so compare it "
+                   "only between checkouts at paths of equal length"] * 2
+    record = json.loads((change / "BENCH_serve-a.json").read_text())
+    assert record["paths_equal_length"] is False
+    assert ab_pairs.path_length_warning(parent, tmp_path / "abcdef") is None

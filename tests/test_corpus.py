@@ -1,7 +1,10 @@
 import gc
 import json
+import math
+from itertools import chain
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nlsql.corpus import (
     Corpus,
@@ -14,7 +17,7 @@ from nlsql.corpus import (
     validate_corpus,
 )
 from nlsql.executor import execute
-from nlsql.sketch import AggOp, CondOp, Condition, Example, SqlSketch
+from nlsql.sketch import AggOp, CondOp, Condition, Example, SqlSketch, Table, TableSchema
 from nlsql.synth import SynthConfig, generate_synthetic_corpus
 
 
@@ -83,7 +86,8 @@ def test_load_tables_tennis(tmp_path, tennis_table):
 
 
 def assert_rows_are_string_tuples(rows):
-    assert type(rows) is tuple
+    # rows is a view over the column store: indexing and iterating agree
+    assert [rows[i] for i in range(len(rows))] == list(rows)
     assert all(type(row) is tuple for row in rows)
     assert all(type(cell) is str for row in rows for cell in row)
 
@@ -91,7 +95,8 @@ def assert_rows_are_string_tuples(rows):
 def test_load_tables_empty_rows_ok(tmp_path):
     path = tmp_path / "tables.jsonl"
     write_lines(path, [{"id": "t", "header": ["A"], "types": ["text"], "rows": []}])
-    assert load_tables(path)["t"].rows == ()
+    rows = load_tables(path)["t"].rows
+    assert len(rows) == 0 and tuple(rows) == ()
 
 
 def test_load_tables_numeric_cells_coerced(tmp_path):
@@ -99,7 +104,7 @@ def test_load_tables_numeric_cells_coerced(tmp_path):
     write_lines(path, [{"id": "t", "header": ["A", "B"], "types": ["text", "real"],
                         "rows": [["x", 200], [1.5, True], [False, None]]}])
     rows = load_tables(path)["t"].rows
-    assert rows == (("x", "200"), ("1.5", "True"), ("False", "None"))
+    assert tuple(rows) == (("x", "200"), ("1.5", "True"), ("False", "None"))
     assert_rows_are_string_tuples(rows)
 
 
@@ -111,6 +116,70 @@ def test_load_tables_arity_mismatch(tmp_path):
                             "types": ["text"] * 3, "rows": rows}])
         with pytest.raises(CorpusFormatError, match=r"tables.jsonl:1: "
                            r"table 't' row 2: 2 cells for 3 columns"):
+            load_tables(path)
+
+
+def rows_as_first_parsed(rows):
+    """The rows that ``_parse_table`` made before the column store held the
+    cells: every cell's ``str()`` when any cell of the table is not a
+    ``str``, and the cells as given otherwise."""
+    if not set(map(type, chain.from_iterable(rows))) <= {str}:
+        rows = [tuple(map(str, row)) for row in rows]
+    return tuple(map(tuple, rows))
+
+
+# JSON cells that share a dict key but not a str(): 1, 1.0 and True; -0.0 and
+# 0.0. NaN is not equal to itself. Strings that some of them print as.
+JSON_CELLS = (st.sampled_from([1, 1.0, True, False, 0, 0.0, -0.0, math.nan, None,
+                               "1", "1.0", "True", "0.0", "-0.0", "nan", "None"])
+              | st.integers(-2, 2) | st.floats() | st.text(max_size=3)
+              | st.lists(st.sampled_from([1, "a", None]), max_size=2)
+              | st.dictionaries(st.sampled_from("ab"), st.integers(0, 1), max_size=2))
+
+
+@given(data=st.data(), width=st.integers(1, 3), all_str=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_cells_read_back_as_the_whole_table_str_gave_them(data, width, all_str):
+    cells = st.text(max_size=3) if all_str else JSON_CELLS
+    rows = json.loads(json.dumps(data.draw(st.lists(
+        st.lists(cells, min_size=width, max_size=width), max_size=6))))
+    schema = TableSchema("t", tuple(f"H{i}" for i in range(width)), ("text",) * width)
+    table = Table(schema, rows)
+    expected = rows_as_first_parsed(rows)
+    assert tuple(table.rows) == expected
+    assert [table.rows[i] for i in range(len(expected))] == list(expected)
+    assert table == Table(schema, expected)
+
+
+def test_a_width_error_names_the_first_bad_row():
+    schema = TableSchema("t", ("A", "B"), ("text", "text"))
+    with pytest.raises(ValueError, match=r"^table 't' row 1: 3 cells for 2 columns$"):
+        Table(schema, [["a", "b"], ["c", "d", "e"], ["f"]])
+
+
+def test_saving_loaded_tables_writes_the_file_again(tmp_path):
+    _, tables = generate_synthetic_corpus(SynthConfig(n_tables=3, seed=4))
+    first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+    save_tables(tables, first)
+    with open(first, "a", encoding="utf-8") as handle:
+        handle.write(json.dumps({"id": "odd", "header": ["Ä", "B"], "types": ["text", "real"],
+                                 "rows": [["  ", "1"], ["Ä b", ""], ["  ", "-0.0"]]},
+                                ensure_ascii=False) + "\n")
+    loaded = load_tables(first)
+    save_tables(loaded, second)
+    assert second.read_bytes() == first.read_bytes()
+    assert load_tables(second) == loaded
+
+
+def test_load_tables_rows_must_be_arrays(tmp_path):
+    # A row that is an object (or a string) of the right length used to load
+    # as its keys (or characters); rows are JSON arrays.
+    path = tmp_path / "tables.jsonl"
+    for rows in ({"x": ["a"]}, [["a", "b"], {"A": 1, "B": 2}], [["a", "b"], "cd"]):
+        write_lines(path, [{"id": "t", "header": ["A", "B"], "types": ["text"] * 2,
+                            "rows": rows}])
+        with pytest.raises(CorpusFormatError, match=r"tables.jsonl:1: "
+                           r"table 't': rows must be a list of arrays"):
             load_tables(path)
 
 

@@ -163,6 +163,16 @@ def assert_matches_loop(text):
     assert normalize_pattern(text) == normalized
 
 
+def test_an_unchanged_pattern_is_its_cell():
+    # A cell that normalizing leaves alone keys the index with its own string.
+    for text in ("new york", "c-00042", "straße", ""):
+        assert normalize_pattern(text) is text
+    assert normalize_pattern("New  York") == "new york"
+    table = Table(TableSchema("t", ("A",), ("text",)), (("bmw",), ("Di Meglio",)))
+    keys = list(build_index(table)._patterns)
+    assert keys == ["bmw", "di meglio"] and keys[0] is table.columns[0].distinct[0]
+
+
 def test_normalize_pattern_matches_the_loop_on_every_3_char_ascii_string():
     ascii_chars = [chr(i) for i in range(128)]
     for text in map("".join, itertools.product(ascii_chars, repeat=3)):

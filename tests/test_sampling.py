@@ -196,7 +196,7 @@ def shared_code_table(request):
     # "c-10000" is a distinct value of both columns.
     table = generate_bench_table(20_000, seed=request.param)
     extra = ("c-10000",) + table.rows[0][1:]
-    return Table(table.schema, table.rows + (extra,)), request.param
+    return Table(table.schema, tuple(table.rows) + (extra,)), request.param
 
 
 def reference_relevance(table: Table, question: str, k: int, seed: int):

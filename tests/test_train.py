@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import nlsql.train as train_module
-from nlsql.corpus import Corpus
+from nlsql.corpus import Corpus, load_tables, save_tables
+from nlsql.executor import execute
 from nlsql.model import Gradients, ModelConfig
 from nlsql.serialize import token_texts
 from nlsql.sketch import AggOp, Example, SqlSketch, Table, TableSchema
@@ -18,6 +19,7 @@ from nlsql.train import (
     compare_strategies,
     evaluate,
     parse_strategy,
+    predict,
     train,
 )
 from nlsql.vocab import SPECIALS, Vocab
@@ -335,3 +337,32 @@ def test_history_reports_gradient_norms(tiny_setup, monkeypatch, clip_norm):
             clip_norm > 0 and n > clip_norm for n in epoch_norms)
     if clip_norm == 1e-12:
         assert all(row["clipped_steps"] == steps for row in history)
+
+
+def test_the_hot_paths_never_build_a_row(tmp_path, monkeypatch):
+    # Tables loaded afresh hold no column store yet; with Table.rows raising,
+    # sampling, serving, execution, the vocab, training and eval must read
+    # the cells from the store alone.
+    corpus, made = generate_synthetic_corpus(SynthConfig(
+        n_tables=3, rows_per_table=5, questions_per_table=2, seed=5))
+    save_tables(made, tmp_path / "tables.jsonl")
+    tables = load_tables(tmp_path / "tables.jsonl")
+
+    def no_rows(table):
+        raise AssertionError(f"{table.table_id}: a row was built")
+
+    monkeypatch.setattr(Table, "rows", property(no_rows))
+    vocab = Vocab.build(corpus, tables)
+    assert len(vocab) > len(SPECIALS)
+    checkpoint, history = train(corpus, tables, TrainConfig(epochs=1, batch_size=4, k=2),
+                                model_config=MODEL)
+    assert len(history) == 1
+    for strategy in ("none", "rand", "rel", "em1"):
+        sampler = Sampler(tables, strategy, 2)
+        for example in corpus.examples:
+            table = tables[example.table_id]
+            sketch = predict(checkpoint, sampler, table, example.question, 128)
+            execute(sketch, table)
+            execute(example.gold, table)
+        assert evaluate(checkpoint, corpus, tables, strategy, 2, budget=128).n \
+            == len(corpus.examples)
