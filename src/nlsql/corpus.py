@@ -90,7 +90,7 @@ def read_jsonl(path, strict: bool, consume) -> None:
     rejects raises CorpusFormatError naming the file and line (strict) or is
     skipped with a line-numbered warning (lenient)."""
     was_enabled = gc.isenabled()
-    gc.disable()
+    gc.disable()  # decoded JSON forms no cycles: collector passes would find nothing
     try:
         with open(path, "rb") as handle:
             # Not enumerate: its reused result tuple would keep each line's

@@ -138,8 +138,9 @@ class Table:
     def columns(self) -> tuple:
         """The column store, one ``executor.Column`` per column."""
         from .executor import Column  # executor imports this module
-        rows = vars(self).pop("_given")
-        return tuple(Column(rows, col) for col in range(self.schema.n_columns))
+        columns = tuple(Column(self._given, col) for col in range(self.schema.n_columns))
+        del self._given  # kept until the store is built: a failed build leaves the table
+        return columns
 
     def __eq__(self, other):
         return isinstance(other, Table) and self.schema == other.schema and all(

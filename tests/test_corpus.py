@@ -157,6 +157,16 @@ def test_a_width_error_names_the_first_bad_row():
         Table(schema, [["a", "b"], ["c", "d", "e"], ["f"]])
 
 
+def test_a_failed_store_build_keeps_the_given_rows():
+    # A row of the right length whose cells are not indexed by position
+    # fails the build; the table keeps its rows, so a second read fails the
+    # same way instead of finding them gone.
+    table = Table(TableSchema("t", ("A",), ("text",)), [["a"], {"A": 1}])
+    for _ in range(2):
+        with pytest.raises(KeyError):
+            table.columns
+
+
 def test_saving_loaded_tables_writes_the_file_again(tmp_path):
     _, tables = generate_synthetic_corpus(SynthConfig(n_tables=3, seed=4))
     first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
