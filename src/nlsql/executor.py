@@ -70,16 +70,16 @@ class Column:
 
     def __init__(self, rows: Sequence[Sequence], col: int):
         """Cell ``col`` of each row, or its ``str()`` if any cell is not a ``str``."""
-        for cells in (map(itemgetter(col), rows), map(str, map(itemgetter(col), rows))):
-            code_of = defaultdict(count().__next__)  # a new cell takes the next code
-            try:
-                self.codes = np.fromiter(map(code_of.__getitem__, cells), np.int32, len(rows))
-            except TypeError:  # an unhashable cell: a JSON array or object
-                continue
-            self.codebook: tuple[str, ...] = tuple(code_of)
-            if set(map(type, self.codebook)) <= {str}:
-                return
-        raise TypeError(f"column {col}: a row whose cells cannot be indexed")
+        cells = map(itemgetter(col), rows)
+        code_of = defaultdict(count().__next__)  # a new cell takes the next code
+        try:
+            self.codes = np.fromiter(map(code_of.__getitem__, cells), np.int32, len(rows))
+            "".join(code_of)  # a TypeError unless every distinct cell is a str
+        except TypeError:  # a JSON number, bool, null, array or object
+            cells = map(str, map(itemgetter(col), rows))
+            code_of = defaultdict(count().__next__)
+            self.codes = np.fromiter(map(code_of.__getitem__, cells), np.int32, len(rows))
+        self.codebook: tuple[str, ...] = tuple(code_of)
 
     @cached_property
     def distinct(self) -> tuple[str, ...]:

@@ -1,6 +1,7 @@
 import gc
 import json
 import math
+import sys
 from itertools import chain
 
 import pytest
@@ -155,6 +156,14 @@ def test_a_width_error_names_the_first_bad_row():
     schema = TableSchema("t", ("A", "B"), ("text", "text"))
     with pytest.raises(ValueError, match=r"^table 't' row 1: 3 cells for 2 columns$"):
         Table(schema, [["a", "b"], ["c", "d", "e"], ["f"]])
+
+
+def test_building_the_store_drops_the_given_rows():
+    rows = [["a", "1"], ["b", "2"]]
+    table = Table(TableSchema("t", ("A", "B"), ("text", "real")), rows)
+    held = sys.getrefcount(rows)
+    assert tuple(table.rows) == (("a", "1"), ("b", "2"))  # builds the store
+    assert sys.getrefcount(rows) == held - 1
 
 
 def test_a_failed_store_build_keeps_the_given_rows():
