@@ -146,6 +146,8 @@ def _load_pair(args):
 
 def cmd_validate(args) -> None:
     corpus, tables = _load_pair(args)
+    for table in tables.values():
+        table.columns  # builds the store: checks a column-form table's codes
     report = validate_corpus(corpus, tables)
     print(report.summary())
     if not report.ok:

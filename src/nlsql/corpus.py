@@ -5,17 +5,28 @@ Wire formats (UTF-8, one JSON record per line, unknown fields ignored):
   examples:  {"question": str, "table_id": str,
               "sql": {"sel": int, "agg": int, "conds": [[col, op, value], ...]}}
   tables:    {"id": str, "header": [str, ...], "types": [str, ...],
+              "n_rows": int, "codebooks": [[str, ...], ...], "codes": str}
+         or  {"id": str, "header": [str, ...], "types": [str, ...],
               "rows": [[cell, ...], ...]}
 
 ``sel``, ``agg`` and each condition's column and op must be JSON integers.
 Condition values may arrive as JSON numbers or strings; both are accepted and
-normalized to strings at load — typing is the executor's job. A table's
-rows are neither copied nor scanned at load: its column store, built on
-first use, turns the cells of a column holding a non-string into ``str()``.
+normalized to strings at load — typing is the executor's job.
+
+A table record with ``codebooks`` is in column form, which ``save_tables``
+writes: per column, its distinct cells in first-seen order, and in
+``codes`` the base64 of n_columns × n_rows little-endian ``int32`` codes,
+column after column, one blob per table. Loading checks the codebook count
+and entry types and ``n_rows``; the codes are decoded and checked on first
+use (``executor.columns_from_codes``), as decoding costs a pass over every
+code and a training set-up never reads them. A record in rows form is
+neither copied nor scanned at load: its column store, built on first use,
+turns the cells of a column holding a non-string into ``str()``.
 """
 
 from __future__ import annotations
 
+import base64
 import gc
 import json
 import logging
@@ -33,6 +44,7 @@ from .sketch import (
     TableSchema,
     validate_sketch,
 )
+from .util import all_str
 
 logger = logging.getLogger(__name__)
 
@@ -171,6 +183,19 @@ def _parse_table(record: dict) -> Table:
             t = "text"
         types.append(t)
     schema = TableSchema(table_id=table_id, headers=tuple(headers), types=tuple(types))
+    if "codebooks" in record:
+        codebooks, n_rows, codes = (record["codebooks"], record.get("n_rows"),
+                                    record.get("codes"))
+        if type(codebooks) is not list or not set(map(type, codebooks)) <= {list} \
+                or not all(map(all_str, codebooks)):
+            raise ValueError(f"table {table_id!r}: codebooks must be a list of "
+                             f"arrays of strings")
+        if type(n_rows) is not int or n_rows < 0:
+            raise ValueError(f"table {table_id!r}: n_rows must be a non-negative "
+                             f"integer, got {n_rows!r}")
+        if type(codes) is not str:
+            raise ValueError(f"table {table_id!r}: codes must be a base64 string")
+        return Table.coded(schema, n_rows, codebooks, codes)
     rows = record.get("rows", [])
     if type(rows) is not list or not set(map(type, rows)) <= {list}:
         raise ValueError(f"table {table_id!r}: rows must be a list of arrays")
@@ -192,11 +217,17 @@ def load_tables(path, strict: bool = True) -> dict[str, Table]:
 
 
 def table_to_record(table: Table) -> dict:
+    """The column-form record of ``table``."""
+    columns = table.columns
+    codes = b"".join(column.codes.astype("<i4", copy=False).tobytes()
+                     for column in columns)
     return {
         "id": table.table_id,
         "header": list(table.schema.headers),
         "types": list(table.schema.types),
-        "rows": [list(row) for row in table.rows],
+        "n_rows": table.n_rows,
+        "codebooks": [list(column.codebook) for column in columns],
+        "codes": base64.b64encode(codes).decode("ascii"),
     }
 
 

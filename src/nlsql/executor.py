@@ -1,13 +1,17 @@
 """In-memory single-table query engine and execution-accuracy comparator.
 
 A table's cells live only in its column store (``Table.columns``), built
-on first use from the rows the ``Table`` was given: per column, a codebook
-of the distinct raw cells in first-seen order (blanks included) and an
-``int32`` code per row. A column with a non-``str`` cell is coded from each
-cell's ``str()``; the codebook decides, as ``1``, ``1.0`` and ``True`` are
-one dict key. The normalized string and the parsed number of a codebook
-entry are computed once, the first time a query needs them, so a query
-costs a few vector operations over the codes, not a pass over the cells.
+on first use from what the ``Table`` was given: per column, a codebook of
+the distinct raw cells in first-seen order (blanks included) and an
+``int32`` code per row. Given rows, the store codes each cell
+(``Column.from_cells``); a column with a non-``str`` cell is coded from
+each cell's ``str()``, as ``1``, ``1.0`` and ``True`` are one dict key.
+Given a column-form table's codebooks and codes, it decodes the codes and
+checks that they are what coding the cells would have made, in one
+vectorised pass per table (``columns_from_codes``). The normalized string
+and the parsed number of a codebook entry are computed once, the first time
+a query needs them, so a query costs a few vector operations over the
+codes, not a pass over the cells.
 
 Conditions become boolean masks over the rows, ANDed in sketch order into
 one mask of live rows. Equality compares normalized strings; order
@@ -40,6 +44,7 @@ SUM or AVG can differ between interpreters (the project supports 3.10 on).
 
 from __future__ import annotations
 
+import base64
 import math
 from collections import Counter, defaultdict
 from collections.abc import Sequence
@@ -68,18 +73,22 @@ class QueryResult:
 class Column:
     """One dictionary-encoded column of a table's column store."""
 
-    def __init__(self, rows: Sequence[Sequence], col: int):
+    def __init__(self, codebook: tuple[str, ...], codes: np.ndarray):
+        self.codebook, self.codes = codebook, codes
+
+    @classmethod
+    def from_cells(cls, rows: Sequence[Sequence], col: int) -> Column:
         """Cell ``col`` of each row, or its ``str()`` if any cell is not a ``str``."""
         cells = map(itemgetter(col), rows)
         code_of = defaultdict(count().__next__)  # a new cell takes the next code
         try:
-            self.codes = np.fromiter(map(code_of.__getitem__, cells), np.int32, len(rows))
+            codes = np.fromiter(map(code_of.__getitem__, cells), np.int32, len(rows))
             "".join(code_of)  # a TypeError unless every distinct cell is a str
         except TypeError:  # a JSON number, bool, null, array or object
             cells = map(str, map(itemgetter(col), rows))
             code_of = defaultdict(count().__next__)
-            self.codes = np.fromiter(map(code_of.__getitem__, cells), np.int32, len(rows))
-        self.codebook: tuple[str, ...] = tuple(code_of)
+            codes = np.fromiter(map(code_of.__getitem__, cells), np.int32, len(rows))
+        return cls(tuple(code_of), codes)
 
     @cached_property
     def distinct(self) -> tuple[str, ...]:
@@ -118,6 +127,54 @@ class Column:
     def row_numbers(self, rows=slice(None)) -> np.ndarray:
         """The parsed number of each selected row's cell (NaN: unparseable)."""
         return self.numbers[self.codes[rows]]
+
+
+def columns_from_codes(table_id: str, n_rows: int, codebooks: Sequence[Sequence[str]],
+                       codes: str) -> tuple[Column, ...]:
+    """The column store of a column-form table: per column, a codebook of
+    distinct cells, and ``codes``, the base64 of n_columns × n_rows
+    little-endian ``int32``, column after column.
+
+    Raises ValueError naming the table unless the blob is base64 of the
+    right length and each column's codes are what ``Column.from_cells``
+    makes: in first-seen order (code 0 first, and each new code one more
+    than the largest before it), so MAX/MIN with no condition may reduce
+    the codebook; covering the codebook exactly, so ``Column.distinct`` is
+    the cells that occur; over entries that do not repeat.
+    """
+    where = f"table {table_id!r}"
+    try:
+        blob = base64.b64decode(codes, validate=True)
+    except ValueError:  # binascii.Error, or a non-ASCII character
+        raise ValueError(f"{where}: codes are not base64") from None
+    n_columns = len(codebooks)
+    if len(blob) != 4 * n_columns * n_rows:
+        raise ValueError(f"{where}: codes hold {len(blob)} bytes, not "
+                         f"4 × {n_columns} columns × {n_rows} rows")
+    matrix = np.frombuffer(blob, "<i4").reshape(n_columns, n_rows)
+    tops = [-1] * n_columns  # each column's largest code
+    if n_rows:
+        # Read as unsigned, a negative code is larger than any row count.
+        # The running maximum starts at 0 and rises by at most 1 a row
+        # exactly when the codes are in first-seen order.
+        peaks = np.maximum.accumulate(matrix.view("<u4"), axis=1)
+        rises = peaks[:, 1:] - peaks[:, :-1]
+        if np.count_nonzero(peaks[:, 0]) or np.count_nonzero(rises > 1):
+            col = next(c for c in range(n_columns)
+                       if peaks[c, 0] or (rises[c] > 1).any())
+            raise ValueError(f"{where} column {col}: codes are not in first-seen order")
+        tops = peaks[:, -1].tolist()
+    for col, (codebook, top) in enumerate(zip(codebooks, tops)):
+        if top >= len(codebook):
+            raise ValueError(f"{where} column {col}: code {top} is out of range "
+                             f"of {len(codebook)} codebook entries")
+        if top < len(codebook) - 1:
+            raise ValueError(f"{where} column {col}: codebook entry {top + 1} "
+                             f"is never used")
+        if len(set(codebook)) != len(codebook):
+            raise ValueError(f"{where} column {col}: a codebook entry repeats")
+    matrix = matrix.astype(np.int32, copy=False)  # a copy on big-endian hosts only
+    return tuple(map(Column, map(tuple, codebooks), matrix))
 
 
 def _warn(warnings: Counter, kind: str, n_rows) -> None:

@@ -30,6 +30,7 @@ import numpy as np
 from . import netops as nn
 from .serialize import DEFAULT_BUDGET, N_SEGMENTS, SEG_HEADER, SerializedInput, token_texts
 from .sketch import MAX_CONDS, AggOp, CondOp, Condition, SqlSketch, TableSchema
+from .util import all_str
 from .vocab import SPECIALS, Vocab
 
 
@@ -806,7 +807,7 @@ def _read_checkpoint(handle) -> Checkpoint:
                             if key not in _RETIRED_CONFIG_KEYS})
     tokens = header["vocab"]
     if not isinstance(tokens, list) or tokens[:len(SPECIALS)] != list(SPECIALS) \
-            or not all(isinstance(t, str) for t in tokens):
+            or not all_str(tokens):
         raise ValueError(f"vocab is not a list of strings that starts with {list(SPECIALS)}")
     vocab = Vocab(tokens)
     if len(vocab.index) != len(tokens):

@@ -117,8 +117,10 @@ class _Rows(Sequence):
 
 
 class Table:
-    """A schema and its cells. The rows given are checked and kept, not copied,
-    until the first read of ``columns`` builds the store from them and drops them."""
+    """A schema and its cells, given as rows or in column form (``coded``).
+    What the table is given is checked for its shape alone and kept, not
+    copied, until the first read of ``columns`` builds the store from it and
+    drops it."""
 
     def __init__(self, schema: TableSchema, rows: Sequence[Sequence]):
         width = schema.n_columns
@@ -126,7 +128,23 @@ class Table:
             i, row = next((i, r) for i, r in enumerate(rows) if len(r) != width)
             raise ValueError(f"table {schema.table_id!r} row {i}: "
                              f"{len(row)} cells for {width} columns")
-        self.schema, self.n_rows, self._given = schema, len(rows), rows
+        self.schema, self.n_rows, self._given, self._codes = schema, len(rows), rows, None
+
+    @classmethod
+    def coded(cls, schema: TableSchema, n_rows: int, codebooks: Sequence[Sequence[str]],
+              codes: str) -> Table:
+        """A table of ``n_rows`` rows in column form: per column, a codebook
+        of its distinct cells, and ``codes``, the base64 of n_columns ×
+        n_rows little-endian ``int32``, column after column. The codes are
+        decoded and checked (``executor.columns_from_codes``) when
+        ``columns`` is first read."""
+        if len(codebooks) != schema.n_columns:
+            raise ValueError(f"table {schema.table_id!r}: {len(codebooks)} codebooks "
+                             f"for {schema.n_columns} columns")
+        table = cls.__new__(cls)
+        table.schema, table.n_rows, table._given, table._codes = (
+            schema, n_rows, codebooks, codes)
+        return table
 
     rows = property(_Rows)
 
@@ -137,9 +155,15 @@ class Table:
     @cached_property
     def columns(self) -> tuple:
         """The column store, one ``executor.Column`` per column."""
-        from .executor import Column  # executor imports this module
-        columns = tuple(Column(self._given, col) for col in range(self.schema.n_columns))
-        del self._given  # kept until the store is built: a failed build leaves the table
+        from .executor import Column, columns_from_codes  # executor imports this module
+        if self._codes is None:
+            columns = tuple(Column.from_cells(self._given, col)
+                            for col in range(self.schema.n_columns))
+        else:
+            columns = columns_from_codes(self.table_id, self.n_rows, self._given,
+                                         self._codes)
+        # Kept until the store is built: a failed build leaves the table.
+        del self._given, self._codes
         return columns
 
     def __eq__(self, other):

@@ -39,6 +39,16 @@ def parse_number(s: str) -> float | None:
     return value
 
 
+def all_str(items) -> bool:
+    """Whether every item is a ``str``. ``"".join`` tests each in C, several
+    times faster than an ``isinstance`` per item over a 30k-entry list."""
+    try:
+        "".join(items)
+    except TypeError:
+        return False
+    return True
+
+
 def child_rng(*parts) -> random.Random:
     """Derive a deterministic RNG from a tuple of seed parts.
 

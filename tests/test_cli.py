@@ -1,4 +1,5 @@
 import argparse
+import base64
 import contextlib
 import io
 import json
@@ -10,7 +11,13 @@ from hypothesis import given, settings, strategies as st
 
 from nlsql import cli
 from nlsql.cli import cli_dispatch
-from nlsql.corpus import load_examples, save_examples, save_tables
+from nlsql.corpus import (
+    load_examples,
+    load_tables,
+    save_examples,
+    save_tables,
+    write_jsonl,
+)
 from nlsql.model import load_checkpoint, save_checkpoint
 from nlsql.sampling import sample_random
 from nlsql.sketch import Example, SqlSketch, Table, TableSchema
@@ -922,24 +929,31 @@ def test_augment_unknown_operator_names_file_and_line(workspace, capsys):
 
 # Paths to one field of an example record (one with a condition) and of the
 # table record it names: each field, and each part of the gold sketch, header,
-# types and rows.
+# types and codebooks, in the column form that synth writes; and each part of
+# the rows of the same table in rows form.
 EXAMPLE_FIELDS = (
     ("question",), ("table_id",), ("sql",), ("sql", "sel"), ("sql", "agg"),
     ("sql", "conds"), ("sql", "conds", 0), *(("sql", "conds", 0, i) for i in range(3)),
     ("provenance",), ("style",),
 )
 TABLE_FIELDS = (("id",), ("header",), ("header", 0), ("types",), ("types", 0),
-                ("rows",), ("rows", 0), ("rows", 0, 0))
+                ("n_rows",), ("codebooks",), ("codebooks", 0), ("codebooks", 0, 0),
+                ("codes",), ("rows",), ("rows", 0), ("rows", 0, 0))
 RECORD_FIELDS = (*(("data", path) for path in EXAMPLE_FIELDS),
                  *(("tables", path) for path in TABLE_FIELDS))
 
 
 @pytest.fixture(scope="module")
 def small_corpus(tmp_path_factory):
-    """A 2-table, 8-example synth corpus, a tiny checkpoint trained on it, and
-    the line of an example with a condition and of its table."""
+    """A 2-table, 8-example synth corpus, its tables also in rows form, a tiny
+    checkpoint trained on it, and the line of an example with a condition and
+    of its table."""
     root = tmp_path_factory.mktemp("records")
     data, tables = synth(root, questions=2)
+    rows = root / "tables.rows.jsonl"
+    write_jsonl(({"id": t.table_id, "header": list(t.schema.headers),
+                  "types": list(t.schema.types), "rows": list(map(list, t.rows))}
+                 for t in load_tables(tables).values()), rows)
     ckpt = root / "model.ckpt"
     assert run("train", "--data", str(data), "--tables", str(tables),
                *TRAIN_TINY, "--budget", "128", "--out", str(ckpt)) == 0
@@ -947,7 +961,7 @@ def small_corpus(tmp_path_factory):
     table_ids = [json.loads(line)["id"] for line in tables.read_text().splitlines()]
     index = next(i for i, record in enumerate(examples) if record["sql"]["conds"])
     lines = {"data": index, "tables": table_ids.index(examples[index]["table_id"])}
-    return root, {"data": data, "tables": tables}, ckpt, lines
+    return root, {"data": data, "tables": tables, "rows": rows}, ckpt, lines
 
 
 @given(field=st.sampled_from(RECORD_FIELDS), value=JSON_VALUES)
@@ -955,8 +969,8 @@ def small_corpus(tmp_path_factory):
 def test_any_value_in_one_record_field_exits_0_or_1(small_corpus, field, value):
     root, files, ckpt, lines = small_corpus
     which, path = field
-    paths = dict(files)
-    records = files[which].read_text(encoding="utf-8").splitlines()
+    paths = {"data": files["data"], "tables": files["rows" if path[0] == "rows" else "tables"]}
+    records = paths[which].read_text(encoding="utf-8").splitlines()
     record = json.loads(records[lines[which]])
     node = record
     for key in path[:-1]:
@@ -976,6 +990,59 @@ def test_any_value_in_one_record_field_exits_0_or_1(small_corpus, field, value):
             # A strict load may log a mapped column type before it fails.
             last = err.splitlines()[-1:]
             assert last and last[0].startswith("error: "), argv
+
+
+def _codes(*columns) -> str:
+    """The ``codes`` field of a column-form record: base64 of the columns'
+    codes as little-endian int32, column after column."""
+    flat = [code for column in columns for code in column]
+    return base64.b64encode(struct.pack(f"<{len(flat)}i", *flat)).decode("ascii")
+
+
+# A column-form table of three rows, ("x", "1"), ("y", "2"), ("x", "3"), and
+# records that each break one rule of the form, with the error each gives.
+CODED_TABLE = {"id": "t", "header": ["A", "B"], "types": ["text", "real"], "n_rows": 3,
+               "codebooks": [["x", "y"], ["1", "2", "3"]], "codes": _codes([0, 1, 0], [0, 1, 2])}
+BAD_CODED_TABLES = {
+    "wrong-length-blob": ({"codes": _codes([0, 1, 0], [0, 1])},
+                          "table 't': codes hold 20 bytes, not 4 × 2 columns × 3 rows"),
+    "bad-base64": ({"codes": "AAAA*" + _codes([0, 1, 0], [0, 1, 2])[5:]},
+                   "table 't': codes are not base64"),
+    "code-out-of-range": ({"codes": _codes([0, 1, 2], [0, 1, 2])},
+                          "table 't' column 0: code 2 is out of range of 2 codebook entries"),
+    "codes-not-first-seen": ({"codes": _codes([1, 0, 1], [0, 1, 2])},
+                             "table 't' column 0: codes are not in first-seen order"),
+    "unused-codebook-entry": ({"codebooks": [["x", "y", "z"], ["1", "2", "3"]]},
+                              "table 't' column 0: codebook entry 2 is never used"),
+    "repeated-codebook-entry": ({"codebooks": [["x", "y"], ["1", "2", "1"]]},
+                                "table 't' column 1: a codebook entry repeats"),
+    "negative-n-rows": ({"n_rows": -1}, "table 't': n_rows must be a non-negative "
+                        "integer, got -1"),
+    "non-integer-n-rows": ({"n_rows": 3.0}, "table 't': n_rows must be a non-negative "
+                           "integer, got 3.0"),
+    "codebook-count-not-header-count": ({"codebooks": [["x", "y"]]},
+                                        "table 't': 1 codebooks for 2 columns"),
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "eval"])
+@pytest.mark.parametrize("fields, message", BAD_CODED_TABLES.values(),
+                         ids=BAD_CODED_TABLES.keys())
+def test_a_bad_column_form_table_is_an_error(small_corpus, tmp_path, command, fields,
+                                             message):
+    _, _, ckpt, _ = small_corpus
+    data, tables = tmp_path / "data.jsonl", tmp_path / "tables.jsonl"
+    write_jsonl([{"question": "which x", "table_id": "t",
+                  "sql": {"sel": 1, "agg": 0, "conds": [[0, 0, "x"]]}}], data)
+    argv = {"validate": (), "eval": ("--ckpt", str(ckpt), "--out", str(tmp_path / "e.json"))}
+    write_jsonl([CODED_TABLE], tables)
+    assert run_captured(command, "--data", str(data), "--tables", str(tables),
+                        *argv[command]) == (0, "")
+    write_jsonl([{**CODED_TABLE, **fields}], tables)
+    code, err = run_captured(command, "--data", str(data), "--tables", str(tables),
+                             *argv[command])
+    # A check made at load also names the file and line.
+    assert code == 1 and err in (f"error: {message}\n", f"error: {tables}:1: {message}\n")
 
 
 # Each command's settings as a --config file sets them, one line each; the

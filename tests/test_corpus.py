@@ -1,6 +1,8 @@
+import base64
 import gc
 import json
 import math
+import struct
 import sys
 from itertools import chain
 
@@ -177,8 +179,10 @@ def test_a_failed_store_build_keeps_the_given_rows():
 
 
 def test_saving_loaded_tables_writes_the_file_again(tmp_path):
+    # save_tables writes the column form, which load -> save keeps byte for
+    # byte; a rows-form record saves as the column form it loads equal to.
     _, tables = generate_synthetic_corpus(SynthConfig(n_tables=3, seed=4))
-    first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+    first, second, third = (tmp_path / f"{n}.jsonl" for n in ("first", "second", "third"))
     save_tables(tables, first)
     with open(first, "a", encoding="utf-8") as handle:
         handle.write(json.dumps({"id": "odd", "header": ["Ä", "B"], "types": ["text", "real"],
@@ -186,8 +190,38 @@ def test_saving_loaded_tables_writes_the_file_again(tmp_path):
                                 ensure_ascii=False) + "\n")
     loaded = load_tables(first)
     save_tables(loaded, second)
-    assert second.read_bytes() == first.read_bytes()
-    assert load_tables(second) == loaded
+    save_tables(load_tables(second), third)
+    assert third.read_bytes() == second.read_bytes()
+    lines = second.read_text(encoding="utf-8").splitlines()
+    assert lines[:3] == first.read_text(encoding="utf-8").splitlines()[:3]
+    assert json.loads(lines[3]) == {
+        "id": "odd", "header": ["Ä", "B"], "types": ["text", "real"], "n_rows": 3,
+        "codebooks": [["  ", "Ä b"], ["1", "", "-0.0"]],
+        "codes": base64.b64encode(struct.pack("<6i", 0, 1, 0, 0, 1, 2)).decode("ascii")}
+    reloaded = load_tables(second)
+    assert reloaded == loaded
+    assert tuple(reloaded["odd"].rows) == tuple(loaded["odd"].rows) == (
+        ("  ", "1"), ("Ä b", ""), ("  ", "-0.0"))
+
+
+@given(data=st.data(), width=st.integers(1, 3))
+@settings(max_examples=200, deadline=None)
+def test_the_rows_form_and_the_column_form_load_to_equal_tables(tmp_path_factory, data,
+                                                                width):
+    cells = (st.text(st.sampled_from(" \tÄé€a1.-"), max_size=3) | st.integers()
+             | st.floats() | st.booleans() | st.none())
+    rows = data.draw(st.lists(st.lists(cells, min_size=width, max_size=width),
+                              max_size=6))
+    rows_form, column_form = (tmp_path_factory.getbasetemp() / f"{n}.jsonl"
+                              for n in ("rows-form", "column-form"))
+    write_lines(rows_form, [{"id": "t", "header": [f"H{i}" for i in range(width)],
+                             "rows": rows}])
+    save_tables(load_tables(rows_form), column_form)
+    assert "codebooks" in json.loads(column_form.read_text(encoding="utf-8"))
+    by_rows, by_columns = load_tables(rows_form)["t"], load_tables(column_form)["t"]
+    assert by_rows == by_columns
+    assert tuple(by_rows.rows) == tuple(by_columns.rows) == rows_as_first_parsed(
+        json.loads(json.dumps(rows)))
 
 
 def test_load_tables_rows_must_be_arrays(tmp_path):

@@ -1,10 +1,14 @@
+import base64
 import random
+import re
+import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import nlsql.executor as executor_module
 from nlsql.executor import (
+    Column,
     WARN_AGGREGATION,
     WARN_COMPARISON,
     QueryResult,
@@ -246,3 +250,56 @@ def test_adding_condition_never_grows_result(data):
     narrowed = SqlSketch(base.select_column, AggOp.COUNT, base.conds + (extra,))
     wide = SqlSketch(base.select_column, AggOp.COUNT, base.conds)
     assert execute(narrowed, table).values[0] <= execute(wide, table).values[0]
+
+
+def _coded(codebooks, codes):
+    """A column-form table of ``codebooks`` and per-column ``codes``."""
+    width, n_rows = len(codebooks), len(codes[0])
+    blob = struct.pack(f"<{width * n_rows}i", *(c for column in codes for c in column))
+    schema = TableSchema("t", tuple(f"H{i}" for i in range(width)), ("text",) * width)
+    return Table.coded(schema, n_rows, codebooks, base64.b64encode(blob).decode("ascii"))
+
+
+def _codes_as_built(codebook, codes) -> bool:
+    """Whether ``Column.from_cells`` codes the cells that ``codes`` name in
+    ``codebook`` to this codebook and these codes."""
+    if not all(0 <= c < len(codebook) for c in codes):
+        return False
+    built = Column.from_cells([[codebook[c]] for c in codes], 0)
+    return built.codebook == tuple(codebook) and built.codes.tolist() == list(codes)
+
+
+@given(data=st.data(), width=st.integers(1, 3), n_rows=st.integers(0, 5))
+@settings(max_examples=400, deadline=None)
+def test_coded_columns_are_accepted_exactly_when_they_are_as_built(data, width, n_rows):
+    codebooks = data.draw(st.lists(st.lists(st.sampled_from(["", "a", "b", "c"]),
+                                            max_size=4), min_size=width, max_size=width))
+    codes = data.draw(st.lists(st.lists(st.integers(-2, 4), min_size=n_rows,
+                                        max_size=n_rows), min_size=width, max_size=width))
+    table = _coded(codebooks, codes)
+    if all(map(_codes_as_built, codebooks, codes)):
+        assert [list(c.codebook) for c in table.columns] == codebooks
+        assert [c.codes.tolist() for c in table.columns] == codes
+    else:
+        with pytest.raises(ValueError, match=r"^table 't'"):
+            table.columns
+
+
+@pytest.mark.parametrize("codebooks, codes, message", [
+    ([["x", "y"]], "AAAA", ": codes hold 3 bytes, not 4 × 1 columns × 3 rows"),
+    ([["x", "y"]], "AAAA*AAA", ": codes are not base64"),
+    ([["x", "y"]], [[0, 1, 2]], " column 0: code 2 is out of range of 2 codebook entries"),
+    ([["x", "y"]], [[0, 0, 2]], " column 0: codes are not in first-seen order"),
+    ([["x", "y"]], [[1, 0, 1]], " column 0: codes are not in first-seen order"),
+    ([["x", "y"]], [[0, -1, 1]], " column 0: codes are not in first-seen order"),
+    ([["x", "y", "z"]], [[0, 1, 0]], " column 0: codebook entry 2 is never used"),
+    ([["x", "x"]], [[0, 1, 0]], " column 0: a codebook entry repeats"),
+], ids=["wrong-length", "bad-base64", "out-of-range", "skips-a-code", "starts-past-0",
+        "negative", "unused-entry", "repeated-entry"])
+def test_a_failed_code_check_names_the_table_and_keeps_the_codes(codebooks, codes,
+                                                                 message):
+    table = _coded(codebooks, codes) if isinstance(codes, list) else Table.coded(
+        TableSchema("t", ("A",), ("text",)), 3, codebooks, codes)
+    for _ in range(2):  # a failed build leaves the table as it was given
+        with pytest.raises(ValueError, match="^" + re.escape(f"table 't'{message}")):
+            table.columns
