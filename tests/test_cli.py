@@ -142,13 +142,15 @@ OVERFLOW_EXAMPLE = ('{"question": "q", "table_id": "t", '
 
 
 NOT_UTF8 = '{"question": "\udcff"}'  # written as the byte 0xff
+NEGATIVE_N_ROWS = ('{"id": "bad", "header": ["A"], "n_rows": -1, "codebooks": [[]], '
+                   '"codes": ""}')
 
 
 @pytest.mark.parametrize("which, bad", [
     ("data", DEEP_LINE), ("tables", DEEP_LINE), ("data", OVERFLOW_EXAMPLE),
-    ("data", NOT_UTF8), ("tables", NOT_UTF8),
+    ("data", NOT_UTF8), ("tables", NOT_UTF8), ("tables", NEGATIVE_N_ROWS),
 ], ids=["deep-examples", "deep-tables", "overflow-examples",
-        "not-utf8-examples", "not-utf8-tables"])
+        "not-utf8-examples", "not-utf8-tables", "negative-n-rows-tables"])
 def test_validate_reports_or_skips_an_undecodable_line(workspace, capsys,
                                                         which, bad):
     data, tables = synth(workspace)
