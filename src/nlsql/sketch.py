@@ -133,11 +133,9 @@ class Table:
     @classmethod
     def coded(cls, schema: TableSchema, n_rows: int, codebooks: Sequence[Sequence[str]],
               codes: str) -> Table:
-        """A table of ``n_rows`` rows in column form: per column, a codebook
-        of its distinct cells, and ``codes``, the base64 of n_columns ×
-        n_rows little-endian ``int32``, column after column. The codes are
-        decoded and checked (``executor.columns_from_codes``) when
-        ``columns`` is first read."""
+        """A table of ``n_rows`` rows in column form: a codebook per column
+        and the base64 ``codes`` blob, which ``executor.columns_from_codes``
+        decodes and checks when ``columns`` is first read."""
         if len(codebooks) != schema.n_columns:
             raise ValueError(f"table {schema.table_id!r}: {len(codebooks)} codebooks "
                              f"for {schema.n_columns} columns")
